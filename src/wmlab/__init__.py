@@ -115,7 +115,6 @@ from .spectral import (
     CovarianceMatrix,
     SpectralDecomposition,
     balakrishnan_fractional_inverse,
-    covariance_beta1_direct,
     covariance_direct,
     covariance_weights,
     field_covariance_at,
@@ -169,7 +168,6 @@ __all__ = [
     "generalized_eig",
     "covariance_weights",
     "covariance_direct",
-    "covariance_beta1_direct",
     "balakrishnan_fractional_inverse",
     "sample_field",
     "field_covariance_at",

@@ -47,8 +47,9 @@ from .errors import (
     NumericalIntegrityError,
     WmlabError,
 )
-from .fem1d import DIRICHLET, DIRICHLET_LAPLACE, assemble_aL, build_basis
+from .fem1d import DIRICHLET, assemble_aL, build_basis
 from .kriging import (
+    _model_basis,
     _model_covariance,
     curve_rows,
     efficiency_curve_integral,
@@ -58,7 +59,7 @@ from .kriging import (
 from .matern import compare_fem_vs_matern
 from .matio import write_eigenvalues_csv, write_matrix
 from .model_config import BUILTIN_MODEL_NAMES, builtin_model, model_from_dict
-from .spectral import covariance_weights, generalized_eig, sample_field
+from .spectral import generalized_eig, sample_field
 
 
 class ConfigError(Exception):
@@ -395,15 +396,8 @@ def _resolve_model(ref):
 
 def _covariance_for(model, N):
     """(basis, covariance) by the appropriate route for the exponent."""
-    b = model.beta
-    is_int = abs(b - round(b)) < 1e-12 and int(round(b)) in (1, 2, 3)
-    mode = DIRICHLET_LAPLACE if (is_int and int(round(b)) == 3) else DIRICHLET
-    basis = build_basis(int(N), model.basis_order, mode)
-    if is_int:
-        return basis, _model_covariance(model, basis)
-    ops = assemble_aL(basis, model.a, model.kappa2)
-    dec = generalized_eig(ops)
-    return basis, covariance_weights(dec, b, model.tau)
+    basis = _model_basis(model, N)
+    return basis, _model_covariance(model, basis)
 
 
 def _write_manifest(outdir, command, cfg, defaulted, artifacts, t0):

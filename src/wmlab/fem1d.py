@@ -20,6 +20,21 @@ T' A_raw T. Two constraint modes exist:
 
 All constructions keep the constrained dimension equal to the requested
 N by adjusting the number of cells.
+
+Evaluation and assembly work on the *raw* (unconstrained) clamped basis
+with array expressions over all points at once:
+
+* ``knots`` is a full clamped knot vector (end knots repeated p+1 times).
+  A "span" is an index i with knots[i] <= s < knots[i+1]; the splines
+  B_{span-p}, ..., B_{span} are the p+1 functions active at s, and on the
+  uniform partitions built here element e is span p + e.
+* Values and derivatives follow the Cox-de Boor table recurrence (Piegl &
+  Tiller, *The NURBS Book*, alg. A2.3), looped only over the small
+  indices (at most p + 1 = 4) and vectorized over the points.
+* A form is assembled as per-element (p+1) x (p+1) matrices, summed over
+  the element's quadrature points and the form's terms, then scattered
+  into the raw matrix along its band. The fixed summation order makes
+  results reproducible bit for bit for a fixed input.
 """
 
 import math
@@ -27,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     AssemblyIntegrityError,
     CoefficientError,
@@ -53,6 +67,10 @@ __all__ = [
 
 DIRICHLET = "dirichlet"
 DIRICHLET_LAPLACE = "dirichlet_plus_laplace_zero"
+
+# Sine rows are evaluated in blocks of this many rows, which bounds the
+# (rows, elements, quadrature points) table of sine values in memory.
+_SINE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -81,6 +99,73 @@ class SplineBasis:
     @property
     def cell_width(self):
         return 1.0 / self.n_cells
+
+
+def _basis_ders(knots, p, xs, nders):
+    """Active raw splines and their derivatives at many points.
+
+    Returns ``(ders, spans)`` where ``ders[k, j, i]`` is the k-th
+    derivative of B_{spans[i]-p+j, p} at ``xs[i]``, for k = 0..nders.
+    Rows with k > p are zero (piecewise degree-p polynomials have
+    vanishing higher derivatives inside each cell).
+    """
+    n_raw = knots.shape[0] - p - 1
+    spans = np.clip(np.searchsorted(knots, xs, "right") - 1, p, n_raw - 1)
+    m = xs.shape[0]
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = xs - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - xs
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((nders + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    nd = min(nders, p)
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nd + 1):
+            d = np.zeros(m)
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    fac = float(p)
+    for k in range(1, nd + 1):
+        ders[k] *= fac
+        fac *= p - k
+    return ders, spans
+
+
+def _raw_rows(basis, xs, derivative):
+    """Dense (len(xs), n_raw) matrix of raw spline (derivative) values."""
+    ders, spans = _basis_ders(basis.knots, basis.order, xs, derivative)
+    raw = np.zeros((xs.shape[0], basis.n_raw))
+    cols = spans[:, None] + np.arange(-basis.order, 1)
+    raw[np.arange(xs.shape[0])[:, None], cols] = ders[derivative].T
+    return raw
 
 
 def build_basis(N, order, constraint=DIRICHLET):
@@ -113,11 +198,10 @@ def build_basis(N, order, constraint=DIRICHLET):
     if constraint == DIRICHLET:
         transform = np.eye(n_raw)[:, 1 : n_raw - 1]
     else:
-        ders0, _ = _kernels.basis_ders(knots, p, 0.0, 2)
-        ders1, _ = _kernels.basis_ders(knots, p, 1.0, 2)
+        ders, _ = _basis_ders(knots, p, np.array([0.0, 1.0]), 2)
         # actives at 0 are raw 0..3; at 1 raw n_raw-4..n_raw-1
-        r_left = ders0[2, 1] / ders0[2, 2]
-        r_right = ders1[2, 2] / ders1[2, 1]
+        r_left = ders[2, 1, 0] / ders[2, 2, 0]
+        r_right = ders[2, 2, 1] / ders[2, 1, 1]
         n_dof = n_raw - 4
         transform = np.zeros((n_raw, n_dof))
         transform[1, 0] = 1.0
@@ -144,8 +228,8 @@ def _check_partition_of_unity(basis):
     # The raw clamped basis sums to one everywhere; verify at a handful of
     # interior points before any constraint recombination is used.
     xs = np.linspace(0.037, 0.971, 11)
-    vals, _ = _kernels.eval_basis_many(basis.knots, basis.order, xs, 0)
-    sums = vals[:, 0, :].sum(axis=1)
+    ders, _ = _basis_ders(basis.knots, basis.order, xs, 0)
+    sums = ders[0].sum(axis=0)
     if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-12):
         raise AssemblyIntegrityError(
             f"raw spline partition of unity violated: max|sum-1| = {np.max(np.abs(sums - 1.0)):.3e}"
@@ -153,19 +237,16 @@ def _check_partition_of_unity(basis):
 
 
 def _check_boundary_constraints(basis):
-    for end in (0.0, 1.0):
-        ders, span = _kernels.basis_ders(basis.knots, basis.order, end, 2)
-        row_val = np.zeros(basis.n_raw)
-        row_val[span - basis.order : span + 1] = ders[0]
-        vals = row_val @ basis.transform
-        if np.max(np.abs(vals)) > 1e-12:
+    ends = np.array([0.0, 1.0])
+    vals = _raw_rows(basis, ends, 0) @ basis.transform
+    d2_raw = _raw_rows(basis, ends, 2)
+    d2 = d2_raw @ basis.transform
+    for i, end in enumerate(ends):
+        if np.max(np.abs(vals[i])) > 1e-12:
             raise AssemblyIntegrityError(f"constrained basis not zero at s={end}")
         if basis.constraint_mode == DIRICHLET_LAPLACE:
-            row_d2 = np.zeros(basis.n_raw)
-            row_d2[span - basis.order : span + 1] = ders[2]
-            d2 = row_d2 @ basis.transform
-            scale = max(np.max(np.abs(ders[2])), 1.0)
-            if np.max(np.abs(d2)) > 1e-9 * scale:
+            scale = max(np.max(np.abs(d2_raw[i])), 1.0)
+            if np.max(np.abs(d2[i])) > 1e-9 * scale:
                 raise AssemblyIntegrityError(
                     f"second-derivative constraint violated at s={end}"
                 )
@@ -182,12 +263,7 @@ def eval_matrix(basis, locations, derivative=0):
         raise ParameterError("locations must be one-dimensional")
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
-    vals, spans = _kernels.eval_basis_many(basis.knots, basis.order, xs, derivative)
-    raw = np.zeros((xs.shape[0], basis.n_raw))
-    p = basis.order
-    for i in range(xs.shape[0]):
-        raw[i, spans[i] - p : spans[i] + 1] = vals[i, derivative, :]
-    return raw @ basis.transform
+    return _raw_rows(basis, xs, derivative) @ basis.transform
 
 
 @dataclass(frozen=True)
@@ -219,17 +295,35 @@ def _field_at(field, qpts, derivative=False):
     return np.asarray(fn(qpts.ravel()), dtype=np.float64).reshape(qpts.shape)
 
 
+def _element_ders(basis, qpts, nders):
+    """Raw basis table at per-element quadrature points.
+
+    Returns ``(B, first)`` with ``B[k, j, e, q]`` the k-th derivative of
+    the j-th active raw spline of element e at ``qpts[e, q]`` and
+    ``first[e]`` the raw index of that element's first active spline.
+    """
+    ders, spans = _basis_ders(basis.knots, basis.order, qpts.ravel(), nders)
+    first = spans.reshape(qpts.shape)[:, 0] - basis.order
+    return ders.reshape(ders.shape[:2] + qpts.shape), first
+
+
 def _assemble(basis, qpts, qwts, coeffs, d1, d2):
-    raw = _kernels.assemble_bilinear(
-        basis.knots,
-        basis.order,
-        basis.n_raw,
-        qpts,
-        qwts,
-        np.ascontiguousarray(coeffs),
-        np.asarray(d1, dtype=np.int64),
-        np.asarray(d2, dtype=np.int64),
-    )
+    """Constrained matrix of sum_t integral(coeffs[t] u^(d1[t]) v^(d2[t])).
+
+    ``coeffs`` has shape (n_terms, n_elements, n_quad): each term's
+    coefficient at the quadrature points.
+    """
+    p = basis.order
+    B, first = _element_ders(basis, qpts, max(max(d1), max(d2)))
+    local = np.zeros((qpts.shape[0], p + 1, p + 1))
+    for c, k1, k2 in zip(coeffs, d1, d2):
+        local += np.einsum("ieq,jeq->eij", B[k1] * (c * qwts), B[k2])
+    raw = np.zeros((basis.n_raw, basis.n_raw))
+    # within one (i, j) slice every element hits a different entry, so
+    # the fancy-index += never drops a repeated target
+    for i in range(p + 1):
+        for j in range(p + 1):
+            raw[first + i, first + j] += local[:, i, j]
     if basis.constraint_mode == DIRICHLET:
         return raw[1:-1, 1:-1].copy()
     return basis.transform.T @ raw @ basis.transform
@@ -368,9 +462,17 @@ def integral_obs_matrix(basis, n_rows, nquad=None):
     if nquad is None:
         nquad = max(basis.order + 2, math.ceil(4.0 * n_rows * basis.cell_width))
     qpts, qwts = _element_quadrature(basis, nquad)
-    raw = _kernels.sine_rows(
-        basis.knots, basis.order, basis.n_raw, qpts, qwts, int(n_rows)
-    )
+    B, first = _element_ders(basis, qpts, 0)
+    n_rows = int(n_rows)
+    raw = np.zeros((n_rows, basis.n_raw))
+    sq2 = np.sqrt(2.0)
+    for l0 in range(0, n_rows, _SINE_BLOCK):
+        block = raw[l0 : l0 + _SINE_BLOCK]
+        ls = np.arange(l0 + 1, l0 + block.shape[0] + 1)
+        sv = sq2 * np.sin(ls[:, None, None] * np.pi * qpts) * qwts
+        local = np.einsum("leq,jeq->lej", sv, B[0])
+        for j in range(basis.order + 1):
+            block[:, first + j] += local[:, :, j]
     if basis.constraint_mode == DIRICHLET:
         return raw[:, 1:-1].copy()
     return raw @ basis.transform

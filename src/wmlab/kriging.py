@@ -287,6 +287,14 @@ def _is_integer(x, tol=1e-12):
     return abs(x - round(x)) <= tol
 
 
+def _model_basis(model, N):
+    """Basis for the model: beta = 3 also needs the Laplace-zero constraint."""
+    mode = DIRICHLET
+    if _is_integer(model.beta) and int(round(model.beta)) == 3:
+        mode = DIRICHLET_LAPLACE
+    return build_basis(int(N), model.basis_order, mode)
+
+
 def _model_operators(model, basis):
     """Assemble the stiffest exact form available for the exponent."""
     if _is_integer(model.beta) and int(round(model.beta)) in (1, 2, 3):
@@ -344,10 +352,7 @@ def _curve_basis(true_model, missp_model, N):
         )
     if true_model.basis_order != missp_model.basis_order:
         raise ParameterError("models must share basis_order")
-    mode = DIRICHLET
-    if _is_integer(true_model.beta) and int(round(true_model.beta)) == 3:
-        mode = DIRICHLET_LAPLACE
-    return build_basis(int(N), true_model.basis_order, mode)
+    return _model_basis(true_model, N)
 
 
 def efficiency_curve_integral(

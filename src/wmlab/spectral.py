@@ -38,7 +38,6 @@ __all__ = [
     "CovarianceMatrix",
     "covariance_weights",
     "covariance_direct",
-    "covariance_beta1_direct",
     "balakrishnan_fractional_inverse",
     "sample_field",
     "field_covariance_at",
@@ -138,11 +137,6 @@ def covariance_direct(ops, beta, tau):
     C = scipy.linalg.cho_solve(factor, X.T).T  # (K^-1 X')' = X K^-1
     C = (tau * tau) * 0.5 * (C + C.T)
     return CovarianceMatrix(C=C, beta=float(beta), tau=float(tau))
-
-
-def covariance_beta1_direct(ops, tau):
-    """Direct-route covariance for beta = 1 (see :func:`covariance_direct`)."""
-    return covariance_direct(ops, 1, tau)
 
 
 def balakrishnan_fractional_inverse(A, theta, levels=40):

@@ -1,0 +1,226 @@
+"""Array B-spline evaluation and assembly against a scalar oracle.
+
+The oracle is the classical one-point-at-a-time Cox-de Boor evaluation
+(Piegl & Tiller, *The NURBS Book*, alg. A2.1 and A2.3) with plain Python
+loops for assembly and sine pairings. The array code in :mod:`wmlab.fem1d`
+performs the same floating-point operations per point, so the basis must
+match it bit for bit; assembled matrices differ only in summation order.
+"""
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wmlab.fem1d import (
+    DIRICHLET,
+    DIRICHLET_LAPLACE,
+    _SINE_BLOCK,
+    _basis_ders,
+    _element_quadrature,
+    assemble_a2,
+    assemble_a3,
+    build_basis,
+    integral_obs_matrix,
+)
+from wmlab.model_config import CoefficientField
+
+# ------------------------------------------------------------ oracle
+
+
+def find_span(knots, p, s):
+    """Index of the knot span containing s (clamped at both ends)."""
+    n = knots.shape[0] - p - 1  # number of raw basis functions
+    if s >= knots[n]:
+        return n - 1
+    if s <= knots[p]:
+        return p
+    lo = p
+    hi = n
+    mid = (lo + hi) // 2
+    while s < knots[mid] or s >= knots[mid + 1]:
+        if s < knots[mid]:
+            hi = mid
+        else:
+            lo = mid
+        mid = (lo + hi) // 2
+    return mid
+
+
+def basis_ders(knots, p, s, nders):
+    """Nonzero B-splines and their derivatives at one point.
+
+    Returns ``(ders, span)`` where ``ders[k, j]`` is the k-th derivative
+    of B_{span-p+j, p} at s, for k = 0..nders.
+    """
+    span = find_span(knots, p, s)
+    ndu = np.empty((p + 1, p + 1))
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = s - knots[span + 1 - j]
+        right[j] = knots[span + j] - s
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((nders + 1, p + 1))
+    for j in range(p + 1):
+        ders[0, j] = ndu[j, p]
+
+    nd = nders if nders < p else p
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1 = 0
+        s2 = 1
+        a[0, 0] = 1.0
+        for k in range(1, nd + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            if rk >= -1:
+                j1 = 1
+            else:
+                j1 = -rk
+            if r - 1 <= pk:
+                j2 = k - 1
+            else:
+                j2 = p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            tmp = s1
+            s1 = s2
+            s2 = tmp
+
+    fac = float(p)
+    for k in range(1, nd + 1):
+        for j in range(p + 1):
+            ders[k, j] *= fac
+        fac *= p - k
+    return ders, span
+
+
+def assemble_bilinear(knots, p, n_raw, qpts, qwts, terms):
+    """Raw matrix of sum over (coeffs, d1, d2) in terms of
+    integral(coeffs * u^(d1) * v^(d2)), accumulated point by point."""
+    maxd = max(max(d1, d2) for _, d1, d2 in terms)
+    out = np.zeros((n_raw, n_raw))
+    nel, nq = qpts.shape
+    for e in range(nel):
+        for q in range(nq):
+            ders, span = basis_ders(knots, p, qpts[e, q], maxd)
+            i0 = span - p
+            for coeffs, k1, k2 in terms:
+                c = coeffs[e, q] * qwts[e, q]
+                for i in range(p + 1):
+                    for j in range(p + 1):
+                        out[i0 + i, i0 + j] += c * ders[k1, i] * ders[k2, j]
+    return out
+
+
+def sine_rows(knots, p, n_raw, qpts, qwts, n_rows):
+    """Raw pairings with sqrt(2) sin(l pi s), l = 1..n_rows."""
+    out = np.zeros((n_rows, n_raw))
+    nel, nq = qpts.shape
+    for e in range(nel):
+        for q in range(nq):
+            ders, span = basis_ders(knots, p, qpts[e, q], 0)
+            x = qpts[e, q]
+            w = qwts[e, q]
+            i0 = span - p
+            for l in range(1, n_rows + 1):
+                sv = np.sqrt(2.0) * np.sin(l * np.pi * x) * w
+                for j in range(p + 1):
+                    out[l - 1, i0 + j] += sv * ders[0, j]
+    return out
+
+
+def constrain(basis, raw):
+    return basis.transform.T @ raw @ basis.transform
+
+
+def assert_close_to_scale(actual, expected):
+    assert actual.shape == expected.shape
+    gap = np.max(np.abs(actual - expected))
+    assert gap <= 1e-13 * np.max(np.abs(expected)), gap
+
+
+# ------------------------------------------------------------- basis
+
+
+@given(
+    n=st.integers(min_value=10, max_value=40),
+    order=st.sampled_from([1, 2, 3]),
+    nders=st.integers(min_value=0, max_value=3),
+    xs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+)
+def test_array_basis_equals_scalar_oracle(n, order, nders, xs):
+    basis = build_basis(n, order, DIRICHLET)
+    pts = np.concatenate([np.asarray(xs), basis.breakpoints, [0.0, 1.0]])
+    ders, spans = _basis_ders(basis.knots, order, pts, nders)
+    assert ders.shape == (nders + 1, order + 1, pts.shape[0])
+    for i, s in enumerate(pts):
+        ref, span = basis_ders(basis.knots, order, s, nders)
+        assert spans[i] == span
+        npt.assert_array_equal(ders[:, :, i], ref)
+
+
+# ---------------------------------------------------------- assembly
+
+KAPPA2 = CoefficientField("polynomial", (3.0, -1.0, 2.0))
+
+
+def test_a2_matches_scalar_oracle():
+    basis = build_basis(17, 2, DIRICHLET)
+    qpts, qwts = _element_quadrature(basis, basis.order + 5)
+    g = KAPPA2.value(qpts)
+    gp = KAPPA2.derivative(qpts)
+    terms = [(g * g, 0, 0), (2.0 * g, 1, 1), (gp, 0, 1), (gp, 1, 0), (np.ones_like(g), 2, 2)]
+    raw = assemble_bilinear(basis.knots, 2, basis.n_raw, qpts, qwts, terms)
+    assert_close_to_scale(assemble_a2(basis, KAPPA2).K, constrain(basis, raw))
+
+
+def test_a3_matches_scalar_oracle():
+    basis = build_basis(15, 3, DIRICHLET_LAPLACE)
+    qpts, qwts = _element_quadrature(basis, 9)
+    g = KAPPA2.value(qpts)
+    gp = KAPPA2.derivative(qpts)
+    terms = [
+        (g * g * g + gp * gp, 0, 0),
+        (g * gp, 0, 1),
+        (g * gp, 1, 0),
+        (g * g, 1, 1),
+        (-(g * g), 2, 0),
+        (-(g * g), 0, 2),
+        (g, 2, 2),
+        (-gp, 3, 0),
+        (-gp, 0, 3),
+        (-g, 3, 1),
+        (-g, 1, 3),
+        (np.ones_like(g), 3, 3),
+    ]
+    raw = assemble_bilinear(basis.knots, 3, basis.n_raw, qpts, qwts, terms)
+    assert_close_to_scale(assemble_a3(basis, KAPPA2).K, constrain(basis, raw))
+
+
+def test_sine_rows_across_row_blocks_match_scalar_oracle():
+    n_rows = 2 * _SINE_BLOCK + 7  # two full row blocks and a partial one
+    basis = build_basis(n_rows, 2, DIRICHLET)
+    nquad = 6
+    qpts, qwts = _element_quadrature(basis, nquad)
+    raw = sine_rows(basis.knots, 2, basis.n_raw, qpts, qwts, n_rows)
+    Phi = integral_obs_matrix(basis, n_rows, nquad=nquad)
+    assert_close_to_scale(Phi, raw @ basis.transform)
