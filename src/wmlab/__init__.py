@@ -29,14 +29,12 @@ __version__ = "0.1.0"
 
 from .diagnostics import (
     DiagnosticsReport,
-    FractionalDifferenceReport,
     MeanDifferenceReport,
     OperatorPair,
     Verdict,
     VerdictInput,
     cm_equivalence_constants,
     cross_gram,
-    fractional_difference_bound_check,
     hs_curve,
     mean_difference_check,
     t_operator,
@@ -199,7 +197,6 @@ __all__ = [
     "OperatorPair",
     "DiagnosticsReport",
     "MeanDifferenceReport",
-    "FractionalDifferenceReport",
     "Verdict",
     "VerdictInput",
     "cross_gram",
@@ -207,7 +204,6 @@ __all__ = [
     "hs_curve",
     "cm_equivalence_constants",
     "mean_difference_check",
-    "fractional_difference_bound_check",
     "table1_verdict",
     "verdict_input_from_models",
 ]

@@ -21,12 +21,14 @@ with a JSON diagnostic dump on stderr.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -566,167 +568,116 @@ def _run_cells(jobs, threads):
 # ---------------------------------------------------------------------
 # subcommands
 
-def run_fig1_integral(cfg, defaulted):
+@dataclass(frozen=True)
+class _Figure:
+    """One efficiency-curve figure: a curve per (model label, parameter).
+
+    Family "41" sweeps the perturbation steepness ``deltas`` at beta = 1
+    against the single true model base41; family "42" sweeps ``betas``
+    with one true model base42 per beta. ``design`` is "integral" or
+    "point".
+    """
+
+    family: str
+    design: str
+    title: str
+    ylabel: str
+
+
+_FIGURES = {
+    "fig1_integral": _Figure(
+        "41",
+        "integral",
+        "worst-case efficiency loss, integral observations",
+        "max efficiency loss",
+    ),
+    "fig1_point": _Figure(
+        "41",
+        "point",
+        "efficiency loss predicting z(s0), point observations",
+        "efficiency loss",
+    ),
+    "fig2": _Figure(
+        "42",
+        "integral",
+        "worst-case efficiency loss, polynomial reaction perturbations",
+        "max efficiency loss",
+    ),
+}
+
+
+def _figure_cells(fig, cfg):
+    """(true model, misspecified model, label, beta, delta, series name)
+    for every cell, in (model label, parameter) order."""
+    cells = []
+    for label in sorted(cfg["models"]):
+        if fig.family == "41":
+            for delta in (float(d) for d in cfg["deltas"]):
+                true_model = builtin_model("base41", 1)
+                missp = builtin_model(f"{label}_41", 1, delta)
+                cells.append((true_model, missp, label, 1.0, delta, f"{label} delta={delta:g}"))
+        else:
+            for beta in sorted(int(b) for b in cfg["betas"]):
+                true_model = builtin_model("base42", beta)
+                missp = builtin_model(f"{label}_42", beta)
+                cells.append((true_model, missp, label, float(beta), None, f"{label} beta={beta}"))
+    return cells
+
+
+def _figure_curve(fig, cfg, true_model, missp):
+    if fig.design == "point":
+        return efficiency_curve_point(
+            true_model,
+            missp,
+            cfg["N"],
+            n_values=cfg["n_values"],
+            s0=cfg["s0"],
+            delta_o=cfg["delta_o"],
+        )
+    return efficiency_curve_integral(
+        true_model,
+        missp,
+        cfg["N"],
+        n_values=cfg["n_values"],
+        keep_per_target=cfg["per_target"],
+    )
+
+
+def run_figure(command, cfg, defaulted):
     t0 = time.time()
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
-    base = builtin_model("base41", 1)
+    fig = _FIGURES[command]
+    cells = _figure_cells(fig, cfg)
+    # Within a figure the true model depends only on beta, so running the
+    # cells in beta order puts those that share a true model back to back
+    # and its memoized stage (basis, Phi, Sigma) is built once.
+    order = sorted(range(len(cells)), key=lambda i: cells[i][3])
+    jobs = [(i, functools.partial(_figure_curve, fig, cfg, *cells[i][:2])) for i in order]
+    curves = dict(_run_cells(jobs, cfg["threads"]))
 
-    def make_job(label, delta):
-        def job():
-            missp = builtin_model(f"{label}_41", 1, delta)
-            return efficiency_curve_integral(
-                base,
-                missp,
-                cfg["N"],
-                n_values=cfg["n_values"],
-                keep_per_target=cfg["per_target"],
-            )
-
-        return job
-
-    jobs = [
-        ((label, float(delta)), make_job(label, float(delta)))
-        for label in sorted(cfg["models"])
-        for delta in cfg["deltas"]
-    ]
-    results = _run_cells(jobs, cfg["threads"])
-
+    per_target = cfg.get("per_target", False)
     rows = []
     series = []
-    for (label, delta), curve in results:
-        rows.extend(
-            curve_rows(
-                "fig1_integral", label, 1.0, delta, curve, per_target=cfg["per_target"]
-            )
-        )
-        series.append(
-            (f"{label} delta={delta:g}", list(curve.n_values), list(curve.e_max))
-        )
-    csv_path = os.path.join(outdir, "fig1_integral.csv")
+    for i, (_, _, label, beta, delta, name) in enumerate(cells):
+        curve = curves[i]
+        rows.extend(curve_rows(command, label, beta, delta, curve, per_target=per_target))
+        series.append((name, list(curve.n_values), list(curve.e_max)))
+    csv_path = os.path.join(outdir, f"{command}.csv")
     write_curves_csv(csv_path, rows)
     artifacts = [csv_path]
     if cfg["svg"]:
-        svg_path = os.path.join(outdir, "fig1_integral.svg")
+        svg_path = os.path.join(outdir, f"{command}.svg")
         write_svg_log_curves(
             svg_path,
-            "worst-case efficiency loss, integral observations",
+            fig.title,
             series,
             xlabel="number of observations n",
-            ylabel="max efficiency loss",
+            ylabel=fig.ylabel,
         )
         artifacts.append(svg_path)
-    artifacts.append(
-        _write_manifest(outdir, "fig1_integral", cfg, defaulted, artifacts, t0)
-    )
-    print(f"fig1_integral: wrote {csv_path}")
-    return 0
-
-
-def run_fig1_point(cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    base = builtin_model("base41", 1)
-
-    def make_job(label, delta):
-        def job():
-            missp = builtin_model(f"{label}_41", 1, delta)
-            return efficiency_curve_point(
-                base,
-                missp,
-                cfg["N"],
-                n_values=cfg["n_values"],
-                s0=cfg["s0"],
-                delta_o=cfg["delta_o"],
-            )
-
-        return job
-
-    jobs = [
-        ((label, float(delta)), make_job(label, float(delta)))
-        for label in sorted(cfg["models"])
-        for delta in cfg["deltas"]
-    ]
-    results = _run_cells(jobs, cfg["threads"])
-
-    rows = []
-    series = []
-    for (label, delta), curve in results:
-        rows.extend(curve_rows("fig1_point", label, 1.0, delta, curve))
-        series.append(
-            (f"{label} delta={delta:g}", list(curve.n_values), list(curve.e_max))
-        )
-    csv_path = os.path.join(outdir, "fig1_point.csv")
-    write_curves_csv(csv_path, rows)
-    artifacts = [csv_path]
-    if cfg["svg"]:
-        svg_path = os.path.join(outdir, "fig1_point.svg")
-        write_svg_log_curves(
-            svg_path,
-            "efficiency loss predicting z(s0), point observations",
-            series,
-            xlabel="number of observations n",
-            ylabel="efficiency loss",
-        )
-        artifacts.append(svg_path)
-    artifacts.append(
-        _write_manifest(outdir, "fig1_point", cfg, defaulted, artifacts, t0)
-    )
-    print(f"fig1_point: wrote {csv_path}")
-    return 0
-
-
-def run_fig2(cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-
-    def make_job(label, beta):
-        def job():
-            true_model = builtin_model("base42", beta)
-            missp = builtin_model(f"{label}_42", beta)
-            return efficiency_curve_integral(
-                true_model,
-                missp,
-                cfg["N"],
-                n_values=cfg["n_values"],
-                keep_per_target=cfg["per_target"],
-            )
-
-        return job
-
-    jobs = [
-        ((label, int(beta)), make_job(label, int(beta)))
-        for label in sorted(cfg["models"])
-        for beta in sorted(cfg["betas"])
-    ]
-    results = _run_cells(jobs, cfg["threads"])
-
-    rows = []
-    series = []
-    for (label, beta), curve in results:
-        rows.extend(
-            curve_rows("fig2", label, float(beta), None, curve, per_target=cfg["per_target"])
-        )
-        series.append((f"{label} beta={beta}", list(curve.n_values), list(curve.e_max)))
-    csv_path = os.path.join(outdir, "fig2.csv")
-    write_curves_csv(csv_path, rows)
-    artifacts = [csv_path]
-    if cfg["svg"]:
-        svg_path = os.path.join(outdir, "fig2.svg")
-        write_svg_log_curves(
-            svg_path,
-            "worst-case efficiency loss, polynomial reaction perturbations",
-            series,
-            xlabel="number of observations n",
-            ylabel="max efficiency loss",
-        )
-        artifacts.append(svg_path)
-    artifacts.append(
-        _write_manifest(outdir, "fig2", cfg, defaulted, artifacts, t0)
-    )
-    print(f"fig2: wrote {csv_path}")
+    artifacts.append(_write_manifest(outdir, command, cfg, defaulted, artifacts, t0))
+    print(f"{command}: wrote {csv_path}")
     return 0
 
 
@@ -874,9 +825,7 @@ def run_sample(cfg, defaulted):
 
 
 COMMANDS = {
-    "fig1_integral": run_fig1_integral,
-    "fig1_point": run_fig1_point,
-    "fig2": run_fig2,
+    **{name: functools.partial(run_figure, name) for name in _FIGURES},
     "matern_check": run_matern_check,
     "diagnose": run_diagnose,
     "verdict": run_verdict,

@@ -54,8 +54,6 @@ __all__ = [
     "cm_equivalence_constants",
     "MeanDifferenceReport",
     "mean_difference_check",
-    "FractionalDifferenceReport",
-    "fractional_difference_bound_check",
     "VerdictInput",
     "Verdict",
     "table1_verdict",
@@ -293,69 +291,6 @@ def mean_difference_check(delta_m_weights, decomposition, beta):
     trend = "converging" if tail < 0.10 else "diverging"
     return MeanDifferenceReport(
         partial_sums=partial, total=total, tail_fraction=tail, trend=trend
-    )
-
-
-@dataclass(frozen=True)
-class FractionalDifferenceReport:
-    """Norm comparison of a fractional-power difference.
-
-    ``holder_ratio`` = |A~^a - A^a| / |A~ - A|^a and ``linear_ratio`` =
-    |A~^a - A^a| / |A~ - A| (spectral norms). Fractional powers damp
-    perturbations: the Hoelder-type ratio stays bounded while the linear
-    ratio can blow up as the perturbation shrinks only if the power were
-    Lipschitz, which it is not.
-    """
-
-    alpha: float
-    norm_difference: float
-    norm_perturbation: float
-    holder_ratio: float
-    linear_ratio: float
-
-
-def fractional_difference_bound_check(A, A_tilde, alpha):
-    """Compare |A~^alpha - A^alpha| against |A~ - A|^alpha, spectral norms.
-
-    Both matrices must be symmetric positive definite and at most
-    256 x 256 (the powers are formed by dense eigendecomposition).
-    """
-    A = np.asarray(A, dtype=np.float64)
-    At = np.asarray(A_tilde, dtype=np.float64)
-    if A.shape != At.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParameterError(f"need equal square shapes, got {A.shape} and {At.shape}")
-    if A.shape[0] > 256:
-        raise ParameterError("matrices larger than 256 x 256 are not supported here")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    for name, X in (("A", A), ("A_tilde", At)):
-        if np.max(np.abs(X - X.T)) > 1e-10 * max(np.max(np.abs(X)), 1.0):
-            raise ParameterError(f"{name} must be symmetric")
-
-    def mpow(X, expo):
-        w, U = scipy.linalg.eigh(X)
-        if w[0] <= 0.0:
-            raise ParameterError(f"matrix must be positive definite, min eig {w[0]:.3e}")
-        return (U * w**expo) @ U.T
-
-    D = mpow(At, alpha) - mpow(A, alpha)
-    norm_diff = float(np.max(np.abs(scipy.linalg.eigvalsh(0.5 * (D + D.T)))))
-    P = At - A
-    norm_pert = float(np.max(np.abs(scipy.linalg.eigvalsh(0.5 * (P + P.T)))))
-    if norm_pert == 0.0:
-        return FractionalDifferenceReport(
-            alpha=float(alpha),
-            norm_difference=norm_diff,
-            norm_perturbation=0.0,
-            holder_ratio=0.0,
-            linear_ratio=0.0,
-        )
-    return FractionalDifferenceReport(
-        alpha=float(alpha),
-        norm_difference=norm_diff,
-        norm_perturbation=norm_pert,
-        holder_ratio=norm_diff / norm_pert**alpha,
-        linear_ratio=norm_diff / norm_pert,
     )
 
 

@@ -2,13 +2,15 @@
 
 The discrete space is spanned by uniform clamped B-splines of order
 (polynomial degree) p in {1, 2, 3} with boundary constraints applied by
-*recombination*: a sparse transform T maps constrained coefficients to
-raw spline coefficients, and every assembled raw matrix A_raw becomes
-T' A_raw T. Two constraint modes exist:
+*recombination*: constrained basis function j is a combination of raw
+splines, so a raw row vector r becomes r T for a sparse transform T and
+an assembled raw matrix A_raw becomes T' A_raw T. T is never formed;
+``_constrain`` applies it by slicing. Two constraint modes exist:
 
 ``dirichlet``
     drop the first and last raw spline (the only ones nonzero at the
-    endpoints), so every basis function vanishes on the boundary;
+    endpoints), so every basis function vanishes on the boundary; r T
+    is the slice r[1:-1];
 
 ``dirichlet_plus_laplace_zero``
     (p = 3 only) additionally force vanishing second derivatives at the
@@ -16,7 +18,9 @@ T' A_raw T. Two constraint modes exist:
     single combination psi = B_edge - (B_edge''(end)/B_next''(end)) B_next.
     Since B_next'(end) = 0, the first derivative of psi at the endpoint
     stays unconstrained, as required for discretizing the third operator
-    power.
+    power. The two ratios are kept as ``SplineBasis.edge_ratios``; r T
+    is the slice r[2:-2] after each edge entry r[2] (r[-3]) has been
+    replaced by its combination with r[1] (r[-2]).
 
 All constructions keep the constrained dimension equal to the requested
 N by adjusting the number of cells.
@@ -39,6 +43,7 @@ with array expressions over all points at once:
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -77,8 +82,10 @@ _SINE_BLOCK = 64
 class SplineBasis:
     """A constrained clamped B-spline basis on [0, 1].
 
-    ``transform`` has shape (n_raw, n_dof); column j holds the raw
-    coefficients of the j-th constrained basis function.
+    ``edge_ratios`` is None in ``dirichlet`` mode; in
+    ``dirichlet_plus_laplace_zero`` mode it holds the two ratios
+    (r_left, r_right) of the edge combinations
+    psi_left = B_1 - r_left B_2 and psi_right = B_{n_raw-2} - r_right B_{n_raw-3}.
     """
 
     order: int
@@ -86,7 +93,7 @@ class SplineBasis:
     knots: np.ndarray
     breakpoints: np.ndarray
     constraint_mode: str
-    transform: np.ndarray
+    edge_ratios: Optional[Tuple[float, float]]
 
     @property
     def n_raw(self):
@@ -168,6 +175,21 @@ def _raw_rows(basis, xs, derivative):
     return raw
 
 
+def _constrain(basis, raw):
+    """Rows of ``raw`` (last axis: raw splines) times the transform T.
+
+    Overwrites the two edge entries of every row that the Laplace-zero
+    combinations replace, and returns a view of ``raw``; callers copy the
+    view. ``_constrain(basis, _constrain(basis, A).T).T`` is T' A T.
+    """
+    if basis.edge_ratios is None:
+        return raw[..., 1:-1]
+    r_left, r_right = basis.edge_ratios
+    raw[..., 2] = raw[..., 1] - r_left * raw[..., 2]
+    raw[..., -3] = raw[..., -2] - r_right * raw[..., -3]
+    return raw[..., 2:-2]
+
+
 def build_basis(N, order, constraint=DIRICHLET):
     """Constrained spline basis with exactly N degrees of freedom.
 
@@ -193,23 +215,15 @@ def build_basis(N, order, constraint=DIRICHLET):
         m = int(N) + 1
     breakpoints = np.linspace(0.0, 1.0, m + 1)
     knots = np.concatenate([np.zeros(p), breakpoints, np.ones(p)])
-    n_raw = m + p
 
-    if constraint == DIRICHLET:
-        transform = np.eye(n_raw)[:, 1 : n_raw - 1]
-    else:
+    edge_ratios = None
+    if constraint == DIRICHLET_LAPLACE:
         ders, _ = _basis_ders(knots, p, np.array([0.0, 1.0]), 2)
         # actives at 0 are raw 0..3; at 1 raw n_raw-4..n_raw-1
-        r_left = ders[2, 1, 0] / ders[2, 2, 0]
-        r_right = ders[2, 2, 1] / ders[2, 1, 1]
-        n_dof = n_raw - 4
-        transform = np.zeros((n_raw, n_dof))
-        transform[1, 0] = 1.0
-        transform[2, 0] = -r_left
-        for j in range(n_raw - 6):
-            transform[3 + j, 1 + j] = 1.0
-        transform[n_raw - 2, n_dof - 1] = 1.0
-        transform[n_raw - 3, n_dof - 1] = -r_right
+        edge_ratios = (
+            float(ders[2, 1, 0] / ders[2, 2, 0]),
+            float(ders[2, 2, 1] / ders[2, 1, 1]),
+        )
 
     basis = SplineBasis(
         order=p,
@@ -217,7 +231,7 @@ def build_basis(N, order, constraint=DIRICHLET):
         knots=knots,
         breakpoints=breakpoints,
         constraint_mode=constraint,
-        transform=transform,
+        edge_ratios=edge_ratios,
     )
     _check_partition_of_unity(basis)
     _check_boundary_constraints(basis)
@@ -238,15 +252,15 @@ def _check_partition_of_unity(basis):
 
 def _check_boundary_constraints(basis):
     ends = np.array([0.0, 1.0])
-    vals = _raw_rows(basis, ends, 0) @ basis.transform
+    vals = _constrain(basis, _raw_rows(basis, ends, 0))
     d2_raw = _raw_rows(basis, ends, 2)
-    d2 = d2_raw @ basis.transform
+    scales = np.maximum(np.max(np.abs(d2_raw), axis=1), 1.0)
+    d2 = _constrain(basis, d2_raw)
     for i, end in enumerate(ends):
         if np.max(np.abs(vals[i])) > 1e-12:
             raise AssemblyIntegrityError(f"constrained basis not zero at s={end}")
         if basis.constraint_mode == DIRICHLET_LAPLACE:
-            scale = max(np.max(np.abs(d2_raw[i])), 1.0)
-            if np.max(np.abs(d2[i])) > 1e-9 * scale:
+            if np.max(np.abs(d2[i])) > 1e-9 * scales[i]:
                 raise AssemblyIntegrityError(
                     f"second-derivative constraint violated at s={end}"
                 )
@@ -263,7 +277,7 @@ def eval_matrix(basis, locations, derivative=0):
         raise ParameterError("locations must be one-dimensional")
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
-    return _raw_rows(basis, xs, derivative) @ basis.transform
+    return _constrain(basis, _raw_rows(basis, xs, derivative)).copy()
 
 
 @dataclass(frozen=True)
@@ -324,9 +338,7 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
     for i in range(p + 1):
         for j in range(p + 1):
             raw[first + i, first + j] += local[:, i, j]
-    if basis.constraint_mode == DIRICHLET:
-        return raw[1:-1, 1:-1].copy()
-    return basis.transform.T @ raw @ basis.transform
+    return _constrain(basis, _constrain(basis, raw).T).T.copy()
 
 
 def mass_matrix(basis, nquad=None):
@@ -473,9 +485,7 @@ def integral_obs_matrix(basis, n_rows, nquad=None):
         local = np.einsum("leq,jeq->lej", sv, B[0])
         for j in range(basis.order + 1):
             block[:, first + j] += local[:, :, j]
-    if basis.constraint_mode == DIRICHLET:
-        return raw[:, 1:-1].copy()
-    return raw @ basis.transform
+    return _constrain(basis, raw).copy()
 
 
 def point_obs_matrix(basis, locations):

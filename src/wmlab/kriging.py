@@ -23,6 +23,7 @@ out. Leading blocks whose scaled condition estimate exceeds 1e12 are
 flagged in the curve output -- never regularized.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -287,33 +288,40 @@ def _is_integer(x, tol=1e-12):
     return abs(x - round(x)) <= tol
 
 
+def _route(model):
+    """How a model is discretized: (constraint mode, direct exponent).
+
+    Integer beta in {1, 2, 3} assembles the form of the beta-th operator
+    power and takes the direct covariance route (exponent beta); beta = 3
+    also needs the Laplace-zero constraint. Any other beta assembles a_L
+    and takes the spectral route (exponent None).
+    """
+    if _is_integer(model.beta) and int(round(model.beta)) in (1, 2, 3):
+        b = int(round(model.beta))
+        return (DIRICHLET_LAPLACE if b == 3 else DIRICHLET), b
+    return DIRICHLET, None
+
+
 def _model_basis(model, N):
-    """Basis for the model: beta = 3 also needs the Laplace-zero constraint."""
-    mode = DIRICHLET
-    if _is_integer(model.beta) and int(round(model.beta)) == 3:
-        mode = DIRICHLET_LAPLACE
-    return build_basis(int(N), model.basis_order, mode)
+    return build_basis(int(N), model.basis_order, _route(model)[0])
 
 
 def _model_operators(model, basis):
-    """Assemble the stiffest exact form available for the exponent."""
-    if _is_integer(model.beta) and int(round(model.beta)) in (1, 2, 3):
-        b = int(round(model.beta))
-        if b == 1:
-            return assemble_aL(basis, model.a, model.kappa2)
-        if b == 2:
-            return assemble_a2(basis, model.kappa2, a=model.a)
-        return assemble_a3(basis, model.kappa2, a=model.a)
-    return assemble_aL(basis, model.a, model.kappa2)
+    """(assembled form, direct exponent) by the model's route."""
+    direct = _route(model)[1]
+    if direct == 2:
+        return assemble_a2(basis, model.kappa2, a=model.a), direct
+    if direct == 3:
+        return assemble_a3(basis, model.kappa2, a=model.a), direct
+    return assemble_aL(basis, model.a, model.kappa2), direct
 
 
 def _model_covariance(model, basis):
     """Weight covariance by the cheapest *exact* route for the model."""
-    ops = _model_operators(model, basis)
-    if _is_integer(model.beta) and int(round(model.beta)) in (1, 2, 3):
-        return covariance_direct(ops, int(round(model.beta)), model.tau)
-    dec = generalized_eig(ops)
-    return covariance_weights(dec, model.beta, model.tau)
+    ops, direct = _model_operators(model, basis)
+    if direct is not None:
+        return covariance_direct(ops, direct, model.tau)
+    return covariance_weights(generalized_eig(ops), model.beta, model.tau)
 
 
 def _sigma_for_model(model, basis, Phi):
@@ -326,8 +334,8 @@ def _sigma_for_model(model, basis, Phi):
     l^(-4*beta) and would drown in the absolute noise floor of a dense
     N x N covariance.
     """
-    ops = _model_operators(model, basis)
-    if _is_integer(model.beta) and int(round(model.beta)) in (1, 2, 3):
+    ops, direct = _model_operators(model, basis)
+    if direct is not None:
         try:
             fac = scipy.linalg.cho_factor(ops.K, lower=True)
         except scipy.linalg.LinAlgError as exc:
@@ -344,7 +352,29 @@ def _sigma_for_model(model, basis, Phi):
     return 0.5 * (S + S.T)
 
 
-def _curve_basis(true_model, missp_model, N):
+@functools.lru_cache(maxsize=1)
+def _true_stage(model, N, design, nquad):
+    """(basis, Phi, Sigma) of the true model, built once for all cells.
+
+    A pure function of its hashable arguments, so every curve with an
+    equal true model, N and design reuses it; the misspecified model is
+    assembled on the same basis. The arrays are shared between callers
+    and therefore read-only. Integral designs observe the first
+    ``design.n_max`` sine functions (quadrature ``nquad``); point designs
+    observe the alternating points and then s0 (``nquad`` is None).
+    """
+    basis = _model_basis(model, N)
+    if design.kind == "integral":
+        Phi = integral_obs_matrix(basis, design.n_max, nquad=nquad)
+    else:
+        Phi = point_obs_matrix(basis, np.concatenate([point_locations(design), [design.s0]]))
+    Sigma = _sigma_for_model(model, basis, Phi)
+    for array in (basis.knots, basis.breakpoints, Phi, Sigma):
+        array.setflags(write=False)
+    return basis, Phi, Sigma
+
+
+def _check_curve_models(true_model, missp_model):
     if true_model.beta != missp_model.beta:
         raise ParameterError(
             "efficiency curves compare models with a common exponent; got "
@@ -352,7 +382,6 @@ def _curve_basis(true_model, missp_model, N):
         )
     if true_model.basis_order != missp_model.basis_order:
         raise ParameterError("models must share basis_order")
-    return _model_basis(true_model, N)
 
 
 def efficiency_curve_integral(
@@ -364,7 +393,7 @@ def efficiency_curve_integral(
     observation l pairs the field with sqrt(2) sin(l pi s). Requires
     max(n_values) <= N/2 so a substantial target range remains.
     """
-    basis = _curve_basis(true_model, missp_model, N)
+    _check_curve_models(true_model, missp_model)
     if n_values is None:
         n_values = (10, 20, 50, 100, 200, 300, 400, 500)
     n_values = tuple(int(n) for n in n_values)
@@ -375,8 +404,8 @@ def efficiency_curve_integral(
             f"max(n_values)={max(n_values)} exceeds N/2={N // 2}; "
             "leave room for prediction targets"
         )
-    Phi = integral_obs_matrix(basis, N, nquad=nquad)
-    Sigma = _sigma_for_model(true_model, basis, Phi)
+    design = ObservationDesign(kind="integral", n_max=int(N))
+    basis, Phi, Sigma = _true_stage(true_model, int(N), design, nquad)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
 
     e_max, tgt, tv, mv, flags, conds = [], [], [], [], [], []
@@ -432,7 +461,7 @@ def efficiency_curve_point(
     for each n; the target functional is the field value at the center
     s0 itself.
     """
-    basis = _curve_basis(true_model, missp_model, N)
+    _check_curve_models(true_model, missp_model)
     if n_values is None:
         n_values = tuple(range(10, 100, 10))
     n_values = tuple(int(n) for n in n_values)
@@ -441,9 +470,7 @@ def efficiency_curve_point(
     design = ObservationDesign(
         kind="point", n_max=max(n_values), s0=float(s0), delta_o=float(delta_o)
     )
-    locs = point_locations(design)
-    Phi = point_obs_matrix(basis, np.concatenate([locs, [design.s0]]))
-    Sigma = _sigma_for_model(true_model, basis, Phi)
+    basis, Phi, Sigma = _true_stage(true_model, int(N), design, None)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
 
     t = Sigma.shape[0] - 1  # target row: the center evaluation

@@ -1,20 +1,9 @@
 """Stationary Matern covariances and the modified Bessel function K_nu.
 
-K_nu is implemented from scratch so the analytic reference values do not
-depend on the numerical library under test elsewhere in the package:
-
-* half-integer orders use the closed form
-  K_{n+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_{k=0}^n (n+k)!/(k!(n-k)!) (2x)^{-k},
-  exact up to rounding;
-* otherwise the order is reduced to mu in [-1/2, 1/2] plus an integer.
-  For x <= 2 the values K_mu, K_{mu+1} come from Temme's series
-  (N. M. Temme, J. Comput. Phys. 19 (1975) 324-337), for x > 2 from the
-  Thompson-Barnett continued fraction CF2; the integer part is restored
-  by the stable upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v.
-
-Relative accuracy is ~1e-12 for x in [1e-6, 700] and the orders used
-here (nu <= ~12); values underflow to zero for x beyond ~745, outside
-the supported range.
+K_nu is ``scipy.special.kv`` (AMOS), which no other part of the package
+uses, so the analytic reference values stay independent of the
+discretization they check. Values underflow to zero for x beyond ~745,
+outside the supported range.
 """
 
 import math
@@ -34,109 +23,6 @@ __all__ = [
     "compare_fem_vs_matern",
 ]
 
-# Taylor coefficients of 1/Gamma(1+z) at even offsets, used for the
-# small-mu limit of (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu).
-_INV_GAMMA_ODD = (
-    0.5772156649015329,  # z
-    -0.0420026350340952,  # z^3
-    -0.0421977345555443,  # z^5
-    0.0072189432466630,  # z^7
-    -0.0002152416741149,  # z^9
-)
-
-
-def _temme_gammas(mu):
-    """gam1, gam2, 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2."""
-    gampl = 1.0 / math.gamma(1.0 + mu)
-    gammi = 1.0 / math.gamma(1.0 - mu)
-    if abs(mu) <= 0.1:
-        m2 = mu * mu
-        c1, c3, c5, c7, c9 = _INV_GAMMA_ODD
-        gam1 = -(c1 + m2 * (c3 + m2 * (c5 + m2 * (c7 + m2 * c9))))
-    else:
-        gam1 = (gammi - gampl) / (2.0 * mu)
-    gam2 = 0.5 * (gammi + gampl)
-    return gam1, gam2, gampl, gammi
-
-
-def _kv_temme_pair(mu, x):
-    """(K_mu(x), K_{mu+1}(x)) for |mu| <= 1/2, 0 < x <= 2, Temme's series."""
-    eps = 1e-16
-    xhalf = 0.5 * x
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
-    d = -math.log(xhalf)
-    e = mu * d
-    fact2 = 1.0 if abs(e) < 1e-15 else math.sinh(e) / e
-    gam1, gam2, gampl, gammi = _temme_gammas(mu)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    total = ff
-    e = math.exp(e)
-    p = 0.5 * e / gampl
-    q = 0.5 / (e * gammi)
-    c = 1.0
-    d = xhalf * xhalf
-    total1 = p
-    for i in range(1, 20001):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= d / i
-        p /= i - mu
-        q /= i + mu
-        delt = c * ff
-        total += delt
-        total1 += c * (p - i * ff)
-        if abs(delt) < abs(total) * eps:
-            break
-    return total, total1 * (2.0 / x)
-
-
-def _kv_cf2_pair(mu, x):
-    """(K_mu(x), K_{mu+1}(x)) for |mu| <= 1/2, x > 2, continued fraction."""
-    eps = 1e-16
-    mu2 = mu * mu
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d
-    delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25 - mu2
-    q = a1
-    c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 20001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < eps:
-            break
-    h = a1 * h
-    kmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    k1 = kmu * (mu + x + 0.5 - h) / x
-    return kmu, k1
-
-
-def _kv_half_integer(n, x):
-    """K_{n+1/2}(x) by the terminating closed form, n >= 0 integer."""
-    acc = 0.0
-    for k in range(n + 1):
-        acc += (
-            math.factorial(n + k)
-            / (math.factorial(k) * math.factorial(n - k))
-            * (2.0 * x) ** (-k)
-        )
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * acc
-
 
 def bessel_k(nu, x):
     """Modified Bessel function of the second kind K_nu(x), x > 0.
@@ -151,21 +37,12 @@ def bessel_k(nu, x):
     if nu != nu or x != x:
         raise DomainError("bessel_k: NaN argument")
 
-    half = nu - 0.5
-    if abs(half - round(half)) < 1e-12 and round(half) >= 0:
-        return _kv_half_integer(int(round(half)), x)
+    # imported here rather than at module level: loading scipy.special
+    # costs every CLI start-up about 55 ms and 2.8 MB, and only the Matern
+    # reference needs it
+    from scipy.special import kv
 
-    n = int(math.floor(nu + 0.5))
-    mu = nu - n
-    if x <= 2.0:
-        kmu, k1 = _kv_temme_pair(mu, x)
-    else:
-        kmu, k1 = _kv_cf2_pair(mu, x)
-    for i in range(1, n + 1):
-        knext = kmu + (2.0 * (mu + i) / x) * k1
-        kmu = k1
-        k1 = knext
-    return kmu
+    return float(kv(nu, x))
 
 
 @dataclass(frozen=True)

@@ -44,66 +44,16 @@ _TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi)
 _ONE_INSIDE = math.nextafter(1.0, 0.0)
 
 
-def _erf_series(x):
-    # Maclaurin series erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1) / (n! (2n+1)).
-    # Used for |x| < 2.5 where the largest term stays within a factor ~2 of
-    # the result, so no damaging cancellation occurs.
-    total = x
-    term = x
-    x2 = x * x
-    n = 0
-    while True:
-        n += 1
-        term *= -x2 / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) <= 1e-18 * abs(total) or n > 200:
-            break
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x):
-    # Laplace continued fraction for x >= 2.5:
-    #   sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated bottom-up-free via the modified Lentz algorithm.
-    tiny = 1e-300
-    f = x
-    c = f
-    d = 0.0
-    for n in range(1, 400):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / (math.sqrt(math.pi) * f)
-
-
 def erf(x):
-    """Gauss error function of a real scalar.
+    """Gauss error function of a real scalar (``math.erf``).
 
-    Series evaluation for |x| < 2.5 and a continued-fraction tail for
-    the complement otherwise; absolute error below 1e-12 over the real
-    line. The result is clamped into the open interval (-1, 1), which
-    the exact function never leaves.
+    The result is clamped into the open interval (-1, 1), which the exact
+    function never leaves.
     """
     x = float(x)
     if x != x:  # NaN
         raise DomainError("erf: argument is NaN")
-    ax = abs(x)
-    if ax < 2.5:
-        r = _erf_series(x)
-    else:
-        r = 1.0 - _erfc_cf(ax)
-        if x < 0.0:
-            r = -r
+    r = math.erf(x)
     if r >= 1.0:
         r = _ONE_INSIDE
     elif r <= -1.0:

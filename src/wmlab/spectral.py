@@ -192,6 +192,8 @@ def sample_field(cov, seed, n_samples):
     Sample i uses a counter-based generator keyed by (seed, i), so each
     draw is bit-reproducible on its own: results do not depend on how
     many samples are drawn, in which order, or from which thread.
+    Eigenvector signs are fixed, so draws are reproducible up to roundoff
+    across BLAS builds.
     Negative covariance eigenvalues are clipped to zero if they are
     negligible (>= -1e-10 * spectral norm) and rejected otherwise.
     """
@@ -208,8 +210,13 @@ def sample_field(cov, seed, n_samples):
             f"(spectral norm {norm:.3e})"
         )
     w = np.clip(w, 0.0, None)
-    F = U * np.sqrt(w)
     n = cov.C.shape[0]
+    # LAPACK picks each eigenvector's sign freely, so a roundoff change in
+    # C could flip modes and change every draw. Fix the sign by
+    # <u_j, (1, 2, ..., n)> >= 0; a largest-entry rule would tie on
+    # antisymmetric modes, whose extreme entries have equal magnitude.
+    U *= np.where(np.arange(1, n + 1) @ U < 0.0, -1.0, 1.0)
+    F = U * np.sqrt(w)
     out = np.empty((n, int(n_samples)))
     for i in range(int(n_samples)):
         bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))

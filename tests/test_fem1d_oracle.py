@@ -2,13 +2,16 @@
 
 The oracle is the classical one-point-at-a-time Cox-de Boor evaluation
 (Piegl & Tiller, *The NURBS Book*, alg. A2.1 and A2.3) with plain Python
-loops for assembly and sine pairings. The array code in :mod:`wmlab.fem1d`
-performs the same floating-point operations per point, so the basis must
-match it bit for bit; assembled matrices differ only in summation order.
+loops for assembly and sine pairings, and an explicit dense constraint
+transform T applied by matrix products. The array code in
+:mod:`wmlab.fem1d` performs the same floating-point operations per point,
+so the basis must match it bit for bit; assembled matrices differ only in
+summation order, and constraints there are applied by slicing.
 """
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +24,9 @@ from wmlab.fem1d import (
     assemble_a2,
     assemble_a3,
     build_basis,
+    eval_matrix,
     integral_obs_matrix,
+    mass_matrix,
 )
 from wmlab.model_config import CoefficientField
 
@@ -148,8 +153,41 @@ def sine_rows(knots, p, n_raw, qpts, qwts, n_rows):
     return out
 
 
+def dense_transform(basis):
+    """(n_raw, n_dof) matrix whose column j holds the raw coefficients of
+    constrained basis function j."""
+    p, n_raw = basis.order, basis.n_raw
+    if basis.constraint_mode == DIRICHLET:
+        return np.eye(n_raw)[:, 1 : n_raw - 1]
+    left, _ = basis_ders(basis.knots, p, 0.0, 2)
+    right, _ = basis_ders(basis.knots, p, 1.0, 2)
+    # actives at 0 are raw 0..3; at 1 raw n_raw-4..n_raw-1
+    r_left = left[2, 1] / left[2, 2]
+    r_right = right[2, 2] / right[2, 1]
+    n_dof = n_raw - 4
+    T = np.zeros((n_raw, n_dof))
+    T[1, 0] = 1.0
+    T[2, 0] = -r_left
+    for j in range(n_raw - 6):
+        T[3 + j, 1 + j] = 1.0
+    T[n_raw - 2, n_dof - 1] = 1.0
+    T[n_raw - 3, n_dof - 1] = -r_right
+    return T
+
+
 def constrain(basis, raw):
-    return basis.transform.T @ raw @ basis.transform
+    T = dense_transform(basis)
+    return T.T @ raw @ T
+
+
+def raw_rows(basis, xs, derivative):
+    """Raw spline (derivative) values at points, one row per point."""
+    p = basis.order
+    out = np.zeros((len(xs), basis.n_raw))
+    for i, s in enumerate(xs):
+        ders, span = basis_ders(basis.knots, p, s, derivative)
+        out[i, span - p : span + 1] = ders[derivative]
+    return out
 
 
 def assert_close_to_scale(actual, expected):
@@ -223,4 +261,28 @@ def test_sine_rows_across_row_blocks_match_scalar_oracle():
     qpts, qwts = _element_quadrature(basis, nquad)
     raw = sine_rows(basis.knots, 2, basis.n_raw, qpts, qwts, n_rows)
     Phi = integral_obs_matrix(basis, n_rows, nquad=nquad)
-    assert_close_to_scale(Phi, raw @ basis.transform)
+    assert_close_to_scale(Phi, raw @ dense_transform(basis))
+
+
+# ------------------------------------------------------- constraints
+
+
+@pytest.mark.parametrize(
+    "order, mode", [(1, DIRICHLET), (2, DIRICHLET), (3, DIRICHLET), (3, DIRICHLET_LAPLACE)]
+)
+@pytest.mark.parametrize("derivative", [0, 1, 2])
+def test_eval_matrix_matches_dense_transform(order, mode, derivative):
+    basis = build_basis(13, order, mode)
+    xs = np.concatenate([[0.0, 1.0], basis.breakpoints, np.linspace(0.013, 0.987, 23)])
+    expected = raw_rows(basis, xs, derivative) @ dense_transform(basis)
+    assert_close_to_scale(eval_matrix(basis, xs, derivative), expected)
+
+
+@pytest.mark.parametrize("order, mode", [(2, DIRICHLET), (3, DIRICHLET_LAPLACE)])
+def test_mass_matrix_matches_dense_transform(order, mode):
+    basis = build_basis(14, order, mode)
+    qpts, qwts = _element_quadrature(basis, order + 1)
+    raw = assemble_bilinear(
+        basis.knots, order, basis.n_raw, qpts, qwts, [(np.ones_like(qpts), 0, 0)]
+    )
+    assert_close_to_scale(mass_matrix(basis), constrain(basis, raw))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmlab import kriging
 from wmlab.errors import DegenerateTargetError, ParameterError
 from wmlab.kriging import (
     ObservationDesign,
@@ -214,6 +215,41 @@ def test_per_target_data_is_kept_on_request():
     ls, eff, tv, mv = curve.per_target[10]
     assert ls[0] == 11 and ls[-1] == 120  # 1-based sine indices beyond n
     assert np.nanmax(eff) == curve.e_max[0]
+
+
+@pytest.mark.parametrize(
+    "kind, N, n_values, design",
+    [
+        ("integral", 60, (5, 10), ObservationDesign(kind="integral", n_max=60)),
+        ("point", 150, (10, 20), ObservationDesign(kind="point", n_max=20)),
+    ],
+)
+def test_true_model_stage_is_built_once(monkeypatch, kind, N, n_values, design):
+    obs = f"{kind}_obs_matrix"
+    real = getattr(kriging, obs)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    base = builtin_model("base41", 1)
+    curve_fn = efficiency_curve_point if kind == "point" else efficiency_curve_integral
+
+    def curve(k):
+        missp = builtin_model(f"model{k}_41", 1, 10.0 * k)
+        return curve_fn(base, missp, N=N, n_values=n_values)
+
+    monkeypatch.setattr(kriging, obs, counted)
+    kriging._true_stage.cache_clear()
+    curves = [curve(1), curve(2)]
+    assert len(calls) == 1
+    _, Phi, Sigma = kriging._true_stage(base, N, design, None)
+    assert len(calls) == 1
+    assert not Phi.flags.writeable and not Sigma.flags.writeable
+    kriging._true_stage.cache_clear()
+    assert curve(2) == curves[1]
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------- CSV rows

@@ -13,7 +13,7 @@ from wmlab.fem1d import (
     assemble_aL,
     build_basis,
 )
-from wmlab.model_config import CoefficientField
+from wmlab.model_config import CoefficientField, builtin_model
 from wmlab.spectral import (
     balakrishnan_fractional_inverse,
     covariance_direct,
@@ -146,6 +146,19 @@ def test_sampling_is_reproducible_and_order_free():
     npt.assert_array_equal(many[:, :4], a)
     other = sample_field(cov, seed=10, n_samples=4)
     assert np.max(np.abs(other - a)) > 0.0
+
+
+def test_samples_are_stable_under_roundoff_in_the_covariance():
+    # eigenvector signs are LAPACK's choice; a 3e-14 relative symmetric
+    # change in C must not flip them and move the draws
+    model = builtin_model("base41", 1)
+    basis = build_basis(200, 1, DIRICHLET)
+    cov = covariance_direct(assemble_aL(basis, model.a, model.kappa2), 1, model.tau)
+    E = np.random.default_rng(0).standard_normal(cov.C.shape)
+    noisy = type(cov)(C=cov.C * (1.0 + 3e-14 * (E + E.T) / 2.0), beta=1.0, tau=cov.tau)
+    a = sample_field(cov, seed=4, n_samples=5)
+    b = sample_field(noisy, seed=4, n_samples=5)
+    assert np.max(np.abs(b - a)) <= 1e-8 * np.max(np.abs(a))
 
 
 def test_sample_covariance_converges_to_model():
