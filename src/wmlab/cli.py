@@ -12,8 +12,13 @@ artifacts into the output directory:
   came from defaults, the package version, wall time and the artifact
   list.
 
-CSV artifacts are byte-identical across reruns and thread counts; the
-manifest is not (it contains the wall time).
+``--threads`` (config key ``threads``) is accepted and validated, so
+existing scripts and configs still run, but it has no effect: every
+subcommand runs in one Python thread, and parallelism comes from the
+BLAS library's threads (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...).
+
+CSV artifacts are byte-identical across reruns and ``--threads`` values;
+the manifest is not (it contains the wall time).
 
 Exit codes: 0 success; 2 configuration error (bad JSON, schema
 violation, invalid parameter values); 3 numerical-integrity failure,
@@ -27,7 +32,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import jsonschema
@@ -551,20 +555,6 @@ def write_svg_log_curves(path, title, series, xlabel="n", ylabel="value"):
         fh.write("\n".join(out) + "\n")
 
 
-def _run_cells(jobs, threads):
-    """Run keyed thunks, possibly in a thread pool; collect in key order.
-
-    ``jobs`` is a list of (key, callable); the result is a list of
-    (key, value) in the original (deterministic) order regardless of
-    completion order or pool width.
-    """
-    if threads <= 1 or len(jobs) <= 1:
-        return [(key, fn()) for key, fn in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in jobs]
-        return [(key, fut.result()) for key, fut in futures]
-
-
 # ---------------------------------------------------------------------
 # subcommands
 
@@ -652,9 +642,9 @@ def run_figure(command, cfg, defaulted):
     # Within a figure the true model depends only on beta, so running the
     # cells in beta order puts those that share a true model back to back
     # and its memoized stage (basis, Phi, Sigma) is built once.
-    order = sorted(range(len(cells)), key=lambda i: cells[i][3])
-    jobs = [(i, functools.partial(_figure_curve, fig, cfg, *cells[i][:2])) for i in order]
-    curves = dict(_run_cells(jobs, cfg["threads"]))
+    curves = {}
+    for i in sorted(range(len(cells)), key=lambda i: cells[i][3]):
+        curves[i] = _figure_curve(fig, cfg, *cells[i][:2])
 
     per_target = cfg.get("per_target", False)
     rows = []
@@ -849,7 +839,7 @@ def build_parser():
         p.add_argument("--N", type=int, default=None, help="discretization size")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=None, help="accepted; no effect")
     return parser
 
 

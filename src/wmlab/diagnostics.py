@@ -31,7 +31,6 @@ The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -134,7 +133,6 @@ class DiagnosticsReport:
     smax: Tuple[float, ...]
     tail_ratio: Tuple[float, ...]
     classification: str
-    cm_constants: Optional[Tuple[float, float]] = None
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -146,7 +144,7 @@ class DiagnosticsReport:
                 )
 
     def to_dict(self):
-        d = {
+        return {
             "gamma": self.gamma,
             "c": self.c,
             "truncations": list(self.truncations),
@@ -157,14 +155,6 @@ class DiagnosticsReport:
             "tail_ratio": list(self.tail_ratio),
             "classification": self.classification,
         }
-        if self.cm_constants is not None:
-            d["cm_constants"] = list(self.cm_constants)
-        return d
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def hs_curve(pair, gamma, c, truncations):

@@ -41,6 +41,7 @@ with array expressions over all points at once:
   results reproducible bit for bit for a fixed input.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -179,8 +180,8 @@ def _constrain(basis, raw):
     """Rows of ``raw`` (last axis: raw splines) times the transform T.
 
     Overwrites the two edge entries of every row that the Laplace-zero
-    combinations replace, and returns a view of ``raw``; callers copy the
-    view. ``_constrain(basis, _constrain(basis, A).T).T`` is T' A T.
+    combinations replace, and returns a view of ``raw``.
+    ``_constrain(basis, _constrain(basis, A).T).T`` is T' A T.
     """
     if basis.edge_ratios is None:
         return raw[..., 1:-1]
@@ -325,7 +326,9 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
     """Constrained matrix of sum_t integral(coeffs[t] u^(d1[t]) v^(d2[t])).
 
     ``coeffs`` has shape (n_terms, n_elements, n_quad): each term's
-    coefficient at the quadrature points.
+    coefficient at the quadrature points. The result is the constrained
+    block of the raw matrix, a view rather than a copy, so an assembly
+    holds one dense matrix at a time.
     """
     p = basis.order
     B, first = _element_ders(basis, qpts, max(max(d1), max(d2)))
@@ -338,16 +341,29 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
     for i in range(p + 1):
         for j in range(p + 1):
             raw[first + i, first + j] += local[:, i, j]
-    return _constrain(basis, _constrain(basis, raw).T).T.copy()
+    return _constrain(basis, _constrain(basis, raw).T).T
 
 
 def mass_matrix(basis, nquad=None):
-    """Constrained mass matrix, exact for the spline products."""
+    """Constrained mass matrix, exact for the spline products.
+
+    M depends on the basis only through the fields ``build_basis`` takes,
+    so it is built once per (order, n_dof, constraint mode, nquad) and
+    shared between callers; the returned array is read-only.
+    """
     if nquad is None:
         nquad = basis.order + 1
+    return _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode, int(nquad))
+
+
+@functools.lru_cache(maxsize=1)
+def _mass_matrix(order, n_dof, constraint_mode, nquad):
+    basis = build_basis(n_dof, order, constraint_mode)
     qpts, qwts = _element_quadrature(basis, nquad)
     coeffs = np.ones((1,) + qpts.shape)
-    return _assemble(basis, qpts, qwts, coeffs, [0], [0])
+    M = _assemble(basis, qpts, qwts, coeffs, [0], [0])
+    M.setflags(write=False)
+    return M
 
 
 def assemble_aL(basis, a, kappa2, nquad=None):

@@ -21,6 +21,13 @@ matrix is a correlation matrix with unit diagonal, and the enormous raw
 dynamic range of smooth models (~1e20 for third operator powers) drops
 out. Leading blocks whose scaled condition estimate exceeds 1e12 are
 flagged in the curve output -- never regularized.
+
+Designs are nested: the first n observations are the first n rows of
+one Sigma. Each covariance is therefore rescaled and Cholesky-factored
+once, at the largest n, and every smaller n solves with the leading
+block of that factor. The condition estimate is LAPACK's 1-norm
+estimate (dpocon, Hager/Higham) of the scaled true block, computed from
+the same factor in O(n^2).
 """
 
 import functools
@@ -48,6 +55,7 @@ from .fem1d import (
     integral_obs_matrix,
     point_obs_matrix,
 )
+from .model_config import _is_integer
 from .spectral import covariance_direct, covariance_weights, generalized_eig
 
 __all__ = [
@@ -128,42 +136,9 @@ def sigma_matrix(Phi, cov):
     return 0.5 * (S + S.T)
 
 
-def _check_sigma_args(Sigma, n, target_row):
-    Sigma = np.asarray(Sigma, dtype=np.float64)
-    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-        raise ParameterError(f"Sigma must be square, got shape {Sigma.shape}")
-    rows = Sigma.shape[0]
-    if not (1 <= n < target_row <= rows):
-        raise ParameterError(
-            f"need 1 <= n < target_row <= {rows}, got n={n}, target_row={target_row}"
-        )
-    return Sigma
-
-
-def _scaled_blocks(Sigma, Sigma_tilde, n, targets):
-    """Jointly rescaled leading blocks and cross columns.
-
-    Returns (S, St, cross, crosst, dt2, cond) where S/St are the scaled
-    n x n leading blocks, cross/crosst the scaled cross-covariance
-    columns for each target, dt2 the squared true scaling of each target
-    and cond the condition estimate of S.
-    """
-    d = np.sqrt(np.maximum(np.diag(Sigma), 0.0))
-    dsafe = np.where(d > 0.0, d, 1.0)
-    inv = 1.0 / dsafe
-    idx = np.arange(n)
-    S = Sigma[np.ix_(idx, idx)] * np.outer(inv[:n], inv[:n])
-    cross = Sigma[np.ix_(idx, targets)] * np.outer(inv[:n], inv[targets])
-    St = crosst = None
-    if Sigma_tilde is not None:
-        St = Sigma_tilde[np.ix_(idx, idx)] * np.outer(inv[:n], inv[:n])
-        crosst = Sigma_tilde[np.ix_(idx, targets)] * np.outer(inv[:n], inv[targets])
-    return S, St, cross, crosst, d[targets] ** 2
-
-
 def _chol(S, what):
     try:
-        return scipy.linalg.cho_factor(S, lower=True)
+        return scipy.linalg.cho_factor(S, lower=True)[0]
     except scipy.linalg.LinAlgError as exc:
         ev = scipy.linalg.eigvalsh(S)
         cond = abs(ev[-1] / ev[0]) if ev[0] != 0.0 else math.inf
@@ -173,8 +148,14 @@ def _chol(S, what):
         ) from exc
 
 
-def _batch_variances(Sigma, Sigma_tilde, n, targets):
-    """(v_true, v_miss, diff, cond) for many targets at one n.
+def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
+    """Yield (n, targets, v_true, v_miss, diff, cond) for ascending n.
+
+    The first n rows of Sigma are the n observations and ``targets_of(n)``
+    gives the target rows (0-based, all >= n). Both covariances are
+    rescaled by the true standard deviations and factored once, at
+    max(n); the Cholesky factor of each leading n x n block is the
+    leading n x n block of that factor, so every smaller n only solves.
 
     ``diff`` is v_miss - v_true evaluated directly as the quadratic form
     of the weight discrepancy in the scaled true metric,
@@ -183,34 +164,96 @@ def _batch_variances(Sigma, Sigma_tilde, n, targets):
     to roundoff) even when both predictors are nearly optimal, where
     subtracting the two variances would cancel catastrophically.
     ``v_miss`` is returned as v_true + diff for consistency. Both are
-    None when Sigma_tilde is None.
+    None when Sigma_tilde is None. ``cond`` is LAPACK's 1-norm condition
+    estimate (dpocon) of the scaled true block, from its factor.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    S, St, cross, crosst, dt2 = _scaled_blocks(Sigma, Sigma_tilde, n, targets)
-    att = np.where(dt2 > 0.0, 1.0, 0.0)  # scaled target variances
-
-    fac = _chol(S, "true")
-    X = scipy.linalg.cho_solve(fac, cross)
-    v_true = (att - np.sum(cross * X, axis=0)) * dt2
-
-    v_miss = diff = None
+    m = max(n_values)
+    d = np.sqrt(np.maximum(np.diag(Sigma), 0.0))
+    inv = 1.0 / np.where(d > 0.0, d, 1.0)
+    scale = np.outer(inv[:m], inv)
+    S = Sigma[:m] * scale
+    L = _chol(S[:, :m], "true")
     if Sigma_tilde is not None:
-        fac_t = _chol(St, "misspecified")
-        W = scipy.linalg.cho_solve(fac_t, crosst)
-        D = W - X
-        diff = np.sum(D * (S @ D), axis=0) * dt2
-        v_miss = v_true + diff
+        St = Sigma_tilde[:m] * scale
+        Lt = _chol(St[:, :m], "misspecified")
+    for n in sorted(n_values):
+        targets = np.asarray(targets_of(n), dtype=np.int64)
+        Sn = S[:n, :n]
+        cross = S[:n, targets]
+        dt2 = d[targets] ** 2
+        att = np.where(dt2 > 0.0, 1.0, 0.0)  # scaled target variances
+        X = scipy.linalg.cho_solve((L[:n, :n], True), cross)
+        v_true = (att - np.sum(cross * X, axis=0)) * dt2
 
-    cond = float(np.linalg.cond(S))
-    return v_true, v_miss, diff, cond
+        v_miss = diff = None
+        if Sigma_tilde is not None:
+            W = scipy.linalg.cho_solve((Lt[:n, :n], True), St[:n, targets])
+            D = W - X
+            diff = np.sum(D * (Sn @ D), axis=0) * dt2
+            v_miss = v_true + diff
+
+        anorm = np.max(np.sum(np.abs(Sn), axis=0))
+        rcond, _ = scipy.linalg.lapack.dpocon(L[:n, :n], anorm, uplo="L")
+        cond = 1.0 / rcond if rcond > 0.0 else math.inf
+        yield n, targets, v_true, v_miss, diff, cond
+
+
+def _efficiencies(v_true, diff, sigma_tt):
+    """Vectorized efficiency rule: loss per target, NaN where degenerate.
+
+    A target is degenerate when its optimal error variance is not
+    positive or below 1e-14 of its prior variance ``sigma_tt``; if every
+    target is, DegenerateTargetError. Losses below -1e-6 raise
+    NumericalIntegrityError (the misspecified predictor cannot beat the
+    optimal one); smaller negative roundoff is clipped to zero.
+    """
+    valid = (v_true > _DEGENERATE_REL * np.maximum(sigma_tt, 0.0)) & (v_true > 0.0)
+    if not np.any(valid):
+        raise DegenerateTargetError(
+            f"optimal error variance {np.max(v_true):.3e} is degenerate for every target"
+        )
+    raw = diff[valid] / v_true[valid]
+    if np.min(raw) < -1e-6:
+        raise NumericalIntegrityError(
+            f"efficiency {np.min(raw):.3e} grossly negative; misspecified predictor "
+            "cannot beat the optimal one"
+        )
+    eff = np.full(v_true.shape, np.nan)
+    eff[valid] = np.clip(raw, 0.0, None)
+    return eff
+
+
+def _one_target(Sigma, Sigma_tilde, n, target_row):
+    """Checked engine run for one n and one 1-based target row.
+
+    Returns (v_true, v_miss, diff, sigma_tt): length-1 arrays (v_miss and
+    diff are None without Sigma_tilde) and the target's prior variance.
+    """
+    Sigma = np.asarray(Sigma, dtype=np.float64)
+    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
+        raise ParameterError(f"Sigma must be square, got shape {Sigma.shape}")
+    rows = Sigma.shape[0]
+    if not (1 <= n < target_row <= rows):
+        raise ParameterError(
+            f"need 1 <= n < target_row <= {rows}, got n={n}, target_row={target_row}"
+        )
+    if Sigma_tilde is not None:
+        Sigma_tilde = np.asarray(Sigma_tilde, dtype=np.float64)
+        if Sigma_tilde.shape != Sigma.shape:
+            raise ParameterError(
+                f"covariance shapes differ: {Sigma.shape} vs {Sigma_tilde.shape}"
+            )
+    t = int(target_row) - 1
+    ((_, _, v_true, v_miss, diff, _),) = _leading_variances(
+        Sigma, Sigma_tilde, [int(n)], lambda _: [t]
+    )
+    return v_true, v_miss, diff, Sigma[t, t]
 
 
 def correct_error_variance(Sigma, n, target_row):
     """Optimal linear prediction error of row ``target_row`` (1-based)
     from the first n functionals, all under the covariance Sigma."""
-    Sigma = _check_sigma_args(Sigma, n, target_row)
-    v, _, _, _ = _batch_variances(Sigma, None, int(n), [int(target_row) - 1])
-    return float(v[0])
+    return float(_one_target(Sigma, None, n, target_row)[0][0])
 
 
 def misspecified_error_variance(Sigma, Sigma_tilde, n, target_row):
@@ -219,28 +262,7 @@ def misspecified_error_variance(Sigma, Sigma_tilde, n, target_row):
     Sigma is the true covariance, Sigma_tilde the one the predictor was
     (wrongly) built from; ``target_row`` is 1-based.
     """
-    Sigma = _check_sigma_args(Sigma, n, target_row)
-    Sigma_tilde = np.asarray(Sigma_tilde, dtype=np.float64)
-    if Sigma_tilde.shape != Sigma.shape:
-        raise ParameterError(
-            f"covariance shapes differ: {Sigma.shape} vs {Sigma_tilde.shape}"
-        )
-    _, v, _, _ = _batch_variances(Sigma, Sigma_tilde, int(n), [int(target_row) - 1])
-    return float(v[0])
-
-
-def _efficiency_from_variances(v_true, diff, sigma_tt):
-    if v_true <= _DEGENERATE_REL * max(sigma_tt, 0.0) or v_true <= 0.0:
-        raise DegenerateTargetError(
-            f"optimal error variance {v_true:.3e} is degenerate for this target"
-        )
-    e = diff / v_true
-    if e < -1e-6:
-        raise NumericalIntegrityError(
-            f"efficiency {e:.3e} grossly negative; misspecified predictor "
-            "cannot beat the optimal one"
-        )
-    return 0.0 if e < 0.0 else float(e)
+    return float(_one_target(Sigma, Sigma_tilde, n, target_row)[1][0])
 
 
 def efficiency(Sigma, Sigma_tilde, n, target_row):
@@ -250,15 +272,8 @@ def efficiency(Sigma, Sigma_tilde, n, target_row):
     Sigma_tilde; tiny negative values from rounding are clipped to zero,
     values below -1e-6 raise.
     """
-    Sigma = _check_sigma_args(Sigma, n, target_row)
-    Sigma_tilde = np.asarray(Sigma_tilde, dtype=np.float64)
-    if Sigma_tilde.shape != Sigma.shape:
-        raise ParameterError(
-            f"covariance shapes differ: {Sigma.shape} vs {Sigma_tilde.shape}"
-        )
-    t = int(target_row) - 1
-    v_true, _, diff, _ = _batch_variances(Sigma, Sigma_tilde, int(n), [t])
-    return _efficiency_from_variances(float(v_true[0]), float(diff[0]), float(Sigma[t, t]))
+    v_true, _, diff, sigma_tt = _one_target(Sigma, Sigma_tilde, n, target_row)
+    return float(_efficiencies(v_true, diff, sigma_tt)[0])
 
 
 @dataclass(frozen=True)
@@ -268,8 +283,9 @@ class EfficiencyCurve:
     Per n: ``e_max`` is the maximum loss over targets, ``target`` the
     label of the target attaining it (sine index, or "z(s0)" for the
     point design), ``true_var``/``missp_var`` its two error variances,
-    ``flagged`` whether a scaled leading-block condition estimate
-    exceeded 1e12 (values are still reported), ``cond`` that estimate.
+    ``flagged`` whether the scaled leading block's condition estimate
+    exceeded 1e12 (values are still reported), ``cond`` that estimate:
+    LAPACK's 1-norm estimate (dpocon) from the shared Cholesky factor.
     ``per_target`` optionally maps n to (targets, eff, v_true, v_miss).
     """
 
@@ -282,10 +298,6 @@ class EfficiencyCurve:
     flagged: Tuple[bool, ...]
     cond: Tuple[float, ...]
     per_target: Optional[dict] = None
-
-
-def _is_integer(x, tol=1e-12):
-    return abs(x - round(x)) <= tol
 
 
 def _route(model):
@@ -384,6 +396,47 @@ def _check_curve_models(true_model, missp_model):
         raise ParameterError("models must share basis_order")
 
 
+def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_target=False):
+    """EfficiencyCurve of the leading-block engine's output.
+
+    Per n the worst valid target is reported; its label is the 1-based
+    sine index for integral designs and "z(s0)" for point designs.
+    """
+    e_max, tgt, tv, mv, flags, conds = [], [], [], [], [], []
+    per_target = {} if keep_per_target else None
+    diag = np.diag(Sigma)
+    for n, targets, v_true, v_miss, diff, cond in _leading_variances(
+        Sigma, Sigma_t, n_values, targets_of
+    ):
+        eff = _efficiencies(v_true, diff, diag[targets])
+        k = int(np.nanargmax(eff))
+        e_max.append(float(eff[k]))
+        tgt.append("z(s0)" if design == "point" else int(targets[k]) + 1)
+        tv.append(float(v_true[k]))
+        mv.append(float(v_miss[k]))
+        flags.append(bool(cond > COND_FLAG_LIMIT))
+        conds.append(float(cond))
+        if keep_per_target:
+            valid = ~np.isnan(eff)
+            per_target[n] = (
+                targets[valid] + 1,
+                eff[valid],
+                v_true[valid],
+                v_miss[valid],
+            )
+    return EfficiencyCurve(
+        design=design,
+        n_values=tuple(sorted(n_values)),
+        e_max=tuple(e_max),
+        target=tuple(tgt),
+        true_var=tuple(tv),
+        missp_var=tuple(mv),
+        flagged=tuple(flags),
+        cond=tuple(conds),
+        per_target=per_target,
+    )
+
+
 def efficiency_curve_integral(
     true_model, missp_model, N, n_values=None, nquad=None, keep_per_target=False
 ):
@@ -407,48 +460,8 @@ def efficiency_curve_integral(
     design = ObservationDesign(kind="integral", n_max=int(N))
     basis, Phi, Sigma = _true_stage(true_model, int(N), design, nquad)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
-
-    e_max, tgt, tv, mv, flags, conds = [], [], [], [], [], []
-    per_target = {} if keep_per_target else None
-    diag = np.diag(Sigma)
-    for n in sorted(n_values):
-        targets = np.arange(n, N)
-        v_true, v_miss, diff, cond = _batch_variances(Sigma, Sigma_t, n, targets)
-        valid = v_true > _DEGENERATE_REL * np.maximum(diag[targets], 0.0)
-        valid &= v_true > 0.0
-        if not np.any(valid):
-            raise DegenerateTargetError(f"all targets degenerate at n={n}")
-        eff = np.full(targets.shape, np.nan)
-        raw = diff[valid] / v_true[valid]
-        if np.min(raw) < -1e-6:
-            raise NumericalIntegrityError(
-                f"grossly negative efficiency {np.min(raw):.3e} at n={n}"
-            )
-        eff[valid] = np.clip(raw, 0.0, None)
-        k = int(np.nanargmax(eff))
-        e_max.append(float(eff[k]))
-        tgt.append(int(targets[k]) + 1)  # sine index l is 1-based
-        tv.append(float(v_true[k]))
-        mv.append(float(v_miss[k]))
-        flags.append(bool(cond > COND_FLAG_LIMIT))
-        conds.append(float(cond))
-        if keep_per_target:
-            per_target[n] = (
-                targets[valid] + 1,
-                eff[valid],
-                v_true[valid],
-                v_miss[valid],
-            )
-    return EfficiencyCurve(
-        design="integral",
-        n_values=tuple(sorted(n_values)),
-        e_max=tuple(e_max),
-        target=tuple(tgt),
-        true_var=tuple(tv),
-        missp_var=tuple(mv),
-        flagged=tuple(flags),
-        cond=tuple(conds),
-        per_target=per_target,
+    return _efficiency_curve(
+        "integral", Sigma, Sigma_t, n_values, lambda n: np.arange(n, N), keep_per_target
     )
 
 
@@ -472,30 +485,8 @@ def efficiency_curve_point(
     )
     basis, Phi, Sigma = _true_stage(true_model, int(N), design, None)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
-
     t = Sigma.shape[0] - 1  # target row: the center evaluation
-    e_vals, tv, mv, flags, conds = [], [], [], [], []
-    for n in sorted(n_values):
-        v_true, v_miss, diff, cond = _batch_variances(Sigma, Sigma_t, n, [t])
-        e = _efficiency_from_variances(
-            float(v_true[0]), float(diff[0]), float(Sigma[t, t])
-        )
-        e_vals.append(e)
-        tv.append(float(v_true[0]))
-        mv.append(float(v_miss[0]))
-        flags.append(bool(cond > COND_FLAG_LIMIT))
-        conds.append(float(cond))
-    return EfficiencyCurve(
-        design="point",
-        n_values=tuple(sorted(n_values)),
-        e_max=tuple(e_vals),
-        target=("z(s0)",) * len(n_values),
-        true_var=tuple(tv),
-        missp_var=tuple(mv),
-        flagged=tuple(flags),
-        cond=tuple(conds),
-        per_target=None,
-    )
+    return _efficiency_curve("point", Sigma, Sigma_t, n_values, lambda _: [t])
 
 
 CURVE_CSV_COLUMNS = (

@@ -261,6 +261,34 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path):
         assert open(os.path.join(out, "fig1_integral.svg"), "rb").read() == ref_svg
 
 
+def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
+    from wmlab import fem1d, kriging
+
+    real = fem1d._assemble
+    mass_assemblies = []
+
+    def counted(basis, qpts, qwts, coeffs, d1, d2):
+        if list(d1) == [0] and list(d2) == [0]:
+            mass_assemblies.append(basis.n_dof)
+        return real(basis, qpts, qwts, coeffs, d1, d2)
+
+    monkeypatch.setattr(fem1d, "_assemble", counted)
+    payload = {"deltas": [1, 10], "n_values": [10, 20], "N": 200, "svg": False}
+
+    def run(name):
+        fem1d._mass_matrix.cache_clear()
+        kriging._true_stage.cache_clear()
+        assert _run(tmp_path, "fig1_point", {**payload, "out": str(tmp_path / name)}) == 0
+        return open(tmp_path / name / "fig1_point.csv", "rb").read()
+
+    first = run("a")
+    assert mass_assemblies == [200]  # 4 cells and the true model share one M
+    M = fem1d.mass_matrix(fem1d.build_basis(200, 1))
+    assert not M.flags.writeable
+    assert run("b") == first
+    assert np.array_equal(fem1d.mass_matrix(fem1d.build_basis(200, 1)), M)
+
+
 def test_sample_reruns_byte_identical(tmp_path):
     payload = {
         "model": {"name": "base41", "beta": 1},
