@@ -287,12 +287,18 @@ class AssembledOperators:
 
     ``form_order`` records which bilinear form K discretizes: "a_L" for
     the second-order operator itself, "a2"/"a3" for its second/third
-    power.
+    power. ``bandwidth`` is the spline order p: splines of order p
+    overlap only when their indices differ by at most p, so every entry
+    of K and M with |i - j| > p is exactly zero. The Laplace-zero edge
+    combinations keep that bound: the first kept function combines raw
+    splines 1 and 2, so it meets raw splines up to 2 + p only, which is
+    constrained index p (and mirrored at the right end).
     """
 
     M: np.ndarray
     K: np.ndarray
     form_order: str
+    bandwidth: int
 
 
 def _element_quadrature(basis, nquad):
@@ -388,7 +394,9 @@ def assemble_aL(basis, a, kappa2, nquad=None):
         )
     coeffs = np.stack([a_q, k2_q])
     K = _assemble(basis, qpts, qwts, coeffs, [1, 0], [1, 0])
-    return AssembledOperators(M=mass_matrix(basis), K=K, form_order="a_L")
+    return AssembledOperators(
+        M=mass_matrix(basis), K=K, form_order="a_L", bandwidth=basis.order
+    )
 
 
 def _require_unit_diffusion(a, form):
@@ -425,7 +433,9 @@ def assemble_a2(basis, kappa2, a=None, nquad=None):
     d1 = [0, 1, 0, 1, 2]
     d2 = [0, 1, 1, 0, 2]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return AssembledOperators(M=mass_matrix(basis), K=K, form_order="a2")
+    return AssembledOperators(
+        M=mass_matrix(basis), K=K, form_order="a2", bandwidth=basis.order
+    )
 
 
 def assemble_a3(basis, kappa2, a=None, nquad=None):
@@ -472,7 +482,9 @@ def assemble_a3(basis, kappa2, a=None, nquad=None):
     d1 = [0, 0, 1, 1, 2, 0, 2, 3, 0, 3, 1, 3]
     d2 = [0, 1, 0, 1, 0, 2, 2, 0, 3, 1, 3, 3]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return AssembledOperators(M=mass_matrix(basis), K=K, form_order="a3")
+    return AssembledOperators(
+        M=mass_matrix(basis), K=K, form_order="a3", bandwidth=basis.order
+    )
 
 
 def integral_obs_matrix(basis, n_rows, nquad=None):

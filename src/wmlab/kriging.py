@@ -56,7 +56,7 @@ from .fem1d import (
     point_obs_matrix,
 )
 from .model_config import _is_integer
-from .spectral import covariance_direct, covariance_weights, generalized_eig
+from .spectral import _banded_gram, covariance_direct, covariance_weights, generalized_eig
 
 __all__ = [
     "ObservationDesign",
@@ -339,28 +339,22 @@ def _model_covariance(model, basis):
 def _sigma_for_model(model, basis, Phi):
     """Observation covariance Phi C Phi' evaluated without forming C.
 
-    Both routes produce a Gram matrix of solved vectors, so the result
-    is symmetric positive semidefinite in floating point and every entry
-    is accurate relative to itself. That matters for the higher-order
-    forms: the variances of high-frequency functionals decay like
-    l^(-4*beta) and would drown in the absolute noise floor of a dense
-    N x N covariance.
+    The direct route solves Y = K^-1 Phi' with K in band storage and
+    returns tau^2 Y' M Y, in O(N p) per observation; the spectral route
+    projects Phi on the pencil's eigenvectors. Both routes produce a
+    Gram matrix of solved vectors, so the result is symmetric positive
+    semidefinite in floating point and every entry is accurate relative
+    to itself. That matters for the higher-order forms: the variances of
+    high-frequency functionals decay like l^(-4*beta) and would drown in
+    the absolute noise floor of a dense N x N covariance.
     """
     ops, direct = _model_operators(model, basis)
     if direct is not None:
-        try:
-            fac = scipy.linalg.cho_factor(ops.K, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ConditioningError(
-                "stiffness-form matrix is not positive definite"
-            ) from exc
-        Y = scipy.linalg.cho_solve(fac, Phi.T)
-        S = model.tau**2 * (Y.T @ (ops.M @ Y))
-    else:
-        dec = generalized_eig(ops)
-        B = Phi @ dec.eigenvectors
-        w = model.tau**2 * dec.eigenvalues ** (-2.0 * model.beta)
-        S = (B * w) @ B.T
+        return _banded_gram(ops, Phi.T, model.tau)
+    dec = generalized_eig(ops)
+    B = Phi @ dec.eigenvectors
+    w = model.tau**2 * dec.eigenvalues ** (-2.0 * model.beta)
+    S = (B * w) @ B.T
     return 0.5 * (S + S.T)
 
 

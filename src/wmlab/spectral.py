@@ -3,10 +3,14 @@
 Two independent routes to the Galerkin covariance are provided. The
 spectral route diagonalizes the (K, M) pencil and applies the scalar
 map ``lambda -> tau^2 lambda^(-2 beta)`` to the eigenvalues; the direct
-route, available when 2*beta is an even integer, forms
-``tau^2 * K^-1 M K^-1`` with K the matrix of the beta-th operator-power
-form. Agreement of the two is a strong end-to-end check and is part of
-the test suite; library code never substitutes one for the other.
+route, available for beta in {1, 2, 3}, forms ``tau^2 * K^-1 M K^-1``
+with K the matrix of the beta-th operator-power form. K and M have
+bandwidth p (the spline order), so the direct route reads only their
+p + 1 lower diagonals, factors K by banded Cholesky and multiplies by M
+as a band product: a solve costs O(N p) per right-hand side instead of
+the O(N^2) of a dense factor. Agreement of the two routes is a strong
+end-to-end check and is part of the test suite; library code never
+substitutes one for the other.
 
 For fractional powers of a single SPD matrix an exponentially convergent
 sinc quadrature of the Balakrishnan integral
@@ -118,7 +122,9 @@ def covariance_direct(ops, beta, tau):
     """Direct-route covariance tau^2 K^-1 M K^-1 for integer beta.
 
     K must be the form matrix of the beta-th operator power (form_order
-    "a_L", "a2", "a3" for beta = 1, 2, 3).
+    "a_L", "a2", "a3" for beta = 1, 2, 3). C is formed as the Gram
+    matrix tau^2 Y' M Y of Y = K^-1, with K factored in band storage;
+    ConditioningError if K is not positive definite.
     """
     if beta not in (1, 2, 3):
         raise ParameterError(f"direct covariance route needs beta in {{1,2,3}}, got {beta}")
@@ -129,14 +135,39 @@ def covariance_direct(ops, beta, tau):
         )
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    try:
-        factor = scipy.linalg.cho_factor(ops.K)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditioningError(f"form matrix not factorizable: {exc}") from exc
-    X = scipy.linalg.cho_solve(factor, ops.M)  # K^-1 M
-    C = scipy.linalg.cho_solve(factor, X.T).T  # (K^-1 X')' = X K^-1
-    C = (tau * tau) * 0.5 * (C + C.T)
+    C = _banded_gram(ops, np.eye(ops.K.shape[0]), tau)
     return CovarianceMatrix(C=C, beta=float(beta), tau=float(tau))
+
+
+def _banded_gram(ops, rhs, tau):
+    """tau^2 Y' M Y with Y = K^-1 rhs, reading K and M in band storage.
+
+    Only the p + 1 lower diagonals of K and M are read (p =
+    ``ops.bandwidth``): K is factored by banded Cholesky in O(N p^2),
+    each right-hand side costs O(N p) to solve and to multiply by M. The
+    result is a Gram matrix of solved vectors, hence symmetric positive
+    semidefinite in floating point. Raises ConditioningError when K is
+    not positive definite.
+    """
+    p = ops.bandwidth
+    n = ops.K.shape[0]
+    band = np.zeros((p + 1, n))
+    for k in range(p + 1):
+        band[k, : n - k] = np.diagonal(ops.K, -k)
+    try:
+        factor = scipy.linalg.cholesky_banded(band, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ConditioningError(
+            f"form matrix {ops.form_order} is not positive definite: {exc}"
+        ) from exc
+    Y = scipy.linalg.cho_solve_banded((factor, True), rhs)
+    MY = np.diagonal(ops.M)[:, None] * Y
+    for k in range(1, p + 1):
+        m = np.diagonal(ops.M, -k)[:, None]
+        MY[k:] += m * Y[:-k]
+        MY[:-k] += m * Y[k:]
+    S = (tau * tau) * (Y.T @ MY)
+    return 0.5 * (S + S.T)
 
 
 def balakrishnan_fractional_inverse(A, theta, levels=40):

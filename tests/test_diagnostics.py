@@ -1,10 +1,12 @@
 """Operator-pair diagnostics and the structural verdict rules."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from wmlab.diagnostics import (
     VerdictInput,
@@ -116,6 +118,36 @@ def test_compact_like_branch_for_slowly_decaying_diagonal():
     pair = _diag_pair(lam, lam * (1.0 + j**-0.5))
     rep = hs_curve(pair, gamma=0.5, c=1.0, truncations=(50, 100, 400, 800))
     assert rep.classification == "compact_like"
+
+
+def _svd_hs_oracle(T, truncations):
+    """(frobenius, opnorm, smin, smax, tail_ratio) rows from full SVDs."""
+    rows = []
+    for t in truncations:
+        sv = scipy.linalg.svdvals(T[:t, :t])
+        k = min(int(math.ceil(0.9 * t)) - 1, t - 1)
+        rows.append((np.sqrt(np.sum(sv * sv)), sv[0], sv[-1], sv[0], sv[k] / sv[0]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alt", ["base41", "model1_41", "model2_41"])
+@pytest.mark.parametrize("gamma, c", [(0.25, 1.3), (0.5, 1.0), (1.0, 1.0)])
+def test_hs_curve_matches_svd_oracle(alt, gamma, c):
+    pair = _fem_pair(builtin_model("base41", 1), builtin_model(alt, 1))
+    truncs = (10, 30, 60, 120)
+    rep = hs_curve(pair, gamma, c, truncs)
+    oracle = _svd_hs_oracle(t_operator(pair, gamma, c), truncs)
+    got = np.array([rep.frobenius, rep.opnorm, rep.smin, rep.smax, rep.tail_ratio]).T
+    for col in (0, 1, 3, 4):
+        npt.assert_allclose(got[:, col], oracle[:, col], rtol=1e-12, atol=0.0)
+    # the smallest singular value is accurate only to roundoff relative
+    # to the largest, for the SVD as for the eigensolve
+    npt.assert_allclose(got[:, 2], oracle[:, 2], rtol=0.0, atol=1e-12 * np.max(oracle[:, 1]))
+    fro, tail = oracle[:, 0], oracle[:, 4]
+    saturated = fro[-1] < 1e-12 or abs(fro[-1] - fro[-2]) < 0.01 * fro[-1]
+    tail_flat = all(r >= 0.10 for r in tail)
+    expected = "HS_stable" if saturated else "non_compact" if tail_flat else "compact_like"
+    assert rep.classification == expected
 
 
 def test_hs_curve_validates_truncations():

@@ -1,0 +1,155 @@
+"""The banded direct covariance route against dense and long-double oracles.
+
+The dense oracle is the direct route as the package computed it before K
+was factored in band storage: a dense Cholesky factor of K and a dense
+product with M. The long-double oracle factors the same float64 K by
+banded Cholesky in extended precision, so its own roundoff is far below
+that of either float64 route and it measures their solve errors.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from wmlab import kriging, spectral
+from wmlab.errors import ConditioningError
+from wmlab.fem1d import (
+    DIRICHLET,
+    assemble_aL,
+    build_basis,
+    integral_obs_matrix,
+    point_obs_matrix,
+)
+from wmlab.model_config import builtin_model
+
+# ------------------------------------------------------------ oracles
+
+
+def dense_sigma(ops, Phi, tau):
+    """tau^2 Y' M Y with Y = K^-1 Phi' from a dense Cholesky factor."""
+    fac = scipy.linalg.cho_factor(ops.K, lower=True)
+    Y = scipy.linalg.cho_solve(fac, Phi.T)
+    S = tau**2 * (Y.T @ (ops.M @ Y))
+    return 0.5 * (S + S.T)
+
+
+def dense_covariance(ops, tau):
+    """tau^2 K^-1 M K^-1 from a dense Cholesky factor."""
+    factor = scipy.linalg.cho_factor(ops.K)
+    X = scipy.linalg.cho_solve(factor, ops.M)  # K^-1 M
+    C = scipy.linalg.cho_solve(factor, X.T).T  # (K^-1 X')' = X K^-1
+    return (tau * tau) * 0.5 * (C + C.T)
+
+
+def longdouble_sigma(ops, rhs, tau):
+    """tau^2 Y' M Y with Y = K^-1 rhs, by banded Cholesky in long double."""
+    p = ops.bandwidth
+    K = ops.K.astype(np.longdouble)
+    n = K.shape[0]
+    L = np.zeros((n, n), dtype=np.longdouble)
+    for j in range(n):
+        lo = max(0, j - p)
+        L[j, j] = np.sqrt(K[j, j] - L[j, lo:j] @ L[j, lo:j])
+        for i in range(j + 1, min(n, j + p + 1)):
+            L[i, j] = (K[i, j] - L[i, lo:j] @ L[j, lo:j]) / L[j, j]
+    Y = np.array(rhs, dtype=np.longdouble)
+    for i in range(n):  # L z = rhs
+        lo = max(0, i - p)
+        Y[i] = (Y[i] - L[i, lo:i] @ Y[lo:i]) / L[i, i]
+    for i in range(n - 1, -1, -1):  # L' y = z
+        hi = min(n, i + p + 1)
+        Y[i] = (Y[i] - L[i + 1 : hi, i] @ Y[i + 1 : hi]) / L[i, i]
+    S = np.longdouble(tau) ** 2 * (Y.T @ (ops.M.astype(np.longdouble) @ Y))
+    return 0.5 * (S + S.T)
+
+
+def _correlation_error(S, exact):
+    """max |S - exact| in units of the exact standard deviations."""
+    d = np.sqrt(np.diag(exact).astype(np.float64))
+    return float(np.max(np.abs((S - exact).astype(np.float64)) / np.outer(d, d)))
+
+
+def _operators(model, N):
+    basis = kriging._model_basis(model, N)
+    return basis, kriging._model_operators(model, basis)[0]
+
+
+# -------------------------------------------------------------- beta = 1
+
+
+@pytest.mark.parametrize("name", ["base42", "model1_42"])
+def test_beta1_sigma_diagonal_matches_dense_route(name):
+    model = builtin_model(name, 1)
+    basis, ops = _operators(model, 300)
+    Phi = integral_obs_matrix(basis, 40)
+    S = kriging._sigma_for_model(model, basis, Phi)
+    np.testing.assert_allclose(np.diag(S), np.diag(dense_sigma(ops, Phi, model.tau)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", [300, 1000])
+def test_beta1_point_sigma_matches_dense_route(N):
+    design = kriging.ObservationDesign(kind="point", n_max=40)
+    locations = np.concatenate([kriging.point_locations(design), [design.s0]])
+    for model in (builtin_model("base41", 1), builtin_model("model2_41", 1, 10.0)):
+        basis, ops = _operators(model, N)
+        Phi = point_obs_matrix(basis, locations)
+        S = kriging._sigma_for_model(model, basis, Phi)
+        D = dense_sigma(ops, Phi, model.tau)
+        row_max = np.max(np.abs(D), axis=1, keepdims=True)
+        assert np.max(np.abs(S - D) / row_max) <= 1e-12
+
+
+def test_beta1_covariance_diagonal_matches_dense_route():
+    model = builtin_model("model1_42", 1)
+    _, ops = _operators(model, 300)
+    C = spectral.covariance_direct(ops, 1, model.tau).C
+    np.testing.assert_allclose(np.diag(C), np.diag(dense_covariance(ops, model.tau)), rtol=1e-12)
+
+
+# ---------------------------------------------------------- beta = 2, 3
+
+
+@pytest.mark.parametrize("beta", [2, 3])
+@pytest.mark.parametrize("name", ["base42", "model1_42"])
+def test_sigma_is_as_accurate_as_dense_route(beta, name):
+    # K's condition grows like h^(-2 beta), so both float64 routes lose
+    # digits at beta = 2, 3; the banded one may not lose more
+    model = builtin_model(name, beta)
+    basis, ops = _operators(model, 300)
+    Phi = integral_obs_matrix(basis, 40)
+    exact = longdouble_sigma(ops, Phi.T, model.tau)
+    banded = _correlation_error(kriging._sigma_for_model(model, basis, Phi), exact)
+    dense = _correlation_error(dense_sigma(ops, Phi, model.tau), exact)
+    assert banded <= 4.0 * dense
+
+
+@pytest.mark.parametrize("beta", [2, 3])
+def test_covariance_is_as_accurate_as_dense_route(beta):
+    model = builtin_model("base42", beta)
+    _, ops = _operators(model, 200)
+    exact = longdouble_sigma(ops, np.eye(200), model.tau)
+    banded = _correlation_error(spectral.covariance_direct(ops, beta, model.tau).C, exact)
+    dense = _correlation_error(dense_covariance(ops, model.tau), exact)
+    assert banded <= 4.0 * dense
+
+
+# -------------------------------------------------------------- contract
+
+
+def test_indefinite_form_raises_conditioning_error(monkeypatch):
+    model = builtin_model("base41", 1)
+    basis = build_basis(30, 1, DIRICHLET)
+    ops = assemble_aL(basis, model.a, model.kappa2)
+    K = ops.K.copy()
+    K[5, 5] = -1.0
+    ops = dataclasses.replace(ops, K=K)
+    with pytest.raises(ConditioningError, match="not positive definite") as direct:
+        spectral.covariance_direct(ops, 1, model.tau)
+
+    monkeypatch.setattr(kriging, "assemble_aL", lambda *args, **kwargs: ops)
+    with pytest.raises(ConditioningError) as sigma:
+        kriging._sigma_for_model(model, basis, integral_obs_matrix(basis, 5))
+    # one helper factors K for both call sites
+    assert str(sigma.value) == str(direct.value)

@@ -162,6 +162,38 @@ def test_a3_form_symmetric_and_positive():
     assert np.min(np.linalg.eigvalsh(0.5 * (ops.K + ops.K.T))) > 0.0
 
 
+_K2 = CoefficientField("polynomial", (2.0, 0.5))
+_FORMS = {
+    "a_L": lambda b: assemble_aL(b, CoefficientField("polynomial", (1.0, 0.3)), _K2),
+    "a2": lambda b: assemble_a2(b, _K2),
+    "a3": lambda b: assemble_a3(b, _K2),
+}
+
+
+@pytest.mark.parametrize(
+    "order, mode, form",
+    [
+        (1, DIRICHLET, "a_L"),
+        (2, DIRICHLET, "a_L"),
+        (3, DIRICHLET, "a_L"),
+        (3, DIRICHLET_LAPLACE, "a_L"),
+        (2, DIRICHLET, "a2"),
+        (3, DIRICHLET, "a2"),
+        (3, DIRICHLET_LAPLACE, "a2"),
+        (3, DIRICHLET_LAPLACE, "a3"),
+    ],
+)
+def test_forms_have_bandwidth_of_the_spline_order(order, mode, form):
+    # the direct covariance route reads only these p + 1 diagonals
+    ops = _FORMS[form](build_basis(24, order, mode))
+    assert ops.bandwidth == order
+    i, j = np.indices(ops.K.shape)
+    outside = np.abs(i - j) > order
+    for A in (ops.K, ops.M):
+        assert np.all(A[outside] == 0.0)
+        assert np.all(np.diagonal(A, order) != 0.0)
+
+
 @given(
     n=st.integers(min_value=10, max_value=30),
     order=st.sampled_from([1, 2, 3]),

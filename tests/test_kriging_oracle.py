@@ -160,13 +160,23 @@ def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
         calls.append(np.shape(args[0]))
         return real(*args, **kwargs)
 
-    # a fractional exponent takes the spectral route, which factors
-    # nothing, so every factorization counted is the engine's
-    base = dataclasses.replace(builtin_model("base41", 1), beta=1.5)
-    missp = dataclasses.replace(builtin_model("model1_41", 1), beta=1.5)
-    kriging._true_stage.cache_clear()
+    # no covariance route factors with cho_factor (the direct route for
+    # integer beta factors K in band storage, the spectral route factors
+    # nothing), so every factorization counted is the engine's
+    pairs = [
+        (builtin_model("base41", 1), builtin_model("model1_41", 1)),
+        (builtin_model("base42", 2), builtin_model("model1_42", 2)),
+        (builtin_model("base42", 3), builtin_model("model1_42", 3)),
+        (
+            dataclasses.replace(builtin_model("base41", 1), beta=1.5),
+            dataclasses.replace(builtin_model("model1_41", 1), beta=1.5),
+        ),
+    ]
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
-    curve = kriging.efficiency_curve_integral(base, missp, N=120, n_values=n_values)
     m = max(n_values)
-    assert calls == [(m, m), (m, m)]
-    assert curve.n_values == tuple(sorted(n_values))
+    for base, missp in pairs:
+        kriging._true_stage.cache_clear()
+        calls.clear()
+        curve = kriging.efficiency_curve_integral(base, missp, N=120, n_values=n_values)
+        assert calls == [(m, m), (m, m)], base.beta
+        assert curve.n_values == tuple(sorted(n_values))
