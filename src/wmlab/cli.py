@@ -676,8 +676,8 @@ def run_matern_check(cfg, defaulted):
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
     model = _resolve_model(cfg["model"])
-    basis, cov = _covariance_for(model, cfg["N"])
-    comparison = compare_fem_vs_matern(model, cov, basis, cfg["offsets"])
+    basis = _model_basis(model, cfg["N"])
+    comparison = compare_fem_vs_matern(model, None, basis, cfg["offsets"])
     csv_path = os.path.join(outdir, "matern_check.csv")
     comparison.write_csv(csv_path)
     artifacts = [csv_path]
@@ -706,7 +706,7 @@ def run_diagnose(cfg, defaulted):
     ops_alt = assemble_aL(basis, alt.a, alt.kappa2)
     dec_base = generalized_eig(ops_base)
     dec_alt = generalized_eig(ops_alt)
-    pair = cross_gram(dec_base, dec_alt, ops_base.M)
+    pair = cross_gram(dec_base, dec_alt, ops_base.M_band)
     report = hs_curve(pair, cfg["gamma"], cfg["c"], truncations)
     payload = report.to_dict()
     if "cm_beta" in cfg:

@@ -43,6 +43,8 @@ from .errors import (
     NumericalIntegrityError,
     ParameterError,
 )
+from .fem1d import band_matmul
+from .spectral import _identity_defect
 
 __all__ = [
     "OperatorPair",
@@ -69,16 +71,17 @@ class OperatorPair:
     W: np.ndarray
 
 
-def cross_gram(dec_base, dec_alt, M):
+def cross_gram(dec_base, dec_alt, M_band):
     """Build the operator pair and validate orthogonality of W.
 
-    Both decompositions must be M-orthonormal on the same mass matrix;
-    then W'W = I exactly in exact arithmetic. A max-norm deviation above
-    1e-6 indicates mismatched bases or a broken eigensolve.
+    ``M_band`` is the common mass matrix as a lower band
+    (``AssembledOperators.M_band``), applied as a band product. Both
+    decompositions must be M-orthonormal on it; then W'W = I exactly in
+    exact arithmetic. A max-norm deviation above 1e-6 indicates
+    mismatched bases or a broken eigensolve.
     """
-    W = dec_base.eigenvectors.T @ (M @ dec_alt.eigenvectors)
-    gram = W.T @ W
-    err = np.max(np.abs(gram - np.eye(gram.shape[0])))
+    W = dec_base.eigenvectors.T @ band_matmul(M_band, dec_alt.eigenvectors)
+    err = _identity_defect(W.T @ W)
     if err > 1e-6:
         raise NumericalIntegrityError(
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"

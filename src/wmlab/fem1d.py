@@ -4,8 +4,9 @@ The discrete space is spanned by uniform clamped B-splines of order
 (polynomial degree) p in {1, 2, 3} with boundary constraints applied by
 *recombination*: constrained basis function j is a combination of raw
 splines, so a raw row vector r becomes r T for a sparse transform T and
-an assembled raw matrix A_raw becomes T' A_raw T. T is never formed;
-``_constrain`` applies it by slicing. Two constraint modes exist:
+an assembled raw matrix A_raw becomes T' A_raw T. T is never formed:
+``_constrain`` applies it to rows by slicing, ``_constrain_band`` to an
+assembled band. Two constraint modes exist:
 
 ``dirichlet``
     drop the first and last raw spline (the only ones nonzero at the
@@ -37,8 +38,18 @@ with array expressions over all points at once:
   indices (at most p + 1 = 4) and vectorized over the points.
 * A form is assembled as per-element (p+1) x (p+1) matrices, summed over
   the element's quadrature points and the form's terms, then scattered
-  into the raw matrix along its band. The fixed summation order makes
-  results reproducible bit for bit for a fixed input.
+  along the band. The fixed summation order makes results reproducible
+  bit for bit for a fixed input.
+
+Assembled matrices are symmetric with bandwidth p, and band storage is
+their one format. A symmetric n x n matrix A is held as its lower band,
+the (p+1, n) array with ``band[k, j] = A[j + k, j]`` that LAPACK
+``pbtrf`` (``scipy.linalg.cholesky_banded(..., lower=True)``) takes;
+entries past the matrix (``band[k, n-k:]``) are zero. Since the band
+keeps only the lower triangle, assembly refuses a per-element matrix
+that is not symmetric to 1e-12 of its scale (AssemblyIntegrityError).
+``dense`` expands a band into the full matrix; only the dense
+eigensolver and the tests need it. ``band_matmul`` multiplies by a band.
 """
 
 import functools
@@ -63,6 +74,8 @@ __all__ = [
     "build_basis",
     "eval_matrix",
     "AssembledOperators",
+    "dense",
+    "band_matmul",
     "mass_matrix",
     "assemble_aL",
     "assemble_a2",
@@ -191,6 +204,68 @@ def _constrain(basis, raw):
     return raw[..., 2:-2]
 
 
+def _constrain_band(basis, raw):
+    """T' A T for a symmetric raw matrix A held as its lower band.
+
+    Dirichlet mode is a slice. In Laplace-zero mode only the edge
+    combinations' column 0 and row n-1 (the first and last p + 1 stored
+    entries) are recombined, with the operations ``_constrain`` applies
+    to the dense matrix; A's upper triangle is read from its lower one.
+    Returns a new band with the tail past the matrix set to zero.
+    """
+    p, n = basis.order, basis.n_dof
+    if basis.edge_ratios is None:
+        out = raw[:, 1:-1].copy()
+    else:
+        r_left, r_right = basis.edge_ratios
+        out = raw[:, 2:-2].copy()
+        j = raw.shape[1] - 3  # raw index of the right edge combination
+        for k in range(1, p + 1):
+            out[k, 0] = (raw[k + 1, 1] if k < p else 0.0) - r_left * raw[k, 2]
+            out[k, n - 1 - k] = (
+                raw[k + 1, j - k] if k < p else 0.0
+            ) - r_right * raw[k, j - k]
+        out[0, 0] = (raw[0, 1] - r_left * raw[1, 1]) - r_left * (
+            raw[1, 1] - r_left * raw[0, 2]
+        )
+        out[0, n - 1] = (raw[0, j + 1] - r_right * raw[1, j]) - r_right * (
+            raw[1, j] - r_right * raw[0, j]
+        )
+    for k in range(1, p + 1):
+        out[k, n - k :] = 0.0
+    return out
+
+
+def dense(band):
+    """The symmetric matrix held as a lower band (``band[k, j] = A[j+k, j]``).
+
+    For the dense eigensolver and the tests only; every other consumer
+    reads the band. The result is Fortran-ordered, so LAPACK can work on
+    it in place.
+    """
+    n = band.shape[1]
+    A = np.zeros((n, n), order="F")
+    for k in range(band.shape[0]):
+        i = np.arange(n - k)
+        A[i + k, i] = A[i, i + k] = band[k, : n - k]
+    return A
+
+
+def band_matmul(band, X):
+    """A @ X for the symmetric matrix A held as a lower band, X of shape (n, m).
+
+    Costs O(n p) per column of X instead of the O(n^2) of a dense
+    product.
+    """
+    n = band.shape[1]
+    out = band[0][:, None] * X
+    for k in range(1, band.shape[0]):
+        d = band[k, : n - k, None]
+        out[k:] += d * X[:-k]
+        out[:-k] += d * X[k:]
+    return out
+
+
 def build_basis(N, order, constraint=DIRICHLET):
     """Constrained spline basis with exactly N degrees of freedom.
 
@@ -285,20 +360,33 @@ def eval_matrix(basis, locations, derivative=0):
 class AssembledOperators:
     """Mass matrix M and a stiffness-like form matrix K, both constrained.
 
-    ``form_order`` records which bilinear form K discretizes: "a_L" for
-    the second-order operator itself, "a2"/"a3" for its second/third
-    power. ``bandwidth`` is the spline order p: splines of order p
-    overlap only when their indices differ by at most p, so every entry
-    of K and M with |i - j| > p is exactly zero. The Laplace-zero edge
-    combinations keep that bound: the first kept function combines raw
-    splines 1 and 2, so it meets raw splines up to 2 + p only, which is
-    constrained index p (and mirrored at the right end).
+    ``M_band`` and ``K_band`` hold the two symmetric matrices as (p+1, n)
+    lower bands, ``band[k, j] = A[j + k, j]`` (see the module docstring);
+    the shared ``M_band`` is read-only. ``form_order`` records which
+    bilinear form K discretizes: "a_L" for the second-order operator
+    itself, "a2"/"a3" for its second/third power. ``bandwidth`` is the
+    spline order p: splines of order p overlap only when their indices
+    differ by at most p, so every entry of K and M with |i - j| > p is
+    exactly zero. The Laplace-zero edge combinations keep that bound: the
+    first kept function combines raw splines 1 and 2, so it meets raw
+    splines up to 2 + p only, which is constrained index p (and mirrored
+    at the right end).
     """
 
-    M: np.ndarray
-    K: np.ndarray
+    M_band: np.ndarray
+    K_band: np.ndarray
     form_order: str
     bandwidth: int
+
+    @property
+    def M(self):
+        """Dense M, built on each access: for the eigensolver and tests."""
+        return dense(self.M_band)
+
+    @property
+    def K(self):
+        """Dense K, built on each access: for the eigensolver and tests."""
+        return dense(self.K_band)
 
 
 def _element_quadrature(basis, nquad):
@@ -329,33 +417,54 @@ def _element_ders(basis, qpts, nders):
 
 
 def _assemble(basis, qpts, qwts, coeffs, d1, d2):
-    """Constrained matrix of sum_t integral(coeffs[t] u^(d1[t]) v^(d2[t])).
+    """Constrained band of sum_t integral(coeffs[t] u^(d1[t]) v^(d2[t])).
 
     ``coeffs`` has shape (n_terms, n_elements, n_quad): each term's
-    coefficient at the quadrature points. The result is the constrained
-    block of the raw matrix, a view rather than a copy, so an assembly
-    holds one dense matrix at a time.
+    coefficient at the quadrature points. The form must be symmetric:
+    the band keeps only the lower triangle, so AssemblyIntegrityError is
+    raised if any per-element matrix is asymmetric beyond 1e-12 of its
+    largest entry.
     """
     p = basis.order
     B, first = _element_ders(basis, qpts, max(max(d1), max(d2)))
     local = np.zeros((qpts.shape[0], p + 1, p + 1))
     for c, k1, k2 in zip(coeffs, d1, d2):
         local += np.einsum("ieq,jeq->eij", B[k1] * (c * qwts), B[k2])
-    raw = np.zeros((basis.n_raw, basis.n_raw))
+    skew = np.max(np.abs(local - local.transpose(0, 2, 1)), axis=(1, 2))
+    scale = np.max(np.abs(local), axis=(1, 2))
+    bad = skew > 1e-12 * scale
+    if np.any(bad):
+        e = int(np.argmax(bad))
+        raise AssemblyIntegrityError(
+            f"bilinear form is not symmetric: element {e} has local "
+            f"asymmetry {skew[e]:.3e} at scale {scale[e]:.3e}"
+        )
+    raw = np.zeros((p + 1, basis.n_raw))
     # within one (i, j) slice every element hits a different entry, so
     # the fancy-index += never drops a repeated target
     for i in range(p + 1):
-        for j in range(p + 1):
-            raw[first + i, first + j] += local[:, i, j]
-    return _constrain(basis, _constrain(basis, raw).T).T
+        for j in range(i + 1):
+            raw[i - j, first + j] += local[:, i, j]
+    return _constrain_band(basis, raw)
 
 
 def mass_matrix(basis, nquad=None):
     """Constrained mass matrix, exact for the spline products.
 
+    Dense and read-only, expanded from the shared band (see
+    ``_mass_band``); assembled operators carry the band itself.
+    """
+    M = dense(_mass_band(basis, nquad))
+    M.setflags(write=False)
+    return M
+
+
+def _mass_band(basis, nquad=None):
+    """Read-only lower band of the mass matrix.
+
     M depends on the basis only through the fields ``build_basis`` takes,
     so it is built once per (order, n_dof, constraint mode, nquad) and
-    shared between callers; the returned array is read-only.
+    shared between callers.
     """
     if nquad is None:
         nquad = basis.order + 1
@@ -367,9 +476,9 @@ def _mass_matrix(order, n_dof, constraint_mode, nquad):
     basis = build_basis(n_dof, order, constraint_mode)
     qpts, qwts = _element_quadrature(basis, nquad)
     coeffs = np.ones((1,) + qpts.shape)
-    M = _assemble(basis, qpts, qwts, coeffs, [0], [0])
-    M.setflags(write=False)
-    return M
+    band = _assemble(basis, qpts, qwts, coeffs, [0], [0])
+    band.setflags(write=False)
+    return band
 
 
 def assemble_aL(basis, a, kappa2, nquad=None):
@@ -395,7 +504,7 @@ def assemble_aL(basis, a, kappa2, nquad=None):
     coeffs = np.stack([a_q, k2_q])
     K = _assemble(basis, qpts, qwts, coeffs, [1, 0], [1, 0])
     return AssembledOperators(
-        M=mass_matrix(basis), K=K, form_order="a_L", bandwidth=basis.order
+        M_band=_mass_band(basis), K_band=K, form_order="a_L", bandwidth=basis.order
     )
 
 
@@ -434,7 +543,7 @@ def assemble_a2(basis, kappa2, a=None, nquad=None):
     d2 = [0, 1, 1, 0, 2]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
     return AssembledOperators(
-        M=mass_matrix(basis), K=K, form_order="a2", bandwidth=basis.order
+        M_band=_mass_band(basis), K_band=K, form_order="a2", bandwidth=basis.order
     )
 
 
@@ -483,7 +592,7 @@ def assemble_a3(basis, kappa2, a=None, nquad=None):
     d2 = [0, 1, 0, 1, 0, 2, 2, 0, 3, 1, 3, 3]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
     return AssembledOperators(
-        M=mass_matrix(basis), K=K, form_order="a3", bandwidth=basis.order
+        M_band=_mass_band(basis), K_band=K, form_order="a3", bandwidth=basis.order
     )
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedFormError
+from .fem1d import eval_matrix
+from .kriging import _sigma_for_model
 from .spectral import field_covariance_at
 
 __all__ = [
@@ -130,6 +132,12 @@ def compare_fem_vs_matern(model, cov, basis, offsets):
     tau^2 a^(-2 beta) * whittle_variance(nu, kappa_eff, 1); boundary
     effects decay over the practical range, so interior lags well away
     from the endpoints should agree closely.
+
+    With ``cov`` None the Galerkin values are the first row of the
+    observation covariance of the points 1/2, 1/2 + h_1, ..., evaluated
+    by the model's own route (``kriging._sigma_for_model``) at O(N p)
+    per point, so no N x N covariance is formed. Otherwise they are read
+    from the weight covariance ``cov.C`` by ``field_covariance_at``.
     """
     if model.a.kind != "constant" or model.kappa2.kind != "constant":
         raise UnsupportedFormError(
@@ -145,11 +153,12 @@ def compare_fem_vs_matern(model, cov, basis, offsets):
     sigma2 = model.tau**2 * a0 ** (-2.0 * model.beta) * whittle_variance(nu, kappa_eff, 1)
     params = MaternParams(nu=nu, kappa=kappa_eff, sigma2=sigma2)
 
-    fem_vals = np.empty_like(offsets)
-    ana_vals = np.empty_like(offsets)
-    for i, h in enumerate(offsets):
-        fem_vals[i] = field_covariance_at(cov, basis, 0.5, 0.5 + h)
-        ana_vals[i] = matern_cov(params, h)
+    if cov is None:
+        Phi = eval_matrix(basis, np.concatenate([[0.5], 0.5 + offsets]))
+        fem_vals = _sigma_for_model(model, basis, Phi)[0, 1:]
+    else:
+        fem_vals = np.array([field_covariance_at(cov, basis, 0.5, 0.5 + h) for h in offsets])
+    ana_vals = np.array([matern_cov(params, h) for h in offsets])
     rel = np.abs(fem_vals - ana_vals) / np.abs(ana_vals)
     return MaternComparison(
         offsets=offsets,

@@ -5,12 +5,15 @@ spectral route diagonalizes the (K, M) pencil and applies the scalar
 map ``lambda -> tau^2 lambda^(-2 beta)`` to the eigenvalues; the direct
 route, available for beta in {1, 2, 3}, forms ``tau^2 * K^-1 M K^-1``
 with K the matrix of the beta-th operator-power form. K and M have
-bandwidth p (the spline order), so the direct route reads only their
-p + 1 lower diagonals, factors K by banded Cholesky and multiplies by M
-as a band product: a solve costs O(N p) per right-hand side instead of
-the O(N^2) of a dense factor. Agreement of the two routes is a strong
-end-to-end check and is part of the test suite; library code never
-substitutes one for the other.
+bandwidth p (the spline order) and are assembled as (p+1, N) lower
+bands (see :mod:`wmlab.fem1d`). The direct route factors the stored K
+band by banded Cholesky and multiplies by M as a band product: a solve
+costs O(N p) per right-hand side instead of the O(N^2) of a dense
+factor. The spectral route's eigensolver is the one place that expands
+the bands into dense matrices; its M-orthonormality check multiplies by
+the M band. Agreement of the two routes is a strong end-to-end check and
+is part of the test suite; library code never substitutes one for the
+other.
 
 For fractional powers of a single SPD matrix an exponentially convergent
 sinc quadrature of the Balakrishnan integral
@@ -34,7 +37,7 @@ from .errors import (
     NumericalIntegrityError,
     ParameterError,
 )
-from .fem1d import eval_matrix
+from .fem1d import band_matmul, dense, eval_matrix
 
 __all__ = [
     "SpectralDecomposition",
@@ -65,26 +68,34 @@ def generalized_eig(ops):
     """All eigenpairs of the assembled pencil, ascending and M-orthonormal.
 
     Uses the symmetric-definite solver (Cholesky reduction of M followed
-    by a standard symmetric eigensolve). Raises AssemblyIntegrityError
-    if M is not positive definite or any eigenvalue is nonpositive, and
+    by a standard symmetric eigensolve) on dense copies of the bands,
+    which LAPACK overwrites. Raises AssemblyIntegrityError if M is not
+    positive definite or any eigenvalue is nonpositive, and
     NumericalIntegrityError if the returned vectors fail the
     M-orthonormality tolerance.
     """
     try:
-        lam, vec = scipy.linalg.eigh(ops.K, ops.M)
+        lam, vec = scipy.linalg.eigh(
+            dense(ops.K_band), dense(ops.M_band), overwrite_a=True, overwrite_b=True
+        )
     except scipy.linalg.LinAlgError as exc:
         raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
     if lam[0] <= 0.0:
         raise AssemblyIntegrityError(
             f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
         )
-    gram = vec.T @ (ops.M @ vec)
-    err = np.max(np.abs(gram - np.eye(gram.shape[0])))
+    err = _identity_defect(vec.T @ band_matmul(ops.M_band, vec))
     if err > 1e-8:
         raise NumericalIntegrityError(
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
         )
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
+
+
+def _identity_defect(gram):
+    """max |gram - I|, computed in place: ``gram`` is overwritten."""
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.max(np.abs(gram, out=gram)))
 
 
 @dataclass(frozen=True)
@@ -135,38 +146,28 @@ def covariance_direct(ops, beta, tau):
         )
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    C = _banded_gram(ops, np.eye(ops.K.shape[0]), tau)
+    C = _banded_gram(ops, np.eye(ops.K_band.shape[1]), tau)
     return CovarianceMatrix(C=C, beta=float(beta), tau=float(tau))
 
 
 def _banded_gram(ops, rhs, tau):
-    """tau^2 Y' M Y with Y = K^-1 rhs, reading K and M in band storage.
+    """tau^2 Y' M Y with Y = K^-1 rhs, on the stored K and M bands.
 
-    Only the p + 1 lower diagonals of K and M are read (p =
-    ``ops.bandwidth``): K is factored by banded Cholesky in O(N p^2),
-    each right-hand side costs O(N p) to solve and to multiply by M. The
-    result is a Gram matrix of solved vectors, hence symmetric positive
-    semidefinite in floating point. Raises ConditioningError when K is
-    not positive definite.
+    The (p+1, N) lower band of K (p = ``ops.bandwidth``) is LAPACK's
+    ``pbtrf`` layout, so K is factored as stored by banded Cholesky in
+    O(N p^2); each right-hand side costs O(N p) to solve and to multiply
+    by M. The result is a Gram matrix of solved vectors, hence symmetric
+    positive semidefinite in floating point. Raises ConditioningError
+    when K is not positive definite.
     """
-    p = ops.bandwidth
-    n = ops.K.shape[0]
-    band = np.zeros((p + 1, n))
-    for k in range(p + 1):
-        band[k, : n - k] = np.diagonal(ops.K, -k)
     try:
-        factor = scipy.linalg.cholesky_banded(band, lower=True)
+        factor = scipy.linalg.cholesky_banded(ops.K_band, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"form matrix {ops.form_order} is not positive definite: {exc}"
         ) from exc
     Y = scipy.linalg.cho_solve_banded((factor, True), rhs)
-    MY = np.diagonal(ops.M)[:, None] * Y
-    for k in range(1, p + 1):
-        m = np.diagonal(ops.M, -k)[:, None]
-        MY[k:] += m * Y[:-k]
-        MY[:-k] += m * Y[k:]
-    S = (tau * tau) * (Y.T @ MY)
+    S = (tau * tau) * (Y.T @ band_matmul(ops.M_band, Y))
     return 0.5 * (S + S.T)
 
 

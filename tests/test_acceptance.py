@@ -244,11 +244,11 @@ def test_criterion_08_theory_concordance(report, fig1_integral_data, fig2_data):
     truncations = (100, 200, 400, 800)
 
     pair2 = cross_gram(
-        dec_b, generalized_eig(assemble_aL(basis, doubled.a, doubled.kappa2)), ops_b.M
+        dec_b, generalized_eig(assemble_aL(basis, doubled.a, doubled.kappa2)), ops_b.M_band
     )
     rep2 = hs_curve(pair2, gamma=0.25, c=1.0, truncations=truncations)
     pair_s = cross_gram(
-        dec_b, generalized_eig(assemble_aL(basis, shifted.a, shifted.kappa2)), ops_b.M
+        dec_b, generalized_eig(assemble_aL(basis, shifted.a, shifted.kappa2)), ops_b.M_band
     )
     rep_s = hs_curve(pair_s, gamma=1.0, c=1.0, truncations=truncations)
 

@@ -289,6 +289,50 @@ def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
     assert np.array_equal(fem1d.mass_matrix(fem1d.build_basis(200, 1)), M)
 
 
+def test_point_figure_memory_is_linear_in_N(tmp_path):
+    # K and M live in (p+1, N) bands and each Sigma costs O(N) per
+    # observation, so the traced peak grows like N (about 3 kB per degree
+    # of freedom here); one dense N x N matrix would be 160 kB per N
+    import tracemalloc
+
+    from wmlab import fem1d, kriging
+
+    fem1d._mass_matrix.cache_clear()
+    kriging._true_stage.cache_clear()
+    N = 20_000
+    payload = {"N": N, "svg": False, "out": str(tmp_path / "out")}
+    tracemalloc.start()
+    try:
+        assert _run(tmp_path, "fig1_point", payload) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000 * N, f"traced peak {peak / 1e6:.1f} MB at N={N}"
+
+
+def test_figures_never_expand_a_band(tmp_path, monkeypatch):
+    # only the dense eigensolver may call dense(); integer-beta figures
+    # never reach it
+    import sys
+
+    from wmlab import fem1d, kriging, spectral
+
+    def refuse(band):
+        raise AssertionError("dense matrix built outside the eigensolver")
+
+    real = fem1d.dense
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wmlab") and getattr(module, "dense", None) is real:
+            monkeypatch.setattr(module, "dense", refuse)
+    assert spectral.dense is refuse
+    fem1d._mass_matrix.cache_clear()
+    kriging._true_stage.cache_clear()
+    point = {"deltas": [10], "n_values": [10, 20], "N": 120, "svg": False}
+    fig2 = {"betas": [1, 2, 3], "n_values": [5, 10], "N": 60, "svg": False}
+    assert _run(tmp_path, "fig1_point", {**point, "out": str(tmp_path / "p")}) == 0
+    assert _run(tmp_path, "fig2", {**fig2, "out": str(tmp_path / "f")}) == 0
+
+
 def test_sample_reruns_byte_identical(tmp_path):
     payload = {
         "model": {"name": "base41", "beta": 1},

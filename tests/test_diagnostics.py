@@ -43,7 +43,7 @@ def _fem_pair(model_base, model_alt, N=120):
     basis = build_basis(N, 1, DIRICHLET)
     ops_b = assemble_aL(basis, model_base.a, model_base.kappa2)
     ops_a = assemble_aL(basis, model_alt.a, model_alt.kappa2)
-    return cross_gram(generalized_eig(ops_b), generalized_eig(ops_a), ops_b.M)
+    return cross_gram(generalized_eig(ops_b), generalized_eig(ops_a), ops_b.M_band)
 
 
 # ---------------------------------------------------------- t_operator
@@ -235,7 +235,7 @@ def test_cross_gram_rejects_mismatched_bases():
         eigenvalues=dec.eigenvalues, eigenvectors=2.0 * dec.eigenvectors
     )
     with pytest.raises(NumericalIntegrityError):
-        cross_gram(dec, corrupted, ops.M)
+        cross_gram(dec, corrupted, ops.M_band)
 
 
 # ------------------------------------------------------- mean difference

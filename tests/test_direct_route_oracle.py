@@ -142,9 +142,9 @@ def test_indefinite_form_raises_conditioning_error(monkeypatch):
     model = builtin_model("base41", 1)
     basis = build_basis(30, 1, DIRICHLET)
     ops = assemble_aL(basis, model.a, model.kappa2)
-    K = ops.K.copy()
-    K[5, 5] = -1.0
-    ops = dataclasses.replace(ops, K=K)
+    K_band = ops.K_band.copy()
+    K_band[0, 5] = -1.0  # K[5, 5]
+    ops = dataclasses.replace(ops, K_band=K_band)
     with pytest.raises(ConditioningError, match="not positive definite") as direct:
         spectral.covariance_direct(ops, 1, model.tau)
 

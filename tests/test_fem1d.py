@@ -19,7 +19,9 @@ from wmlab.fem1d import (
     assemble_a2,
     assemble_a3,
     assemble_aL,
+    band_matmul,
     build_basis,
+    dense,
     eval_matrix,
     integral_obs_matrix,
     mass_matrix,
@@ -192,6 +194,28 @@ def test_forms_have_bandwidth_of_the_spline_order(order, mode, form):
     for A in (ops.K, ops.M):
         assert np.all(A[outside] == 0.0)
         assert np.all(np.diagonal(A, order) != 0.0)
+
+
+def test_band_layout_expansion_and_product():
+    # band[k, j] = A[j + k, j]; the entry past the matrix is not read
+    band = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 0.0]])
+    A = dense(band)
+    npt.assert_array_equal(A, [[1, 5, 0, 0], [5, 2, 6, 0], [0, 6, 3, 7], [0, 0, 7, 4]])
+    assert A.flags.f_contiguous
+    X = np.arange(12.0).reshape(4, 3)
+    npt.assert_array_equal(band_matmul(band, X), A @ X)
+
+
+def test_operators_hold_bands_and_expand_on_demand():
+    basis = build_basis(30, 3, DIRICHLET_LAPLACE)
+    ops = assemble_a3(basis, CoefficientField("polynomial", (2.0, 0.5)))
+    assert ops.K_band.shape == ops.M_band.shape == (4, 30)
+    for k in range(1, 4):  # nothing is stored past the matrix
+        assert np.all(ops.K_band[k, 30 - k :] == 0.0)
+        assert np.all(ops.M_band[k, 30 - k :] == 0.0)
+    assert not ops.M_band.flags.writeable  # shared with every form on the basis
+    npt.assert_array_equal(ops.M, mass_matrix(basis))
+    npt.assert_array_equal(np.diagonal(ops.K, -2), ops.K_band[2, :28])
 
 
 @given(

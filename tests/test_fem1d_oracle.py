@@ -7,6 +7,10 @@ transform T applied by matrix products. The array code in
 :mod:`wmlab.fem1d` performs the same floating-point operations per point,
 so the basis must match it bit for bit; assembled matrices differ only in
 summation order, and constraints there are applied by slicing.
+
+Band storage is checked against a dense assembly: the same per-element
+matrices scattered into both triangles of a dense raw matrix, which is
+then constrained as a whole.
 """
 
 import numpy as np
@@ -15,15 +19,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wmlab import fem1d
+from wmlab.errors import AssemblyIntegrityError
 from wmlab.fem1d import (
     DIRICHLET,
     DIRICHLET_LAPLACE,
     _SINE_BLOCK,
     _basis_ders,
+    _constrain,
+    _element_ders,
     _element_quadrature,
     assemble_a2,
     assemble_a3,
+    assemble_aL,
     build_basis,
+    dense,
     eval_matrix,
     integral_obs_matrix,
     mass_matrix,
@@ -151,6 +161,24 @@ def sine_rows(knots, p, n_raw, qpts, qwts, n_rows):
                 for j in range(p + 1):
                     out[l - 1, i0 + j] += sv * ders[0, j]
     return out
+
+
+def dense_scatter(basis, qpts, qwts, coeffs, d1, d2):
+    """Dense constrained matrix of a form, the oracle of band assembly.
+
+    The per-element matrices are scattered into both triangles of a dense
+    (n_raw, n_raw) raw matrix, which is then constrained as a whole.
+    """
+    p = basis.order
+    B, first = _element_ders(basis, qpts, max(max(d1), max(d2)))
+    local = np.zeros((qpts.shape[0], p + 1, p + 1))
+    for c, k1, k2 in zip(coeffs, d1, d2):
+        local += np.einsum("ieq,jeq->eij", B[k1] * (c * qwts), B[k2])
+    raw = np.zeros((basis.n_raw, basis.n_raw))
+    for i in range(p + 1):
+        for j in range(p + 1):
+            raw[first + i, first + j] += local[:, i, j]
+    return _constrain(basis, _constrain(basis, raw).T).T
 
 
 def dense_transform(basis):
@@ -286,3 +314,63 @@ def test_mass_matrix_matches_dense_transform(order, mode):
         basis.knots, order, basis.n_raw, qpts, qwts, [(np.ones_like(qpts), 0, 0)]
     )
     assert_close_to_scale(mass_matrix(basis), constrain(basis, raw))
+
+
+# ------------------------------------------------------ band storage
+
+_K2 = CoefficientField("polynomial", (2.0, 0.5))
+_FORMS = {
+    "a_L": lambda b: assemble_aL(b, CoefficientField("polynomial", (1.0, 0.3)), _K2),
+    "a2": lambda b: assemble_a2(b, _K2),
+    "a3": lambda b: assemble_a3(b, _K2),
+}
+
+
+@pytest.mark.parametrize(
+    "order, mode, form",
+    [
+        (1, DIRICHLET, "a_L"),
+        (2, DIRICHLET, "a_L"),
+        (3, DIRICHLET, "a_L"),
+        (3, DIRICHLET_LAPLACE, "a_L"),
+        (2, DIRICHLET, "a2"),
+        (3, DIRICHLET, "a2"),
+        (3, DIRICHLET_LAPLACE, "a2"),
+        (3, DIRICHLET_LAPLACE, "a3"),
+    ],
+)
+def test_band_assembly_matches_dense_scatter(order, mode, form, monkeypatch):
+    real = fem1d._assemble
+    assemblies = []
+
+    def recorded(*args):
+        band = real(*args)
+        assemblies.append((args, band))
+        return band
+
+    monkeypatch.setattr(fem1d, "_assemble", recorded)
+    fem1d._mass_matrix.cache_clear()
+    _FORMS[form](build_basis(64, order, mode))
+    assert len(assemblies) == 2  # M and the form
+    for args, band in assemblies:
+        expected = dense_scatter(*args)
+        actual = dense(band)
+        if mode == DIRICHLET:
+            # the band holds exactly the dense lower triangle
+            lower = np.tril_indices_from(expected)
+            assert np.array_equal(actual[lower], expected[lower])
+        else:
+            # the edge combinations read A's upper triangle from its
+            # lower one, which the dense scatter rounded separately
+            gap = np.max(np.abs(actual - expected))
+            assert gap <= 1e-15 * np.max(np.abs(expected)), gap
+
+
+def test_asymmetric_form_is_refused():
+    basis = build_basis(20, 2, DIRICHLET)
+    qpts, qwts = _element_quadrature(basis, 4)
+    ones = np.ones((2,) + qpts.shape)
+    with pytest.raises(AssemblyIntegrityError, match="not symmetric"):
+        fem1d._assemble(basis, qpts, qwts, ones[:1], [0], [1])  # <u, v'> alone
+    band = fem1d._assemble(basis, qpts, qwts, ones, [0, 1], [1, 0])  # <u, v'> + <u', v>
+    assert band.shape == (3, 20)

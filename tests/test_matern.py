@@ -109,3 +109,35 @@ def test_whittle_variance_general_formula():
         math.gamma(nu + d / 2) * (4 * math.pi) ** (d / 2) * kappa ** (2 * nu)
     )
     npt.assert_allclose(whittle_variance(nu, kappa, d), expected, rtol=1e-13)
+
+
+# ------------------------------------------------- FEM vs Matern check
+
+
+def _fractional_model():
+    from wmlab.model_config import CoefficientField, ModelSpec, tau_unit_variance
+
+    return ModelSpec(
+        beta=1.5,
+        a=CoefficientField("constant", (1.0,)),
+        kappa2=CoefficientField("constant", (100.0,)),
+        tau=tau_unit_variance(1.5, 10.0),
+        basis_order=1,
+    )
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3, 1.5])
+def test_matern_check_without_covariance_matches_weight_covariance(beta):
+    # the CLI reads the offsets from the observation covariance of the
+    # points instead of forming the N x N weight covariance
+    from wmlab.cli import _covariance_for
+    from wmlab.matern import compare_fem_vs_matern
+    from wmlab.model_config import builtin_model
+
+    model = _fractional_model() if beta == 1.5 else builtin_model("base42", beta)
+    basis, cov = _covariance_for(model, 200)
+    offsets = [0.0, 0.01, 0.05, 0.1]
+    via_sigma = compare_fem_vs_matern(model, None, basis, offsets)
+    via_cov = compare_fem_vs_matern(model, cov, basis, offsets)
+    npt.assert_allclose(via_sigma.fem_values, via_cov.fem_values, rtol=1e-9)
+    npt.assert_array_equal(via_sigma.analytic_values, via_cov.analytic_values)
