@@ -251,6 +251,11 @@ def dense(band):
     return A
 
 
+def _read_only(A):
+    A.setflags(write=False)
+    return A
+
+
 def band_matmul(band, X):
     """A @ X for the symmetric matrix A held as a lower band, X of shape (n, m).
 
@@ -380,13 +385,13 @@ class AssembledOperators:
 
     @property
     def M(self):
-        """Dense M, built on each access: for the eigensolver and tests."""
-        return dense(self.M_band)
+        """Read-only dense M, built on each access: for the tests."""
+        return _read_only(dense(self.M_band))
 
     @property
     def K(self):
-        """Dense K, built on each access: for the eigensolver and tests."""
-        return dense(self.K_band)
+        """Read-only dense K, built on each access: for the tests."""
+        return _read_only(dense(self.K_band))
 
 
 def _element_quadrature(basis, nquad):
@@ -454,9 +459,7 @@ def mass_matrix(basis, nquad=None):
     Dense and read-only, expanded from the shared band (see
     ``_mass_band``); assembled operators carry the band itself.
     """
-    M = dense(_mass_band(basis, nquad))
-    M.setflags(write=False)
-    return M
+    return _read_only(dense(_mass_band(basis, nquad)))
 
 
 def _mass_band(basis, nquad=None):
@@ -476,9 +479,7 @@ def _mass_matrix(order, n_dof, constraint_mode, nquad):
     basis = build_basis(n_dof, order, constraint_mode)
     qpts, qwts = _element_quadrature(basis, nquad)
     coeffs = np.ones((1,) + qpts.shape)
-    band = _assemble(basis, qpts, qwts, coeffs, [0], [0])
-    band.setflags(write=False)
-    return band
+    return _read_only(_assemble(basis, qpts, qwts, coeffs, [0], [0]))
 
 
 def assemble_aL(basis, a, kappa2, nquad=None):

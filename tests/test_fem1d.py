@@ -214,6 +214,9 @@ def test_operators_hold_bands_and_expand_on_demand():
         assert np.all(ops.K_band[k, 30 - k :] == 0.0)
         assert np.all(ops.M_band[k, 30 - k :] == 0.0)
     assert not ops.M_band.flags.writeable  # shared with every form on the basis
+    for A in (ops.K, ops.M, mass_matrix(basis)):  # a write would reach no band
+        with pytest.raises(ValueError):
+            A[5, 5] = -1.0
     npt.assert_array_equal(ops.M, mass_matrix(basis))
     npt.assert_array_equal(np.diagonal(ops.K, -2), ops.K_band[2, :28])
 

@@ -4,25 +4,26 @@ as ``BENCH_<label>.json``.
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --label NAME [--compare DIR]
-        [--workload NAME[:PAIRS] ...] [--first-seed S] [--seconds T]
+        [--workload NAME ...] [--first-seed S]
 
-For each workload (default: all of ``perfbench/run.py``'s, 10 pairs
-each) the script runs ``perfbench/run.py --trace 0`` on seeds S, S+1,
-... in this checkout ("change") and, with ``--compare``, in the
-checkout DIR ("parent"), alternating which side runs first. It records
-every result line, each side's environment line (BLAS threads, core
-count, library versions) and a digest of its ``src/`` tree, then runs
-each workload's CLI invocations once more per side and records the
-SHA-256 of every data artifact, by the rule ``perfbench/check.py``
-applies. The summary gives, per workload and
+For each workload (default: all of ``perfbench/run.py``'s) the script
+runs ``perfbench/run.py --trace 0`` on the ten seeds S, ..., S+9 in
+this checkout ("change") and, with ``--compare``, in the checkout DIR
+("parent"), alternating which side runs first. Each run lasts
+``BENCHMARK.json``'s ``run_seconds``, as the benchmark's own runs do.
+It records every result line, each side's commit, environment line
+(BLAS threads, core count, library versions) and a digest of its
+``src/`` tree, then runs each workload's CLI invocations once more per
+side and records the SHA-256 of every data artifact, by the rule
+``perfbench/check.py`` applies. The summary gives, per workload and
 end-to-end metric, each side's median and quartiles; with a parent, how
-many pairs the change won, whether that meets the gain rule of
-``perfbench/README.md`` (at least 9/10 of the pairs won, medians apart
-by more than the parent's interquartile range) and whether the change's
-median stays within the metric's ``BENCHMARK.json`` bound.
+many pairs the change won, whether that is a gain (at least nine of the
+ten pairs won, medians apart by more than the parent's interquartile
+range) and whether the change's median stays within the metric's
+``BENCHMARK.json`` bound.
 
-Each run takes about ``--seconds`` plus a few seconds of start-up, so
-the default record of two checkouts takes about 40 minutes. Nothing
+Each run takes about ``run_seconds`` plus a few seconds of start-up,
+so the default record of two checkouts takes about 40 minutes. Nothing
 else should run on the machine meanwhile.
 """
 
@@ -43,25 +44,18 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import check  # noqa: E402
 import run  # noqa: E402
 
+PAIRS = 10  # a claimed gain must win at least nine of ten pairs
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--compare", help="root of the parent checkout")
-    parser.add_argument("--workload", action="append", default=[],
-                        help="NAME or NAME:PAIRS (default: every workload, 10 pairs)")
+    parser.add_argument("--workload", action="append", choices=list(run.WORKLOADS),
+                        help="default: every workload")
     parser.add_argument("--first-seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    plan = []
-    for spec in args.workload or list(run.WORKLOADS):
-        name, _, pairs = spec.partition(":")
-        if name not in run.WORKLOADS:
-            parser.error(f"unknown workload {name!r}")
-        if not (pairs or "10").isdigit() or int(pairs or 10) < 2:
-            parser.error(f"{spec!r}: PAIRS must be an integer >= 2 (quartiles need two runs)")
-        plan.append((name, int(pairs or 10)))
-    args.plan = plan
+    args.workload = args.workload or list(run.WORKLOADS)
     return args
 
 
@@ -179,9 +173,9 @@ def command_line(args):
     line = ["python3", "tools/bench_record.py", "--label", args.label]
     if args.compare:
         line += ["--compare", os.path.relpath(os.path.abspath(args.compare), ROOT)]
-    for workload, pairs in args.plan:
-        line += ["--workload", f"{workload}:{pairs}"]
-    return line + ["--first-seed", str(args.first_seed), "--seconds", str(args.seconds)]
+    for workload in args.workload:
+        line += ["--workload", workload]
+    return line + ["--first-seed", str(args.first_seed)]
 
 
 def main(argv=None):
@@ -190,18 +184,20 @@ def main(argv=None):
         print("bench_record.py: run from the root of a wmlab checkout", file=sys.stderr)
         return 2
     with open("BENCHMARK.json") as fh:
-        bounds = {m["name"]: (m["bound"], m["better"]) for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     sides = {"change": ROOT}
     if args.compare:
         sides["parent"] = os.path.abspath(args.compare)
 
     runs, environments = [], {}
-    for workload, pairs in args.plan:
-        for pair in range(pairs):
+    for workload in args.workload:
+        for pair in range(PAIRS):
             seed = args.first_seed + pair
             order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
             for position, side in enumerate(order):
-                result, environment = bench_run(sides[side], workload, seed, args.seconds)
+                result, environment = bench_run(sides[side], workload, seed, seconds)
                 environments.setdefault(side, environment)
                 runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                              "ran": position, "result": result})
@@ -213,7 +209,7 @@ def main(argv=None):
         "label": args.label,
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": command_line(args),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "host": {"cpu": cpu_model(), "cores": os.cpu_count(),
                  "usable_cores": len(os.sched_getaffinity(0)),
                  "blas_threads": run.blas_threads(), "python": platform.python_version()},
@@ -223,7 +219,7 @@ def main(argv=None):
         "summary": summarize(runs, bounds),
         "runs": runs,
         "artifacts": {
-            side: {w: artifact_digests(path, w, args.first_seed) for w, _ in args.plan}
+            side: {w: artifact_digests(path, w, args.first_seed) for w in args.workload}
             for side, path in sides.items()
         },
     }
