@@ -3,12 +3,11 @@ as ``BENCH_<label>.json``.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_record.py --label NAME [--compare DIR]
-        [--workload NAME ...] [--first-seed S]
+    python3 tools/bench_record.py --label NAME [--compare DIR] [--first-seed S]
 
-For each workload (default: all of ``perfbench/run.py``'s) the script
-runs ``perfbench/run.py --trace 0`` on the ten seeds S, ..., S+9 in
-this checkout ("change") and, with ``--compare``, in the checkout DIR
+For each of ``perfbench/run.py``'s workloads the script runs
+``perfbench/run.py --trace 0`` on the ten seeds S, ..., S+9 in this
+checkout ("change") and, with ``--compare``, in the checkout DIR
 ("parent"), alternating which side runs first. Each run lasts
 ``BENCHMARK.json``'s ``run_seconds``, as the benchmark's own runs do.
 It records every result line, each side's commit, environment line
@@ -51,12 +50,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--compare", help="root of the parent checkout")
-    parser.add_argument("--workload", action="append", choices=list(run.WORKLOADS),
-                        help="default: every workload")
     parser.add_argument("--first-seed", type=int, default=11)
-    args = parser.parse_args(argv)
-    args.workload = args.workload or list(run.WORKLOADS)
-    return args
+    return parser.parse_args(argv)
 
 
 def bench_run(checkout, workload, seed, seconds):
@@ -173,8 +168,6 @@ def command_line(args):
     line = ["python3", "tools/bench_record.py", "--label", args.label]
     if args.compare:
         line += ["--compare", os.path.relpath(os.path.abspath(args.compare), ROOT)]
-    for workload in args.workload:
-        line += ["--workload", workload]
     return line + ["--first-seed", str(args.first_seed)]
 
 
@@ -192,7 +185,7 @@ def main(argv=None):
         sides["parent"] = os.path.abspath(args.compare)
 
     runs, environments = [], {}
-    for workload in args.workload:
+    for workload in run.WORKLOADS:
         for pair in range(PAIRS):
             seed = args.first_seed + pair
             order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -219,7 +212,7 @@ def main(argv=None):
         "summary": summarize(runs, bounds),
         "runs": runs,
         "artifacts": {
-            side: {w: artifact_digests(path, w, args.first_seed) for w in args.workload}
+            side: {w: artifact_digests(path, w, args.first_seed) for w in run.WORKLOADS}
             for side, path in sides.items()
         },
     }
