@@ -115,9 +115,11 @@ from .spectral import (
     balakrishnan_fractional_inverse,
     covariance_direct,
     covariance_weights,
+    direct_factor,
     field_covariance_at,
     generalized_eig,
     sample_field,
+    spectral_factor,
 )
 
 __all__ = [
@@ -166,6 +168,8 @@ __all__ = [
     "generalized_eig",
     "covariance_weights",
     "covariance_direct",
+    "direct_factor",
+    "spectral_factor",
     "balakrishnan_fractional_inverse",
     "sample_field",
     "field_covariance_at",

@@ -56,7 +56,7 @@ from .errors import (
 from .fem1d import DIRICHLET, assemble_aL, build_basis
 from .kriging import (
     _model_basis,
-    _model_covariance,
+    _model_factor,
     curve_rows,
     efficiency_curve_integral,
     efficiency_curve_point,
@@ -398,12 +398,6 @@ def _resolve_model(ref):
     if "name" in ref:
         return builtin_model(ref["name"], ref["beta"], ref.get("delta", 10.0))
     return model_from_dict(ref)
-
-
-def _covariance_for(model, N):
-    """(basis, covariance) by the appropriate route for the exponent."""
-    basis = _model_basis(model, N)
-    return basis, _model_covariance(model, basis)
 
 
 def _write_manifest(outdir, command, cfg, defaulted, artifacts, t0):
@@ -792,8 +786,8 @@ def run_sample(cfg, defaulted):
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
     model = _resolve_model(cfg["model"])
-    basis, cov = _covariance_for(model, cfg["N"])
-    draws = sample_field(cov, cfg["seed"], cfg["n_samples"])
+    factor = _model_factor(model, _model_basis(model, cfg["N"]))
+    draws = sample_field(factor, cfg["seed"], cfg["n_samples"])
     artifacts = []
     if cfg["format"] == "bin":
         bin_path = os.path.join(outdir, "samples.bin")

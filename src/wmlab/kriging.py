@@ -56,7 +56,7 @@ from .fem1d import (
     point_obs_matrix,
 )
 from .model_config import _is_integer
-from .spectral import _banded_gram, covariance_direct, covariance_weights, generalized_eig
+from .spectral import _covariance, direct_factor, generalized_eig, spectral_factor
 
 __all__ = [
     "ObservationDesign",
@@ -328,34 +328,31 @@ def _model_operators(model, basis):
     return assemble_aL(basis, model.a, model.kappa2), direct
 
 
-def _model_covariance(model, basis):
-    """Weight covariance by the cheapest *exact* route for the model."""
+def _model_factor(model, basis):
+    """Square root F (C = F F') of the weight covariance, by the model's route."""
     ops, direct = _model_operators(model, basis)
     if direct is not None:
-        return covariance_direct(ops, direct, model.tau)
-    return covariance_weights(generalized_eig(ops), model.beta, model.tau)
+        return direct_factor(ops, direct, model.tau)
+    return spectral_factor(generalized_eig(ops), model.beta, model.tau)
+
+
+def _model_covariance(model, basis):
+    """Weight covariance C = F F' from the model's square root."""
+    return _covariance(_model_factor(model, basis), model.beta, model.tau)
 
 
 def _sigma_for_model(model, basis, Phi):
-    """Observation covariance Phi C Phi' evaluated without forming C.
+    """Observation covariance Phi C Phi' as G'G with G = F' Phi'.
 
-    The direct route solves Y = K^-1 Phi' with K in band storage and
-    returns tau^2 Y' M Y, in O(N p) per observation; the spectral route
-    projects Phi on the pencil's eigenvectors. Both routes produce a
-    Gram matrix of solved vectors, so the result is symmetric positive
+    F is the model's square root, so C is never formed. The result is a
+    Gram matrix of solved vectors, so it is symmetric positive
     semidefinite in floating point and every entry is accurate relative
     to itself. That matters for the higher-order forms: the variances of
     high-frequency functionals decay like l^(-4*beta) and would drown in
     the absolute noise floor of a dense N x N covariance.
     """
-    ops, direct = _model_operators(model, basis)
-    if direct is not None:
-        return _banded_gram(ops, Phi.T, model.tau)
-    dec = generalized_eig(ops)
-    B = Phi @ dec.eigenvectors
-    w = model.tau**2 * dec.eigenvalues ** (-2.0 * model.beta)
-    S = (B * w) @ B.T
-    return 0.5 * (S + S.T)
+    G = _model_factor(model, basis).tdot(Phi.T)
+    return G.T @ G
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,17 +1,16 @@
-"""Spectral machinery: eigenpairs, covariance matrices, fractional powers.
+"""Spectral machinery: eigenpairs, covariance square roots, fractional powers.
 
-Two independent routes to the Galerkin covariance are provided. The
-spectral route diagonalizes the (K, M) pencil and applies the scalar
-map ``lambda -> tau^2 lambda^(-2 beta)`` to the eigenvalues; the direct
-route, available for beta in {1, 2, 3}, forms ``tau^2 * K^-1 M K^-1``
-with K the matrix of the beta-th operator-power form. K and M have
-bandwidth p (the spline order) and are assembled as (p+1, N) lower
-bands (see :mod:`wmlab.fem1d`). The direct route factors the stored K
-band by banded Cholesky and multiplies by M as a band product: a solve
-costs O(N p) per right-hand side instead of the O(N^2) of a dense
-factor. The spectral route's eigensolver is the one place that expands
-the bands into dense matrices; its M-orthonormality check multiplies by
-the M band. Agreement of the two routes is a strong end-to-end check and
+Each of two independent routes builds a square root F of the Galerkin
+weight covariance, C = F F', and every consumer works from F: a draw is
+F z and an observation covariance is G'G with G = F' Phi'. The direct
+route, for beta in {1, 2, 3}, takes F = tau K^-1 L_M with K the matrix
+of the beta-th operator-power form and M = L_M L_M' (the Galerkin load
+of white noise has covariance M; Lindgren, Rue & Lindstrom, 2011). K and
+M are held as (p+1, N) lower bands (see :mod:`wmlab.fem1d`) and factored
+as stored by banded Cholesky, so F X costs O(N p) per column. The
+spectral route diagonalizes the (K, M) pencil, F = tau V Lambda^(-beta);
+its eigensolver is the one place that expands the bands into dense
+matrices. Agreement of the two routes is a strong end-to-end check and
 is part of the test suite; library code never substitutes one for the
 other.
 
@@ -24,8 +23,10 @@ is provided, with the substitution t = e^y and uniform step chosen to
 balance discretization against truncation error.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +46,8 @@ __all__ = [
     "CovarianceMatrix",
     "covariance_weights",
     "covariance_direct",
+    "direct_factor",
+    "spectral_factor",
     "balakrishnan_fractional_inverse",
     "sample_field",
     "field_covariance_at",
@@ -102,9 +105,9 @@ def _identity_defect(gram):
 class CovarianceMatrix:
     """Covariance of the Galerkin weight vector, with its parameters.
 
-    C is symmetric positive semidefinite up to roundoff; consumers that
-    factor it (sampling) clip negligible negative eigenvalues and refuse
-    anything below -1e-10 times the spectral norm.
+    C = F F' is formed from a route's square root F, so it is exactly
+    symmetric and positive semidefinite up to roundoff. Sampling draws
+    from F and never factors C.
     """
 
     C: np.ndarray
@@ -112,30 +115,62 @@ class CovarianceMatrix:
     tau: float
 
 
-def covariance_weights(decomposition, beta, tau):
-    """Spectral-route covariance tau^2 V diag(lambda^(-2 beta)) V'."""
+@dataclass(frozen=True)
+class CovarianceFactor:
+    """Square root F of a weight covariance, C = F F'.
+
+    ``dot(X)`` is F X and ``tdot(X)`` is F' X for X of shape (n,) or
+    (n, m). Built by :func:`direct_factor` or :func:`spectral_factor`.
+    """
+
+    n: int
+    dot: Callable
+    tdot: Callable
+
+
+def _covariance(factor, beta, tau):
+    """CovarianceMatrix of C = F F'."""
+    F = factor.dot(np.eye(factor.n))
+    return CovarianceMatrix(C=F @ F.T, beta=float(beta), tau=float(tau))
+
+
+def spectral_factor(decomposition, beta, tau):
+    """Spectral-route square root F = tau V diag(lambda^(-beta)), dense.
+
+    LAPACK picks each eigenvector's sign freely, so a roundoff change in
+    the pencil could flip modes and change every draw. Column v_j gets
+    the sign with <v_j, (1, 2, ..., n)> >= 0; a largest-entry rule would
+    tie on antisymmetric modes, whose extreme entries have equal
+    magnitude.
+    """
     if not beta > 0.25:
         raise ParameterError(f"beta must exceed 1/4, got {beta}")
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    lam = decomposition.eigenvalues
-    vec = decomposition.eigenvectors
-    scaled = vec * lam ** (-2.0 * beta)
-    C = (tau * tau) * (scaled @ vec.T)
-    C = 0.5 * (C + C.T)
-    return CovarianceMatrix(C=C, beta=float(beta), tau=float(tau))
+    V = decomposition.eigenvectors
+    sign = np.where(np.arange(1, V.shape[0] + 1) @ V < 0.0, -1.0, 1.0)
+    F = V * (sign * tau * decomposition.eigenvalues ** (-beta))
+    return CovarianceFactor(
+        n=F.shape[0], dot=functools.partial(np.matmul, F), tdot=functools.partial(np.matmul, F.T)
+    )
+
+
+def covariance_weights(decomposition, beta, tau):
+    """Spectral-route covariance tau^2 V diag(lambda^(-2 beta)) V', as F F'."""
+    return _covariance(spectral_factor(decomposition, beta, tau), beta, tau)
 
 
 _FORM_FOR_BETA = {1: "a_L", 2: "a2", 3: "a3"}
 
 
-def covariance_direct(ops, beta, tau):
-    """Direct-route covariance tau^2 K^-1 M K^-1 for integer beta.
+def direct_factor(ops, beta, tau):
+    """Direct-route square root F = tau K^-1 L_M for integer beta.
 
     K must be the form matrix of the beta-th operator power (form_order
-    "a_L", "a2", "a3" for beta = 1, 2, 3). C is formed as the Gram
-    matrix tau^2 Y' M Y of Y = K^-1, with K factored in band storage;
-    ConditioningError if K is not positive definite.
+    "a_L", "a2", "a3" for beta = 1, 2, 3). The (p+1, N) lower bands of K
+    and M are LAPACK's ``pbtrf`` layout, so each is factored as stored by
+    banded Cholesky in O(N p^2). ConditioningError if K or M is not
+    positive definite.
     """
     if beta not in (1, 2, 3):
         raise ParameterError(f"direct covariance route needs beta in {{1,2,3}}, got {beta}")
@@ -146,29 +181,39 @@ def covariance_direct(ops, beta, tau):
         )
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    C = _banded_gram(ops, np.eye(ops.K_band.shape[1]), tau)
-    return CovarianceMatrix(C=C, beta=float(beta), tau=float(tau))
+    factors = []
+    for band, name in ((ops.K_band, f"form matrix {ops.form_order}"), (ops.M_band, "mass matrix")):
+        try:
+            factors.append(scipy.linalg.cholesky_banded(band, lower=True))
+        except scipy.linalg.LinAlgError as exc:
+            raise ConditioningError(f"{name} is not positive definite: {exc}") from exc
+    L_K, L_M = factors
+    solve = functools.partial(scipy.linalg.cho_solve_banded, (L_K, True))
+    return CovarianceFactor(
+        n=L_K.shape[1],
+        dot=lambda X: tau * solve(_triangular_band_matmul(L_M, X, transpose=False)),
+        tdot=lambda X: tau * _triangular_band_matmul(L_M, solve(X), transpose=True),
+    )
 
 
-def _banded_gram(ops, rhs, tau):
-    """tau^2 Y' M Y with Y = K^-1 rhs, on the stored K and M bands.
+def covariance_direct(ops, beta, tau):
+    """Direct-route covariance tau^2 K^-1 M K^-1 for integer beta, as F F'."""
+    return _covariance(direct_factor(ops, beta, tau), beta, tau)
 
-    The (p+1, N) lower band of K (p = ``ops.bandwidth``) is LAPACK's
-    ``pbtrf`` layout, so K is factored as stored by banded Cholesky in
-    O(N p^2); each right-hand side costs O(N p) to solve and to multiply
-    by M. The result is a Gram matrix of solved vectors, hence symmetric
-    positive semidefinite in floating point. Raises ConditioningError
-    when K is not positive definite.
-    """
-    try:
-        factor = scipy.linalg.cholesky_banded(ops.K_band, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"form matrix {ops.form_order} is not positive definite: {exc}"
-        ) from exc
-    Y = scipy.linalg.cho_solve_banded((factor, True), rhs)
-    S = (tau * tau) * (Y.T @ band_matmul(ops.M_band, Y))
-    return 0.5 * (S + S.T)
+
+def _triangular_band_matmul(band, X, transpose):
+    """L X, or L' X with ``transpose``, for lower triangular L held as a
+    lower band (``band[k, j] = L[j + k, j]``); X is (n,) or (n, m)."""
+    n = band.shape[1]
+    col = (slice(None),) + (None,) * (X.ndim - 1)
+    out = band[0][col] * X
+    for k in range(1, band.shape[0]):
+        d = band[k, : n - k][col]
+        if transpose:
+            out[:-k] += d * X[k:]
+        else:
+            out[k:] += d * X[:-k]
+    return out
 
 
 def balakrishnan_fractional_inverse(A, theta, levels=40):
@@ -218,42 +263,23 @@ def balakrishnan_fractional_inverse(A, theta, levels=40):
     return 0.5 * (out + out.T)
 
 
-def sample_field(cov, seed, n_samples):
-    """Draw weight vectors with covariance cov.C, columnwise.
+def sample_field(factor, seed, n_samples):
+    """Draw weight vectors F z_i with covariance F F', columnwise.
 
-    Sample i uses a counter-based generator keyed by (seed, i), so each
-    draw is bit-reproducible on its own: results do not depend on how
-    many samples are drawn, in which order, or from which thread.
-    Eigenvector signs are fixed, so draws are reproducible up to roundoff
-    across BLAS builds.
-    Negative covariance eigenvalues are clipped to zero if they are
-    negligible (>= -1e-10 * spectral norm) and rejected otherwise.
+    z_i comes from a counter-based generator keyed by (seed, i) and each
+    draw is its own product F z_i, so each draw is bit-reproducible on its
+    own: results do not depend on how many samples are drawn, in which
+    order, or from which thread.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
-    w, U = scipy.linalg.eigh(cov.C)
-    norm = max(np.max(np.abs(w)), 0.0)
-    if w[0] < -1e-10 * norm:
-        raise NumericalIntegrityError(
-            f"covariance has a significant negative eigenvalue {w[0]:.3e} "
-            f"(spectral norm {norm:.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    n = cov.C.shape[0]
-    # LAPACK picks each eigenvector's sign freely, so a roundoff change in
-    # C could flip modes and change every draw. Fix the sign by
-    # <u_j, (1, 2, ..., n)> >= 0; a largest-entry rule would tie on
-    # antisymmetric modes, whose extreme entries have equal magnitude.
-    U *= np.where(np.arange(1, n + 1) @ U < 0.0, -1.0, 1.0)
-    F = U * np.sqrt(w)
-    out = np.empty((n, int(n_samples)))
+    out = np.empty((factor.n, int(n_samples)))
     for i in range(int(n_samples)):
         bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-        rng = np.random.Generator(bitgen)
-        out[:, i] = F @ rng.standard_normal(n)
+        out[:, i] = factor.dot(np.random.Generator(bitgen).standard_normal(factor.n))
     return out
 
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from wmlab.cli import _covariance_for, main
+from wmlab.cli import main
 from wmlab.diagnostics import (
     cross_gram,
     hs_curve,
@@ -26,7 +26,7 @@ from wmlab.fem1d import (
     build_basis,
     mass_matrix,
 )
-from wmlab.kriging import correct_error_variance, efficiency
+from wmlab.kriging import _model_basis, _model_covariance, correct_error_variance, efficiency
 from wmlab.matern import compare_fem_vs_matern
 from wmlab.model_config import CoefficientField, ModelSpec, builtin_model
 from wmlab.spectral import (
@@ -103,7 +103,8 @@ def test_criterion_03_whittle_matern_identity(report):
     var_mid = None
     for name, beta in (("base41", 1), ("base42", 2), ("base42", 3)):
         model = builtin_model(name, beta)
-        basis, cov = _covariance_for(model, 1000)
+        basis = _model_basis(model, 1000)
+        cov = _model_covariance(model, basis)
         comparison = compare_fem_vs_matern(model, cov, basis, offsets)
         worst = max(worst, comparison.max_rel_error)
         pieces.append(f"beta={beta}: {comparison.max_rel_error:.1e}")

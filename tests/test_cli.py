@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wmlab.cli
 from wmlab.cli import main
 from wmlab.matio import read_matrix
 
@@ -312,7 +315,7 @@ def test_point_figure_memory_is_linear_in_N(tmp_path):
 
 def test_figures_never_expand_a_band(tmp_path, monkeypatch):
     # only the dense eigensolver may call dense(); integer-beta figures
-    # never reach it
+    # and samples never reach it
     import sys
 
     from wmlab import fem1d, kriging, spectral
@@ -331,6 +334,9 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
     fig2 = {"betas": [1, 2, 3], "n_values": [5, 10], "N": 60, "svg": False}
     assert _run(tmp_path, "fig1_point", {**point, "out": str(tmp_path / "p")}) == 0
     assert _run(tmp_path, "fig2", {**fig2, "out": str(tmp_path / "f")}) == 0
+    for name, beta in (("base41", 1), ("base42", 2), ("base42", 3)):
+        sample = {"model": {"name": name, "beta": beta}, "N": 60, "n_samples": 2}
+        assert _run(tmp_path, "sample", {**sample, "out": str(tmp_path / f"s{beta}")}) == 0
 
 
 def test_sample_reruns_byte_identical(tmp_path):
@@ -349,3 +355,19 @@ def test_sample_reruns_byte_identical(tmp_path):
         open(os.path.join(a, "samples.csv"), "rb").read()
         == open(os.path.join(b, "samples.csv"), "rb").read()
     )
+
+
+def test_cli_import_leaves_sparse_and_special_unloaded():
+    # importing either would add to every command's start-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wmlab.cli.__file__)))
+    code = (
+        "import sys, wmlab.cli; print(wmlab.cli.__file__); "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.special'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    path, loaded = out.stdout.splitlines()
+    assert path.startswith(src)
+    assert loaded == "[]"

@@ -1,28 +1,34 @@
-"""The banded direct covariance route against dense and long-double oracles.
+"""The covariance square roots against dense, Gram and long-double oracles.
 
 The dense oracle is the direct route as the package computed it before K
 was factored in band storage: a dense Cholesky factor of K and a dense
-product with M. The long-double oracle factors the same float64 K by
-banded Cholesky in extended precision, so its own roundoff is far below
-that of either float64 route and it measures their solve errors.
+product with M. The Gram oracles are Sigma and C as the package computed
+them before each route built a square root F: tau^2 Y' M Y with
+Y = K^-1 Phi' on the bands (direct), and the projection of Phi on the
+pencil's eigenvectors (spectral). The long-double oracle factors the
+same float64 K by banded Cholesky in extended precision, so its own
+roundoff is far below that of either float64 route and it measures their
+solve errors.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from wmlab import kriging, spectral
+from wmlab import cli, kriging, spectral
 from wmlab.errors import ConditioningError
 from wmlab.fem1d import (
     DIRICHLET,
     assemble_aL,
+    band_matmul,
     build_basis,
     integral_obs_matrix,
     point_obs_matrix,
 )
-from wmlab.model_config import builtin_model
+from wmlab.model_config import CoefficientField, ModelSpec, builtin_model, tau_unit_variance
 
 # ------------------------------------------------------------ oracles
 
@@ -41,6 +47,22 @@ def dense_covariance(ops, tau):
     X = scipy.linalg.cho_solve(factor, ops.M)  # K^-1 M
     C = scipy.linalg.cho_solve(factor, X.T).T  # (K^-1 X')' = X K^-1
     return (tau * tau) * 0.5 * (C + C.T)
+
+
+def banded_gram(ops, rhs, tau):
+    """tau^2 Y' M Y with Y = K^-1 rhs, K factored as a band."""
+    factor = scipy.linalg.cholesky_banded(ops.K_band, lower=True)
+    Y = scipy.linalg.cho_solve_banded((factor, True), rhs)
+    S = (tau * tau) * (Y.T @ band_matmul(ops.M_band, Y))
+    return 0.5 * (S + S.T)
+
+
+def spectral_gram(ops, Phi, beta, tau):
+    """tau^2 B diag(lambda^(-2 beta)) B' with B = Phi V."""
+    dec = spectral.generalized_eig(ops)
+    B = Phi @ dec.eigenvectors
+    S = (B * (tau**2 * dec.eigenvalues ** (-2.0 * beta))) @ B.T
+    return 0.5 * (S + S.T)
 
 
 def longdouble_sigma(ops, rhs, tau):
@@ -108,6 +130,50 @@ def test_beta1_covariance_diagonal_matches_dense_route():
     np.testing.assert_allclose(np.diag(C), np.diag(dense_covariance(ops, model.tau)), rtol=1e-12)
 
 
+# -------------------------------------------------- square root F F' = C
+
+
+def _fractional_model():
+    return ModelSpec(
+        beta=1.5,
+        a=CoefficientField("constant", (1.0,)),
+        kappa2=CoefficientField("constant", (100.0,)),
+        tau=tau_unit_variance(1.5, 10.0),
+        basis_order=1,
+    )
+
+
+@pytest.mark.parametrize("beta", [1, 1.5])
+def test_sigma_matches_gram_oracle(beta):
+    model = _fractional_model() if beta == 1.5 else builtin_model("model1_42", 1)
+    basis, ops = _operators(model, 300)
+    Phi = integral_obs_matrix(basis, 40)
+    S = kriging._sigma_for_model(model, basis, Phi)
+    if beta == 1:
+        oracle = banded_gram(ops, Phi.T, model.tau)
+    else:
+        oracle = spectral_gram(ops, Phi, beta, model.tau)
+    assert _correlation_error(S, oracle) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, beta", [("base41", 1), ("base42", 2), ("base42", 3), ("fractional", 1.5)]
+)
+def test_factor_times_its_transpose_is_the_covariance(name, beta):
+    # beta = 3 runs on the Laplace-zero basis
+    model = _fractional_model() if beta == 1.5 else builtin_model(name, beta)
+    basis, ops = _operators(model, 200)
+    if beta == 1.5:
+        oracle = spectral_gram(ops, np.eye(200), beta, model.tau)
+    else:
+        oracle = banded_gram(ops, np.eye(200), model.tau)
+    F = kriging._model_factor(model, basis).dot(np.eye(200))
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(F @ F.T - oracle)) <= 1e-12 * scale
+    C = kriging._model_covariance(model, basis).C
+    assert np.max(np.abs(C - oracle)) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------- beta = 2, 3
 
 
@@ -138,7 +204,7 @@ def test_covariance_is_as_accurate_as_dense_route(beta):
 # -------------------------------------------------------------- contract
 
 
-def test_indefinite_form_raises_conditioning_error(monkeypatch):
+def test_indefinite_form_raises_conditioning_error(tmp_path, monkeypatch, capsys):
     model = builtin_model("base41", 1)
     basis = build_basis(30, 1, DIRICHLET)
     ops = assemble_aL(basis, model.a, model.kappa2)
@@ -151,5 +217,10 @@ def test_indefinite_form_raises_conditioning_error(monkeypatch):
     monkeypatch.setattr(kriging, "assemble_aL", lambda *args, **kwargs: ops)
     with pytest.raises(ConditioningError) as sigma:
         kriging._sigma_for_model(model, basis, integral_obs_matrix(basis, 5))
-    # one helper factors K for both call sites
+    config = tmp_path / "sample.json"
+    config.write_text(json.dumps({"model": {"name": "base41", "beta": 1}, "N": 30}))
+    assert cli.main(["sample", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    dump = json.loads(capsys.readouterr().err)
+    # one function factors K for every consumer
     assert str(sigma.value) == str(direct.value)
+    assert (dump["error"], dump["message"]) == ("ConditioningError", str(direct.value))

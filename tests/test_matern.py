@@ -130,12 +130,13 @@ def _fractional_model():
 def test_matern_check_without_covariance_matches_weight_covariance(beta):
     # the CLI reads the offsets from the observation covariance of the
     # points instead of forming the N x N weight covariance
-    from wmlab.cli import _covariance_for
+    from wmlab.kriging import _model_basis, _model_covariance
     from wmlab.matern import compare_fem_vs_matern
     from wmlab.model_config import builtin_model
 
     model = _fractional_model() if beta == 1.5 else builtin_model("base42", beta)
-    basis, cov = _covariance_for(model, 200)
+    basis = _model_basis(model, 200)
+    cov = _model_covariance(model, basis)
     offsets = [0.0, 0.01, 0.05, 0.1]
     via_sigma = compare_fem_vs_matern(model, None, basis, offsets)
     via_cov = compare_fem_vs_matern(model, cov, basis, offsets)

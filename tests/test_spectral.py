@@ -1,10 +1,12 @@
 """Spectral decomposition, covariance routes, fractional powers, sampling."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wmlab.errors import NumericalIntegrityError, ParameterError
+from wmlab.errors import ParameterError
 from wmlab.fem1d import (
     DIRICHLET,
     DIRICHLET_LAPLACE,
@@ -15,12 +17,15 @@ from wmlab.fem1d import (
 )
 from wmlab.model_config import CoefficientField, builtin_model
 from wmlab.spectral import (
+    SpectralDecomposition,
     balakrishnan_fractional_inverse,
     covariance_direct,
     covariance_weights,
+    direct_factor,
     field_covariance_at,
     generalized_eig,
     sample_field,
+    spectral_factor,
 )
 
 ONE = CoefficientField("constant", (1.0,))
@@ -134,52 +139,72 @@ def test_balakrishnan_input_validation():
 # ----------------------------------------------------------- sampling
 
 
-def test_sampling_is_reproducible_and_order_free():
+def _factor(ops, beta, tau):
+    """The route's square root, as kriging._model_factor picks it."""
+    if beta == 1:
+        return direct_factor(ops, 1, tau)
+    return spectral_factor(generalized_eig(ops), beta, tau)
+
+
+@pytest.mark.parametrize("beta", [1, 1.5], ids=["direct", "spectral"])
+def test_sampling_is_reproducible_and_order_free(beta):
     basis = build_basis(40, 1, DIRICHLET)
-    ops = assemble_aL(basis, ONE, _const(30.0))
-    cov = covariance_direct(ops, 1, tau=50.0)
-    a = sample_field(cov, seed=9, n_samples=4)
-    b = sample_field(cov, seed=9, n_samples=4)
+    factor = _factor(assemble_aL(basis, ONE, _const(30.0)), beta, tau=50.0)
+    a = sample_field(factor, seed=9, n_samples=4)
+    b = sample_field(factor, seed=9, n_samples=4)
     npt.assert_array_equal(a, b)
     # draw i depends only on (seed, i), not on how many are requested
-    many = sample_field(cov, seed=9, n_samples=7)
+    many = sample_field(factor, seed=9, n_samples=7)
     npt.assert_array_equal(many[:, :4], a)
-    other = sample_field(cov, seed=10, n_samples=4)
+    other = sample_field(factor, seed=10, n_samples=4)
     assert np.max(np.abs(other - a)) > 0.0
 
 
-def test_samples_are_stable_under_roundoff_in_the_covariance():
-    # eigenvector signs are LAPACK's choice; a 3e-14 relative symmetric
-    # change in C must not flip them and move the draws
+@pytest.mark.parametrize("beta", [1, 1.5], ids=["direct", "spectral"])
+def test_samples_are_stable_under_roundoff_in_the_operator(beta):
+    # eigenvector signs are LAPACK's choice; a 1e-15 relative symmetric
+    # change in K must not flip them and move the draws
     model = builtin_model("base41", 1)
     basis = build_basis(200, 1, DIRICHLET)
-    cov = covariance_direct(assemble_aL(basis, model.a, model.kappa2), 1, model.tau)
-    E = np.random.default_rng(0).standard_normal(cov.C.shape)
-    noisy = type(cov)(C=cov.C * (1.0 + 3e-14 * (E + E.T) / 2.0), beta=1.0, tau=cov.tau)
-    a = sample_field(cov, seed=4, n_samples=5)
-    b = sample_field(noisy, seed=4, n_samples=5)
+    ops = assemble_aL(basis, model.a, model.kappa2)
+    E = np.random.default_rng(0).standard_normal(ops.K_band.shape)
+    noisy = dataclasses.replace(ops, K_band=ops.K_band * (1.0 + 1e-15 * E))
+    a = sample_field(_factor(ops, beta, model.tau), seed=4, n_samples=5)
+    b = sample_field(_factor(noisy, beta, model.tau), seed=4, n_samples=5)
+    assert np.max(np.abs(b - a)) > 0.0  # the noise reached the draws
     assert np.max(np.abs(b - a)) <= 1e-8 * np.max(np.abs(a))
+
+
+def test_spectral_draws_ignore_eigenvector_signs():
+    # the sign rule, not LAPACK's choice, fixes each mode's sign
+    basis = build_basis(40, 1, DIRICHLET)
+    dec = generalized_eig(assemble_aL(basis, ONE, _const(30.0)))
+    flips = np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
+    flipped = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors * flips)
+    a = sample_field(spectral_factor(dec, 1.5, tau=50.0), seed=2, n_samples=3)
+    b = sample_field(spectral_factor(flipped, 1.5, tau=50.0), seed=2, n_samples=3)
+    npt.assert_array_equal(a, b)
 
 
 def test_sample_covariance_converges_to_model():
     basis = build_basis(30, 1, DIRICHLET)
     ops = assemble_aL(basis, ONE, _const(40.0))
     cov = covariance_direct(ops, 1, tau=100.0)
-    draws = sample_field(cov, seed=3, n_samples=20000)
+    draws = sample_field(direct_factor(ops, 1, tau=100.0), seed=3, n_samples=20000)
     emp = draws @ draws.T / draws.shape[1]
     err = np.linalg.norm(emp - cov.C) / np.linalg.norm(cov.C)
     assert err < 0.05
 
 
-def test_sample_field_rejects_bad_covariance():
+def test_sample_field_rejects_bad_arguments():
     basis = build_basis(20, 1, DIRICHLET)
-    ops = assemble_aL(basis, ONE, _const(30.0))
-    cov = covariance_direct(ops, 1, tau=1.0)
-    broken = type(cov)(C=cov.C - 1e-3 * np.eye(20), beta=1.0, tau=1.0)
-    with pytest.raises(NumericalIntegrityError):
-        sample_field(broken, seed=0, n_samples=1)
-    with pytest.raises(ParameterError):
-        sample_field(cov, seed=0, n_samples=0)
+    factor = direct_factor(assemble_aL(basis, ONE, _const(30.0)), 1, tau=1.0)
+    for n_samples in (0, -1, 2.0, "3"):
+        with pytest.raises(ParameterError):
+            sample_field(factor, seed=0, n_samples=n_samples)
+    for seed in (-1, 2**64):
+        with pytest.raises(ParameterError):
+            sample_field(factor, seed=seed, n_samples=1)
 
 
 # ------------------------------------------------- pointwise field cov
