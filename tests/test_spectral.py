@@ -162,8 +162,8 @@ def test_sampling_is_reproducible_and_order_free(beta):
 
 @pytest.mark.parametrize("beta", [1, 1.5], ids=["direct", "spectral"])
 def test_samples_are_stable_under_roundoff_in_the_operator(beta):
-    # eigenvector signs are LAPACK's choice; a 1e-15 relative symmetric
-    # change in K must not flip them and move the draws
+    # a 1e-15 relative symmetric change in K may move the draws only by
+    # roundoff; on the spectral route it must not flip a mode's sign
     model = builtin_model("base41", 1)
     basis = build_basis(200, 1, DIRICHLET)
     ops = assemble_aL(basis, model.a, model.kappa2)
