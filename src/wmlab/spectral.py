@@ -8,11 +8,13 @@ of the beta-th operator-power form and M = L_M L_M' (the Galerkin load
 of white noise has covariance M; Lindgren, Rue & Lindstrom, 2011). K and
 M are held as (p+1, N) lower bands (see :mod:`wmlab.fem1d`) and factored
 as stored by banded Cholesky, so F X costs O(N p) per column. The
-spectral route diagonalizes the (K, M) pencil, F = tau V Lambda^(-beta);
-its eigensolver is the one place that expands the bands into dense
-matrices. Agreement of the two routes is a strong end-to-end check and
-is part of the test suite; library code never substitutes one for the
-other.
+spectral route diagonalizes the (K, M) pencil, F = tau V Lambda^(-beta).
+A tridiagonal pencil (piecewise-linear basis) of order up to
+BANDED_EIG_MAX_N is diagonalized as stored by LAPACK dsbgvd; any other
+pencil is expanded into dense matrices for a dense eigensolve, the one
+place the bands are expanded. Agreement of the two routes is a strong
+end-to-end check and is part of the test suite; library code never
+substitutes one for the other.
 
 For fractional powers of a single SPD matrix an exponentially convergent
 sinc quadrature of the Balakrishnan integral
@@ -23,6 +25,7 @@ is provided, with the substitution t = e^y and uniform step chosen to
 balance discretization against truncation error.
 """
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .errors import (
     AssemblyIntegrityError,
@@ -67,22 +71,120 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
+# Largest order of a tridiagonal (bandwidth 1) pencil that generalized_eig
+# solves as stored with LAPACK dsbgvd. dsbgvd's time over the dense
+# eigh's, piecewise-linear pencils, 2-core Xeon VM, 2 BLAS threads:
+# 0.60 at N = 300, 0.55 at 1200, 0.68 at 1600, 0.78-0.79 at 2000,
+# 0.88-0.91 at 2400, 0.91 at 2800; dsbgst's level-1 update of the
+# eigenvector matrix costs O(N^3) without level-3 BLAS. Wider pencils
+# stay dense: at N = 1200 dsbgvd took 1.8x (bandwidth 2) and 2.6x
+# (bandwidth 3) the dense time.
+BANDED_EIG_MAX_N = 2000
+
+_LAPACK_DOUBLE = "__pyx_t_5scipy_6linalg_13cython_lapack_d"
+# dsbgvd(jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work,
+#        lwork, iwork, liwork, info) as scipy.linalg.cython_lapack declares it
+_DSBGVD_SIGNATURE = (
+    "void (char *, char *, int *, int *, int *, {d} *, int *, {d} *, int *, {d} *, "
+    "{d} *, int *, {d} *, int *, int *, int *, int *)"
+).format(d=_LAPACK_DOUBLE)
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack_routine(name, signature):
+    """The LAPACK routine that scipy.linalg.cython_lapack exports as a C
+    function capsule, as a ctypes function taking one pointer per argument.
+
+    The capsule's name is the routine's C signature; a RuntimeError is
+    raised, and nothing called, unless it equals ``signature``.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    found = _capsule_name(capsule)
+    if found.decode() != signature:
+        raise RuntimeError(
+            f"scipy.linalg.cython_lapack.{name} has signature {found.decode()!r}, "
+            f"expected {signature!r}"
+        )
+    address = _capsule_pointer(capsule, found)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(",") + 1))(address)
+
+
+def _dsbgvd_eigenvectors(K_band, M_band):
+    """M-orthonormal eigenvectors of the pencil held as lower bands, by
+    ascending eigenvalue, from LAPACK dsbgvd.
+
+    dsbgvd reduces the pencil to a standard tridiagonal problem without
+    leaving band storage (split Cholesky factor of M, band-preserving
+    congruence) and solves that by divide and conquer. It overwrites its
+    bands, so they are copied, Fortran-ordered.
+    """
+    n = K_band.shape[1]
+    ka, kb = K_band.shape[0] - 1, M_band.shape[0] - 1
+    ab = np.array(K_band, order="F")
+    bb = np.array(M_band, order="F")
+    lam = np.empty(n)
+    vec = np.empty((n, n), order="F")
+    work = np.empty(1 + 5 * n + 2 * n * n)
+    iwork = np.empty(3 + 5 * n, dtype=np.intc)
+    info = ctypes.c_int(0)
+
+    def integer(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    _lapack_routine("dsbgvd", _DSBGVD_SIGNATURE)(
+        b"V", b"L", integer(n), integer(ka), integer(kb), ab.ctypes.data, integer(ka + 1),
+        bb.ctypes.data, integer(kb + 1), lam.ctypes.data, vec.ctypes.data, integer(n),
+        work.ctypes.data, integer(work.size), iwork.ctypes.data, integer(iwork.size),
+        ctypes.byref(info),
+    )
+    if info.value > n:
+        raise AssemblyIntegrityError(
+            f"generalized eigensolve failed: mass matrix is not positive definite "
+            f"(dsbgvd info {info.value})"
+        )
+    if info.value != 0:
+        raise AssemblyIntegrityError(
+            f"generalized eigensolve failed: dsbgvd did not converge (info {info.value})"
+        )
+    return vec
+
+
 def generalized_eig(ops):
     """All eigenpairs of the assembled pencil, ascending and M-orthonormal.
 
-    Uses the symmetric-definite solver (Cholesky reduction of M followed
-    by a standard symmetric eigensolve) on dense copies of the bands,
-    which LAPACK overwrites. Raises AssemblyIntegrityError if M is not
-    positive definite or any eigenvalue is nonpositive, and
-    NumericalIntegrityError if the returned vectors fail the
-    M-orthonormality tolerance.
+    A tridiagonal pencil (``ops.bandwidth`` 1) of order at most
+    BANDED_EIG_MAX_N is solved as stored by LAPACK dsbgvd, and each
+    eigenvalue is taken as the Rayleigh quotient of its vector. Any other
+    goes to the dense symmetric-definite solver (Cholesky reduction of M
+    followed by a standard symmetric eigensolve) on dense copies of the
+    bands, which LAPACK overwrites. Raises AssemblyIntegrityError if M is
+    not positive definite, the solver fails, or any eigenvalue is
+    nonpositive, and NumericalIntegrityError if the returned vectors fail
+    the M-orthonormality tolerance.
     """
-    try:
-        lam, vec = scipy.linalg.eigh(
-            dense(ops.K_band), dense(ops.M_band), overwrite_a=True, overwrite_b=True
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
+    if ops.bandwidth == 1 and ops.K_band.shape[1] <= BANDED_EIG_MAX_N:
+        vec = _dsbgvd_eigenvectors(ops.K_band, ops.M_band)
+        # dsbgvd's eigenvalues err by about eps * lambda_max, which at the
+        # low end of a wide spectrum is coarse: 1.3e-10 relative for the
+        # lowest at N = 1200 with constant coefficients 1 and 25, where the
+        # dense solver errs by 7e-12. The Rayleigh quotients of its vectors
+        # err by 1.6e-11 there, and agree with the dense eigenvalues to
+        # 1.4e-12 on the builtin "41" pencils up to N = 2000.
+        lam = _quadratic_forms(ops.K_band, vec) / _quadratic_forms(ops.M_band, vec)
+    else:
+        try:
+            lam, vec = scipy.linalg.eigh(
+                dense(ops.K_band), dense(ops.M_band), overwrite_a=True, overwrite_b=True
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
     if lam[0] <= 0.0:
         raise AssemblyIntegrityError(
             f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
@@ -93,6 +195,11 @@ def generalized_eig(ops):
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
         )
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
+
+
+def _quadratic_forms(band, V):
+    """v' A v for each column v of V, A held as a lower band."""
+    return np.einsum("ij,ij->j", V, band_matmul(band, V))
 
 
 def _identity_defect(gram):
@@ -134,8 +241,9 @@ def _covariance(factor, beta, tau):
     return CovarianceMatrix(C=F @ F.T, beta=float(beta), tau=float(tau))
 
 
-def spectral_factor(decomposition, beta, tau):
-    """Spectral-route square root F = tau V diag(lambda^(-beta)), dense.
+def _spectral_root(decomposition, beta, tau):
+    """Spectral-route square root F = tau V diag(lambda^(-beta)) as a
+    dense matrix.
 
     LAPACK picks each eigenvector's sign freely, so a roundoff change in
     the pencil could flip modes and change every draw. Column v_j gets
@@ -149,7 +257,13 @@ def spectral_factor(decomposition, beta, tau):
         raise ParameterError(f"tau must be positive, got {tau}")
     V = decomposition.eigenvectors
     sign = np.where(np.arange(1, V.shape[0] + 1) @ V < 0.0, -1.0, 1.0)
-    F = V * (sign * tau * decomposition.eigenvalues ** (-beta))
+    return V * (sign * tau * decomposition.eigenvalues ** (-beta))
+
+
+def spectral_factor(decomposition, beta, tau):
+    """Spectral-route square root F = tau V diag(lambda^(-beta)), dense,
+    with each eigenvector's sign fixed (see :func:`_spectral_root`)."""
+    F = _spectral_root(decomposition, beta, tau)
     return CovarianceFactor(
         n=F.shape[0], dot=functools.partial(np.matmul, F), tdot=functools.partial(np.matmul, F.T)
     )
@@ -157,7 +271,8 @@ def spectral_factor(decomposition, beta, tau):
 
 def covariance_weights(decomposition, beta, tau):
     """Spectral-route covariance tau^2 V diag(lambda^(-2 beta)) V', as F F'."""
-    return _covariance(spectral_factor(decomposition, beta, tau), beta, tau)
+    F = _spectral_root(decomposition, beta, tau)
+    return CovarianceMatrix(C=F @ F.T, beta=float(beta), tau=float(tau))
 
 
 _FORM_FOR_BETA = {1: "a_L", 2: "a2", 3: "a3"}

@@ -1,0 +1,143 @@
+"""The banded eigensolver against the dense one it replaces.
+
+The oracle is ``generalized_eig`` as the package computed it before
+tridiagonal pencils were solved in band storage: both bands expanded and
+passed to the dense symmetric-definite ``scipy.linalg.eigh``. The error
+paths of both solvers and the LAPACK capsule binding are checked here
+too.
+"""
+
+import dataclasses
+import json
+import os
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import wmlab.cli
+from wmlab import spectral
+from wmlab.errors import AssemblyIntegrityError
+from wmlab.fem1d import DIRICHLET, assemble_a2, assemble_aL, band_matmul, build_basis, dense
+from wmlab.model_config import CoefficientField, builtin_model
+from wmlab.spectral import SpectralDecomposition, generalized_eig
+
+
+def dense_eig(ops):
+    """All eigenpairs of the pencil from the dense symmetric-definite eigh."""
+    lam, vec = scipy.linalg.eigh(dense(ops.K_band), dense(ops.M_band))
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
+
+
+def _pencil(name, N):
+    basis = build_basis(N, 1, DIRICHLET)
+    if name == "constant":
+        return assemble_aL(basis, CoefficientField("constant", (1.0,)),
+                           CoefficientField("constant", (25.0,)))
+    model = builtin_model(name, 1.0)
+    return assemble_aL(basis, model.a, model.kappa2)
+
+
+@pytest.mark.parametrize("N", [300, 1200])
+@pytest.mark.parametrize("name", ["base41", "model1_41", "model2_41", "constant"])
+def test_banded_eigenpairs_match_dense_oracle(name, N):
+    ops = _pencil(name, N)
+    assert ops.bandwidth == 1 and N <= spectral.BANDED_EIG_MAX_N
+    dec = generalized_eig(ops)
+    ref = dense_eig(ops)
+    np.testing.assert_allclose(dec.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0.0)
+    V, W = dec.eigenvectors, ref.eigenvectors
+    sign = np.where(np.sum(V * W, axis=0) < 0.0, -1.0, 1.0)
+    assert np.max(np.abs(V * sign - W)) <= 1e-8
+    gram = V.T @ band_matmul(ops.M_band, V)
+    assert np.max(np.abs(gram - np.eye(N))) <= 1e-12
+
+
+def _diagnose(tmp_path, label, base, alt):
+    out = str(tmp_path / label)
+    payload = {
+        "base_model": {"name": base, "beta": 1},
+        "alt_model": {"name": alt, "beta": 1},
+        "N": 600,
+        "truncations": [75, 150, 300, 600],
+        "cm_beta": 1.0,
+        "out": out,
+    }
+    config = tmp_path / f"{label}.json"
+    config.write_text(json.dumps(payload))
+    assert wmlab.cli.main(["diagnose", "--config", str(config)]) == 0
+    with open(os.path.join(out, "diagnose.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("alt", ["model1_41", "model2_41"])
+def test_diagnose_matches_dense_oracle(tmp_path, monkeypatch, alt):
+    banded = _diagnose(tmp_path, "banded", "base41", alt)
+    monkeypatch.setattr(wmlab.cli, "generalized_eig", dense_eig)
+    oracle = _diagnose(tmp_path, "dense", "base41", alt)
+    assert banded["classification"] == oracle["classification"]
+    assert banded.keys() == oracle.keys()
+    for key in ("frobenius", "opnorm", "smax", "tail_ratio"):
+        np.testing.assert_allclose(banded[key], oracle[key], rtol=1e-10, atol=0.0)
+    # neither solver resolves a small singular value better than roundoff
+    # of the largest one
+    np.testing.assert_allclose(
+        banded["smin"], oracle["smin"], rtol=0.0, atol=1e-11 * max(oracle["opnorm"])
+    )
+    for t, constants in oracle["cm_constants_by_truncation"].items():
+        np.testing.assert_allclose(
+            banded["cm_constants_by_truncation"][t], constants, rtol=1e-10, atol=0.0
+        )
+
+
+# ------------------------------------------------------- error paths
+
+
+def _wide_pencil(N):
+    """A bandwidth-2 pencil (quadratic splines), which takes the dense path."""
+    ops = assemble_a2(build_basis(N, 2, DIRICHLET), CoefficientField("constant", (25.0,)))
+    assert ops.bandwidth == 2
+    return ops
+
+
+@pytest.mark.parametrize("make", [lambda: _pencil("constant", 40), lambda: _wide_pencil(40)],
+                         ids=["banded", "dense"])
+def test_indefinite_mass_band_raises(make):
+    ops = make()
+    M_band = ops.M_band.copy()
+    M_band[0, 7] = -1.0
+    with pytest.raises(AssemblyIntegrityError, match="generalized eigensolve failed"):
+        generalized_eig(dataclasses.replace(ops, M_band=M_band))
+
+
+@pytest.mark.parametrize("make", [lambda: _pencil("constant", 40), lambda: _wide_pencil(40)],
+                         ids=["banded", "dense"])
+def test_nonpositive_eigenvalue_raises(make):
+    ops = make()
+    K_band = ops.K_band.copy()
+    K_band[0, 7] = -1.0
+    with pytest.raises(AssemblyIntegrityError, match="nonpositive eigenvalue"):
+        generalized_eig(dataclasses.replace(ops, K_band=K_band))
+
+
+def test_tridiagonal_pencil_above_cutoff_takes_dense_path(monkeypatch):
+    ops = _pencil("constant", 40)
+    calls = []
+    monkeypatch.setattr(spectral, "dense", lambda band: calls.append(band) or dense(band))
+    generalized_eig(ops)
+    assert calls == []
+    monkeypatch.setattr(spectral, "BANDED_EIG_MAX_N", 39)
+    dec = generalized_eig(ops)
+    assert len(calls) == 2
+    np.testing.assert_allclose(dec.eigenvalues, dense_eig(ops).eigenvalues, rtol=0.0, atol=0.0)
+
+
+def test_dsbgvd_binding_resolves_against_installed_scipy():
+    routine = spectral._lapack_routine("dsbgvd", spectral._DSBGVD_SIGNATURE)
+    assert callable(routine)
+
+
+def test_dsbgvd_binding_refuses_a_wrong_signature():
+    wrong = spectral._DSBGVD_SIGNATURE.replace("char *, char *", "char *", 1)
+    with pytest.raises(RuntimeError, match="expected"):
+        spectral._lapack_routine("dsbgvd", wrong)

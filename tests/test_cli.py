@@ -314,8 +314,10 @@ def test_point_figure_memory_is_linear_in_N(tmp_path):
 
 
 def test_figures_never_expand_a_band(tmp_path, monkeypatch):
-    # only the dense eigensolver may call dense(); integer-beta figures
-    # and samples never reach it
+    # only the dense eigensolver may call dense(), and below the banded
+    # eigensolver's cut-off it never sees a tridiagonal pencil: no command
+    # expands the band of a piecewise-linear pencil, and integer-beta
+    # figures and samples never reach an eigensolver
     import sys
 
     from wmlab import fem1d, kriging, spectral
@@ -337,6 +339,13 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
     for name, beta in (("base41", 1), ("base42", 2), ("base42", 3)):
         sample = {"model": {"name": name, "beta": beta}, "N": 60, "n_samples": 2}
         assert _run(tmp_path, "sample", {**sample, "out": str(tmp_path / f"s{beta}")}) == 0
+    fractional = {"model": {"beta": 1.5, "a": {"kind": "constant", "params": [1.0]},
+                            "kappa2": {"kind": "constant", "params": [1200.0]}, "tau": 1.0},
+                  "N": 60, "n_samples": 2}
+    assert _run(tmp_path, "sample", {**fractional, "out": str(tmp_path / "s1.5")}) == 0
+    diagnose = {"base_model": {"name": "base41", "beta": 1},
+                "alt_model": {"name": "model2_41", "beta": 1}, "N": 60, "truncations": [30, 60]}
+    assert _run(tmp_path, "diagnose", {**diagnose, "out": str(tmp_path / "d")}) == 0
 
 
 def test_sample_reruns_byte_identical(tmp_path):
