@@ -9,8 +9,8 @@ The package is organized around a small pipeline:
 ``fem1d``
     B-spline bases, boundary constraints, and bilinear-form assembly;
 ``spectral``
-    generalized eigendecompositions, covariance matrices (spectral and
-    direct routes), fractional inverses, sampling;
+    generalized eigendecompositions, covariance square roots F with
+    C = F F' (spectral and direct routes), fractional inverses, sampling;
 ``matern``
     modified Bessel functions and the stationary Matern covariance used
     as an analytic cross-check;
@@ -78,7 +78,6 @@ from .kriging import (
     efficiency_curve_point,
     misspecified_error_variance,
     point_locations,
-    sigma_matrix,
     write_curves_csv,
 )
 from .matern import (
@@ -110,13 +109,11 @@ from .model_config import (
     tau_unit_variance,
 )
 from .spectral import (
-    CovarianceMatrix,
+    CovarianceFactor,
     SpectralDecomposition,
     balakrishnan_fractional_inverse,
-    covariance_direct,
     covariance_weights,
     direct_factor,
-    field_covariance_at,
     generalized_eig,
     sample_field,
     spectral_factor,
@@ -164,15 +161,13 @@ __all__ = [
     "point_obs_matrix",
     # spectral
     "SpectralDecomposition",
-    "CovarianceMatrix",
+    "CovarianceFactor",
     "generalized_eig",
     "covariance_weights",
-    "covariance_direct",
     "direct_factor",
     "spectral_factor",
     "balakrishnan_fractional_inverse",
     "sample_field",
-    "field_covariance_at",
     # matern
     "MaternParams",
     "MaternComparison",
@@ -189,7 +184,6 @@ __all__ = [
     "ObservationDesign",
     "EfficiencyCurve",
     "point_locations",
-    "sigma_matrix",
     "correct_error_variance",
     "misspecified_error_variance",
     "efficiency",

@@ -671,7 +671,7 @@ def run_matern_check(cfg, defaulted):
     os.makedirs(outdir, exist_ok=True)
     model = _resolve_model(cfg["model"])
     basis = _model_basis(model, cfg["N"])
-    comparison = compare_fem_vs_matern(model, None, basis, cfg["offsets"])
+    comparison = compare_fem_vs_matern(model, basis, cfg["offsets"])
     csv_path = os.path.join(outdir, "matern_check.csv")
     comparison.write_csv(csv_path)
     artifacts = [csv_path]

@@ -387,6 +387,16 @@ def _boundary_slope_zero(vin, c):
     return ok0 and ok1
 
 
+def _higher_traces_zero(vin):
+    """Do the higher-order boundary traces vanish? Required above 13/4."""
+    if vin.higher_traces_zero is None:
+        raise DataError(
+            "higher-order boundary trace information required for "
+            "exponents above 13/4"
+        )
+    return bool(vin.higher_traces_zero)
+
+
 def table1_verdict(vin):
     """Structural verdict on a model pair: Cameron-Martin isomorphism,
     measure equivalence, asymptotic optimality of misspecified kriging.
@@ -448,12 +458,7 @@ def table1_verdict(vin):
                     "endpoint slope of the reaction difference does not vanish"
                 )
         if cm and regime >= 3:
-            if vin.higher_traces_zero is None:
-                raise DataError(
-                    "higher-order boundary trace information required for "
-                    "exponents above 13/4"
-                )
-            cm = bool(vin.higher_traces_zero)
+            cm = _higher_traces_zero(vin)
             if not cm:
                 notes.append("higher-order boundary traces do not vanish")
 
@@ -468,12 +473,7 @@ def table1_verdict(vin):
         if regime >= 2:
             measures = _boundary_slope_zero(vin, 1.0)
         if measures and regime >= 3:
-            if vin.higher_traces_zero is None:
-                raise DataError(
-                    "higher-order boundary trace information required for "
-                    "exponents above 13/4"
-                )
-            measures = bool(vin.higher_traces_zero)
+            measures = _higher_traces_zero(vin)
         if measures and vin.d >= 4:
             if vin.kappa2_equal is None:
                 raise DataError(
@@ -497,12 +497,7 @@ def table1_verdict(vin):
         if regime >= 2:
             optimal = _boundary_slope_zero(vin, vin.a_ratio)
         if optimal and regime >= 3:
-            if vin.higher_traces_zero is None:
-                raise DataError(
-                    "higher-order boundary trace information required for "
-                    "exponents above 13/4"
-                )
-            optimal = bool(vin.higher_traces_zero)
+            optimal = _higher_traces_zero(vin)
 
     return Verdict(
         cm_isomorphic=bool(cm),

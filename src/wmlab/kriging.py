@@ -2,8 +2,9 @@
 
 Observations are linear functionals of the Galerkin field, collected in
 an observation matrix Phi; with weight covariance C the joint covariance
-of all functionals is Sigma = Phi C Phi'. For a target functional h and
-the first n observations,
+of all functionals is Sigma = Phi C Phi', formed as G'G with G = F' Phi'
+from the square root C = F F'. For a target functional h and the first
+n observations,
 
 * the correct kriging error is  Sigma_hh - sigma' Sigma_n^{-1} sigma,
 * a predictor built from a *wrong* covariance Sigma~ uses weights
@@ -56,12 +57,11 @@ from .fem1d import (
     point_obs_matrix,
 )
 from .model_config import _is_integer
-from .spectral import _covariance, direct_factor, generalized_eig, spectral_factor
+from .spectral import direct_factor, generalized_eig, spectral_factor
 
 __all__ = [
     "ObservationDesign",
     "point_locations",
-    "sigma_matrix",
     "correct_error_variance",
     "misspecified_error_variance",
     "efficiency",
@@ -122,18 +122,6 @@ def point_locations(design, n=None):
         j = (i + 1) // 2
         out[i - 1] = design.s0 + j * design.delta_o if i % 2 == 0 else design.s0 - j * design.delta_o
     return out
-
-
-def sigma_matrix(Phi, cov):
-    """Joint covariance Phi C Phi' of the observed functionals."""
-    Phi = np.asarray(Phi, dtype=np.float64)
-    if Phi.ndim != 2 or Phi.shape[1] != cov.C.shape[0]:
-        raise ParameterError(
-            f"observation matrix shape {Phi.shape} incompatible with covariance "
-            f"dimension {cov.C.shape[0]}"
-        )
-    S = Phi @ cov.C @ Phi.T
-    return 0.5 * (S + S.T)
 
 
 def _chol(S, what):
@@ -336,11 +324,6 @@ def _model_factor(model, basis):
     return spectral_factor(generalized_eig(ops), model.beta, model.tau)
 
 
-def _model_covariance(model, basis):
-    """Weight covariance C = F F' from the model's square root."""
-    return _covariance(_model_factor(model, basis), model.beta, model.tau)
-
-
 def _sigma_for_model(model, basis, Phi):
     """Observation covariance Phi C Phi' as G'G with G = F' Phi'.
 
@@ -526,42 +509,31 @@ def curve_rows(experiment, model_label, beta, delta, curve, per_target=False):
     with the single target "z(s0)". With per_target=True each retained
     target adds its own row (efficiency of that target, e_max of its n).
     """
+
+    def row(n, target, true_var, missp_var, eff, e_max):
+        return {
+            "experiment": experiment,
+            "model": model_label,
+            "beta": beta,
+            "delta": delta,
+            "design": curve.design,
+            "n": n,
+            "target": target,
+            "true_var": true_var,
+            "missp_var": missp_var,
+            "efficiency": eff,
+            "e_max": e_max,
+        }
+
     rows = []
     for i, n in enumerate(curve.n_values):
         label = "max" if curve.design == "integral" else curve.target[i]
-        rows.append(
-            {
-                "experiment": experiment,
-                "model": model_label,
-                "beta": beta,
-                "delta": delta,
-                "design": curve.design,
-                "n": n,
-                "target": label,
-                "true_var": curve.true_var[i],
-                "missp_var": curve.missp_var[i],
-                "efficiency": curve.e_max[i],
-                "e_max": curve.e_max[i],
-            }
-        )
+        e_max = curve.e_max[i]
+        rows.append(row(n, label, curve.true_var[i], curve.missp_var[i], e_max, e_max))
         if per_target and curve.per_target is not None:
             targets, eff, v_true, v_miss = curve.per_target[n]
-            for j in range(len(targets)):
-                rows.append(
-                    {
-                        "experiment": experiment,
-                        "model": model_label,
-                        "beta": beta,
-                        "delta": delta,
-                        "design": curve.design,
-                        "n": n,
-                        "target": int(targets[j]),
-                        "true_var": float(v_true[j]),
-                        "missp_var": float(v_miss[j]),
-                        "efficiency": float(eff[j]),
-                        "e_max": curve.e_max[i],
-                    }
-                )
+            for t, e, vt, vm in zip(targets, eff, v_true, v_miss):
+                rows.append(row(n, int(t), float(vt), float(vm), float(e), e_max))
     return rows
 
 

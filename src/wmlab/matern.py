@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DomainError, ParameterError, UnsupportedFormError
 from .fem1d import eval_matrix
 from .kriging import _sigma_for_model
-from .spectral import field_covariance_at
 
 __all__ = [
     "bessel_k",
@@ -122,7 +121,7 @@ class MaternComparison:
                 )
 
 
-def compare_fem_vs_matern(model, cov, basis, offsets):
+def compare_fem_vs_matern(model, basis, offsets):
     """Galerkin field covariance from s = 1/2 versus the Matern limit.
 
     Only constant-coefficient models admit the stationary reference. The
@@ -133,11 +132,10 @@ def compare_fem_vs_matern(model, cov, basis, offsets):
     effects decay over the practical range, so interior lags well away
     from the endpoints should agree closely.
 
-    With ``cov`` None the Galerkin values are the first row of the
-    observation covariance of the points 1/2, 1/2 + h_1, ..., evaluated
-    by the model's own route (``kriging._sigma_for_model``) at O(N p)
-    per point, so no N x N covariance is formed. Otherwise they are read
-    from the weight covariance ``cov.C`` by ``field_covariance_at``.
+    The Galerkin values are the first row of the observation covariance
+    of the points 1/2, 1/2 + h_1, ..., evaluated by the model's own route
+    (``kriging._sigma_for_model``) at O(N p) per point, so no N x N
+    covariance is formed.
     """
     if model.a.kind != "constant" or model.kappa2.kind != "constant":
         raise UnsupportedFormError(
@@ -153,11 +151,8 @@ def compare_fem_vs_matern(model, cov, basis, offsets):
     sigma2 = model.tau**2 * a0 ** (-2.0 * model.beta) * whittle_variance(nu, kappa_eff, 1)
     params = MaternParams(nu=nu, kappa=kappa_eff, sigma2=sigma2)
 
-    if cov is None:
-        Phi = eval_matrix(basis, np.concatenate([[0.5], 0.5 + offsets]))
-        fem_vals = _sigma_for_model(model, basis, Phi)[0, 1:]
-    else:
-        fem_vals = np.array([field_covariance_at(cov, basis, 0.5, 0.5 + h) for h in offsets])
+    Phi = eval_matrix(basis, np.concatenate([[0.5], 0.5 + offsets]))
+    fem_vals = _sigma_for_model(model, basis, Phi)[0, 1:]
     ana_vals = np.array([matern_cov(params, h) for h in offsets])
     rel = np.abs(fem_vals - ana_vals) / np.abs(ana_vals)
     return MaternComparison(

@@ -209,8 +209,9 @@ class ModelSpec:
     the elliptic operator u -> kappa2*u - (a*u')', with homogeneous
     Dirichlet conditions. ``basis_order`` is the spline degree used by
     the Galerkin discretization; integer beta requires basis_order >=
-    beta (the assembly path for the beta-th operator power needs it),
-    fractional beta is handled spectrally on the order-1 pencil.
+    beta (the assembly path for the beta-th operator power needs it).
+    Any other beta takes the spectral route on the a_L pencil of a
+    ``basis_order`` basis, whose bands have width ``basis_order``.
     """
 
     beta: float

@@ -1,8 +1,10 @@
 """Spectral machinery: eigenpairs, covariance square roots, fractional powers.
 
 Each of two independent routes builds a square root F of the Galerkin
-weight covariance, C = F F', and every consumer works from F: a draw is
-F z and an observation covariance is G'G with G = F' Phi'. The direct
+weight covariance, C = F F', as a CovarianceFactor, the package's one
+covariance object; every consumer works from F: a draw is F z and an
+observation covariance is G'G with G = F' Phi'. The dense C is formed
+only on request, by covariance_weights, for either route. The direct
 route, for beta in {1, 2, 3}, takes F = tau K^-1 L_M with K the matrix
 of the beta-th operator-power form and M = L_M L_M' (the Galerkin load
 of white noise has covariance M; Lindgren, Rue & Lindstrom, 2011). K and
@@ -38,23 +40,20 @@ from scipy.linalg import cython_lapack
 from .errors import (
     AssemblyIntegrityError,
     ConditioningError,
-    DomainError,
     NumericalIntegrityError,
     ParameterError,
 )
-from .fem1d import band_matmul, dense, eval_matrix
+from .fem1d import band_matmul, dense
 
 __all__ = [
     "SpectralDecomposition",
     "generalized_eig",
-    "CovarianceMatrix",
+    "CovarianceFactor",
     "covariance_weights",
-    "covariance_direct",
     "direct_factor",
     "spectral_factor",
     "balakrishnan_fractional_inverse",
     "sample_field",
-    "field_covariance_at",
 ]
 
 
@@ -209,20 +208,6 @@ def _identity_defect(gram):
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix:
-    """Covariance of the Galerkin weight vector, with its parameters.
-
-    C = F F' is formed from a route's square root F, so it is exactly
-    symmetric and positive semidefinite up to roundoff. Sampling draws
-    from F and never factors C.
-    """
-
-    C: np.ndarray
-    beta: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class CovarianceFactor:
     """Square root F of a weight covariance, C = F F'.
 
@@ -235,15 +220,18 @@ class CovarianceFactor:
     tdot: Callable
 
 
-def _covariance(factor, beta, tau):
-    """CovarianceMatrix of C = F F'."""
+def covariance_weights(factor):
+    """Dense weight covariance C = F F' of a factor, for either route.
+
+    F is formed as F I, an O(n^3) product even for a dense spectral F;
+    no command needs C, so this serves tests and library callers.
+    """
     F = factor.dot(np.eye(factor.n))
-    return CovarianceMatrix(C=F @ F.T, beta=float(beta), tau=float(tau))
+    return F @ F.T
 
 
-def _spectral_root(decomposition, beta, tau):
-    """Spectral-route square root F = tau V diag(lambda^(-beta)) as a
-    dense matrix.
+def spectral_factor(decomposition, beta, tau):
+    """Spectral-route square root F = tau V diag(lambda^(-beta)), dense.
 
     LAPACK picks each eigenvector's sign freely, so a roundoff change in
     the pencil could flip modes and change every draw. Column v_j gets
@@ -257,22 +245,10 @@ def _spectral_root(decomposition, beta, tau):
         raise ParameterError(f"tau must be positive, got {tau}")
     V = decomposition.eigenvectors
     sign = np.where(np.arange(1, V.shape[0] + 1) @ V < 0.0, -1.0, 1.0)
-    return V * (sign * tau * decomposition.eigenvalues ** (-beta))
-
-
-def spectral_factor(decomposition, beta, tau):
-    """Spectral-route square root F = tau V diag(lambda^(-beta)), dense,
-    with each eigenvector's sign fixed (see :func:`_spectral_root`)."""
-    F = _spectral_root(decomposition, beta, tau)
+    F = V * (sign * tau * decomposition.eigenvalues ** (-beta))
     return CovarianceFactor(
         n=F.shape[0], dot=functools.partial(np.matmul, F), tdot=functools.partial(np.matmul, F.T)
     )
-
-
-def covariance_weights(decomposition, beta, tau):
-    """Spectral-route covariance tau^2 V diag(lambda^(-2 beta)) V', as F F'."""
-    F = _spectral_root(decomposition, beta, tau)
-    return CovarianceMatrix(C=F @ F.T, beta=float(beta), tau=float(tau))
 
 
 _FORM_FOR_BETA = {1: "a_L", 2: "a2", 3: "a3"}
@@ -309,11 +285,6 @@ def direct_factor(ops, beta, tau):
         dot=lambda X: tau * solve(_triangular_band_matmul(L_M, X, transpose=False)),
         tdot=lambda X: tau * _triangular_band_matmul(L_M, solve(X), transpose=True),
     )
-
-
-def covariance_direct(ops, beta, tau):
-    """Direct-route covariance tau^2 K^-1 M K^-1 for integer beta, as F F'."""
-    return _covariance(direct_factor(ops, beta, tau), beta, tau)
 
 
 def _triangular_band_matmul(band, X, transpose):
@@ -396,20 +367,3 @@ def sample_field(factor, seed, n_samples):
         bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
         out[:, i] = factor.dot(np.random.Generator(bitgen).standard_normal(factor.n))
     return out
-
-
-def field_covariance_at(cov, basis, s, t):
-    """Covariance of the Galerkin field between two points of [0, 1].
-
-    Boundary points return exactly 0 (the field satisfies homogeneous
-    Dirichlet conditions); points outside [0, 1] raise DomainError.
-    """
-    s = float(s)
-    t = float(t)
-    for x in (s, t):
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"point {x} outside [0, 1]")
-    if s in (0.0, 1.0) or t in (0.0, 1.0):
-        return 0.0
-    rows = eval_matrix(basis, np.array([s, t]))
-    return float(rows[0] @ cov.C @ rows[1])

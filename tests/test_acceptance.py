@@ -26,15 +26,15 @@ from wmlab.fem1d import (
     build_basis,
     mass_matrix,
 )
-from wmlab.kriging import _model_basis, _model_covariance, correct_error_variance, efficiency
+from wmlab.kriging import _model_basis, correct_error_variance, efficiency
 from wmlab.matern import compare_fem_vs_matern
 from wmlab.model_config import CoefficientField, ModelSpec, builtin_model
 from wmlab.spectral import (
     balakrishnan_fractional_inverse,
-    covariance_direct,
     covariance_weights,
-    field_covariance_at,
+    direct_factor,
     generalized_eig,
+    spectral_factor,
 )
 
 from conftest import FIG1_DELTAS, FIG1_N_GRID, POINT_N_GRID
@@ -86,9 +86,9 @@ def test_criterion_02_covariance_routes_agree(report):
     model = builtin_model("base41", 1)
     basis = build_basis(500, 1, DIRICHLET)
     ops = assemble_aL(basis, model.a, model.kappa2)
-    direct = covariance_direct(ops, 1, model.tau)
-    spectral = covariance_weights(generalized_eig(ops), 1.0, model.tau)
-    err = np.linalg.norm(direct.C - spectral.C) / np.linalg.norm(direct.C)
+    direct = covariance_weights(direct_factor(ops, 1, model.tau))
+    spectral = covariance_weights(spectral_factor(generalized_eig(ops), 1.0, model.tau))
+    err = np.linalg.norm(direct - spectral) / np.linalg.norm(direct)
     ok = err < 1e-8
     report(
         2, ok, f"direct vs spectral covariance at beta=1, N=500: "
@@ -104,12 +104,11 @@ def test_criterion_03_whittle_matern_identity(report):
     for name, beta in (("base41", 1), ("base42", 2), ("base42", 3)):
         model = builtin_model(name, beta)
         basis = _model_basis(model, 1000)
-        cov = _model_covariance(model, basis)
-        comparison = compare_fem_vs_matern(model, cov, basis, offsets)
+        comparison = compare_fem_vs_matern(model, basis, offsets)
         worst = max(worst, comparison.max_rel_error)
         pieces.append(f"beta={beta}: {comparison.max_rel_error:.1e}")
         if name == "base41":
-            var_mid = field_covariance_at(cov, basis, 0.5, 0.5)
+            var_mid = comparison.fem_values[0]  # offset 0: Var(Z(1/2))
     ok = 0.95 <= var_mid <= 1.05 and worst < 0.02
     report(
         3, ok, f"Matern limit: Var(Z(1/2)) = {var_mid:.4f} (in [0.95, 1.05]); "

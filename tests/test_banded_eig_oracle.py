@@ -132,6 +132,24 @@ def test_tridiagonal_pencil_above_cutoff_takes_dense_path(monkeypatch):
     np.testing.assert_allclose(dec.eigenvalues, dense_eig(ops).eigenvalues, rtol=0.0, atol=0.0)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_fractional_beta_pencil_has_the_basis_order_bandwidth(monkeypatch, order):
+    # fractional beta assembles a_L on the model's own basis, so only
+    # basis_order 1 gives a tridiagonal pencil for dsbgvd
+    from wmlab.kriging import _model_basis, _model_operators
+    from wmlab.model_config import ModelSpec
+
+    one = CoefficientField("constant", (1.0,))
+    model = ModelSpec(beta=1.5, a=one, kappa2=one, tau=1.0, basis_order=order)
+    ops, direct = _model_operators(model, _model_basis(model, 40))
+    assert direct is None and ops.form_order == "a_L"
+    assert ops.bandwidth == order
+    calls = []
+    monkeypatch.setattr(spectral, "dense", lambda band: calls.append(band) or dense(band))
+    generalized_eig(ops)
+    assert len(calls) == (0 if order == 1 else 2)
+
+
 def test_dsbgvd_binding_resolves_against_installed_scipy():
     routine = spectral._lapack_routine("dsbgvd", spectral._DSBGVD_SIGNATURE)
     assert callable(routine)

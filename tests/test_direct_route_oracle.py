@@ -126,7 +126,7 @@ def test_beta1_point_sigma_matches_dense_route(N):
 def test_beta1_covariance_diagonal_matches_dense_route():
     model = builtin_model("model1_42", 1)
     _, ops = _operators(model, 300)
-    C = spectral.covariance_direct(ops, 1, model.tau).C
+    C = spectral.covariance_weights(spectral.direct_factor(ops, 1, model.tau))
     np.testing.assert_allclose(np.diag(C), np.diag(dense_covariance(ops, model.tau)), rtol=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_factor_times_its_transpose_is_the_covariance(name, beta):
     F = kriging._model_factor(model, basis).dot(np.eye(200))
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(F @ F.T - oracle)) <= 1e-12 * scale
-    C = kriging._model_covariance(model, basis).C
+    C = spectral.covariance_weights(kriging._model_factor(model, basis))
     assert np.max(np.abs(C - oracle)) <= 1e-12 * scale
 
 
@@ -196,7 +196,8 @@ def test_covariance_is_as_accurate_as_dense_route(beta):
     model = builtin_model("base42", beta)
     _, ops = _operators(model, 200)
     exact = longdouble_sigma(ops, np.eye(200), model.tau)
-    banded = _correlation_error(spectral.covariance_direct(ops, beta, model.tau).C, exact)
+    C = spectral.covariance_weights(spectral.direct_factor(ops, beta, model.tau))
+    banded = _correlation_error(C, exact)
     dense = _correlation_error(dense_covariance(ops, model.tau), exact)
     assert banded <= 4.0 * dense
 
@@ -212,7 +213,7 @@ def test_indefinite_form_raises_conditioning_error(tmp_path, monkeypatch, capsys
     K_band[0, 5] = -1.0  # K[5, 5]
     ops = dataclasses.replace(ops, K_band=K_band)
     with pytest.raises(ConditioningError, match="not positive definite") as direct:
-        spectral.covariance_direct(ops, 1, model.tau)
+        spectral.direct_factor(ops, 1, model.tau)
 
     monkeypatch.setattr(kriging, "assemble_aL", lambda *args, **kwargs: ops)
     with pytest.raises(ConditioningError) as sigma:

@@ -17,7 +17,6 @@ from wmlab.kriging import (
     efficiency_curve_point,
     misspecified_error_variance,
     point_locations,
-    sigma_matrix,
     write_curves_csv,
 )
 from wmlab.model_config import builtin_model
@@ -147,18 +146,6 @@ def test_point_design_must_stay_inside_domain():
     with pytest.raises(DomainError):
         # j = 50 puts a point on the boundary
         ObservationDesign(kind="point", n_max=100, s0=0.5, delta_o=0.01)
-
-
-def test_sigma_matrix_is_projection_of_covariance():
-    rng = np.random.default_rng(1)
-    C = _spd(rng, 12)
-    from wmlab.spectral import CovarianceMatrix
-
-    cov = CovarianceMatrix(C=C, beta=1.0, tau=1.0)
-    Phi = rng.standard_normal((4, 12))
-    S = sigma_matrix(Phi, cov)
-    npt.assert_allclose(S, Phi @ C @ Phi.T, rtol=1e-12)
-    npt.assert_allclose(S, S.T, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ curves

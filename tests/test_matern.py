@@ -128,17 +128,21 @@ def _fractional_model():
 
 @pytest.mark.parametrize("beta", [1, 2, 3, 1.5])
 def test_matern_check_without_covariance_matches_weight_covariance(beta):
-    # the CLI reads the offsets from the observation covariance of the
-    # points instead of forming the N x N weight covariance
-    from wmlab.kriging import _model_basis, _model_covariance
+    # the comparison reads the offsets from the observation covariance of
+    # the points; the oracle forms the N x N weight covariance C = F F'
+    from wmlab.fem1d import eval_matrix
+    from wmlab.kriging import _model_basis, _model_factor
     from wmlab.matern import compare_fem_vs_matern
     from wmlab.model_config import builtin_model
+    from wmlab.spectral import covariance_weights
 
     model = _fractional_model() if beta == 1.5 else builtin_model("base42", beta)
     basis = _model_basis(model, 200)
-    cov = _model_covariance(model, basis)
+    C = covariance_weights(_model_factor(model, basis))
     offsets = [0.0, 0.01, 0.05, 0.1]
-    via_sigma = compare_fem_vs_matern(model, None, basis, offsets)
-    via_cov = compare_fem_vs_matern(model, cov, basis, offsets)
-    npt.assert_allclose(via_sigma.fem_values, via_cov.fem_values, rtol=1e-9)
-    npt.assert_array_equal(via_sigma.analytic_values, via_cov.analytic_values)
+    rows = eval_matrix(basis, 0.5 + np.array(offsets))
+    via_cov = eval_matrix(basis, np.array([0.5])) @ C @ rows.T
+    via_sigma = compare_fem_vs_matern(model, basis, offsets)
+    npt.assert_allclose(via_sigma.fem_values, via_cov[0], rtol=1e-9)
+    ana = via_sigma.analytic_values
+    npt.assert_array_equal(via_sigma.rel_errors, np.abs(via_sigma.fem_values - ana) / np.abs(ana))

@@ -19,10 +19,8 @@ from wmlab.model_config import CoefficientField, builtin_model
 from wmlab.spectral import (
     SpectralDecomposition,
     balakrishnan_fractional_inverse,
-    covariance_direct,
     covariance_weights,
     direct_factor,
-    field_covariance_at,
     generalized_eig,
     sample_field,
     spectral_factor,
@@ -81,9 +79,9 @@ def test_eigenvectors_mass_orthonormal():
 def test_covariance_routes_agree_for_integer_exponent():
     basis = build_basis(200, 1, DIRICHLET)
     ops = assemble_aL(basis, ONE, _const(50.0))
-    direct = covariance_direct(ops, 1, tau=3.0)
-    spectral = covariance_weights(generalized_eig(ops), 1.0, tau=3.0)
-    err = np.linalg.norm(direct.C - spectral.C) / np.linalg.norm(direct.C)
+    direct = covariance_weights(direct_factor(ops, 1, tau=3.0))
+    spectral = covariance_weights(spectral_factor(generalized_eig(ops), 1.0, tau=3.0))
+    err = np.linalg.norm(direct - spectral) / np.linalg.norm(direct)
     assert err < 1e-8
 
 
@@ -91,20 +89,20 @@ def test_covariance_direct_checks_form_order():
     basis = build_basis(50, 1, DIRICHLET)
     ops = assemble_aL(basis, ONE, _const(1.0))
     with pytest.raises(ParameterError):
-        covariance_direct(ops, 2, tau=1.0)
+        direct_factor(ops, 2, tau=1.0)
     with pytest.raises(ParameterError):
-        covariance_direct(ops, 1.5, tau=1.0)
+        direct_factor(ops, 1.5, tau=1.0)
     with pytest.raises(ParameterError):
-        covariance_weights(generalized_eig(ops), 0.2, tau=1.0)
+        spectral_factor(generalized_eig(ops), 0.2, tau=1.0)
     with pytest.raises(ParameterError):
-        covariance_weights(generalized_eig(ops), 1.0, tau=0.0)
+        spectral_factor(generalized_eig(ops), 1.0, tau=0.0)
 
 
 def test_fractional_covariance_is_positive_semidefinite():
     basis = build_basis(60, 1, DIRICHLET)
     dec = generalized_eig(assemble_aL(basis, ONE, _const(25.0)))
-    cov = covariance_weights(dec, 0.75, tau=2.0)
-    ev = np.linalg.eigvalsh(cov.C)
+    C = covariance_weights(spectral_factor(dec, 0.75, tau=2.0))
+    ev = np.linalg.eigvalsh(C)
     assert ev[0] > -1e-12 * ev[-1]
 
 
@@ -189,10 +187,11 @@ def test_spectral_draws_ignore_eigenvector_signs():
 def test_sample_covariance_converges_to_model():
     basis = build_basis(30, 1, DIRICHLET)
     ops = assemble_aL(basis, ONE, _const(40.0))
-    cov = covariance_direct(ops, 1, tau=100.0)
-    draws = sample_field(direct_factor(ops, 1, tau=100.0), seed=3, n_samples=20000)
+    factor = direct_factor(ops, 1, tau=100.0)
+    C = covariance_weights(factor)
+    draws = sample_field(factor, seed=3, n_samples=20000)
     emp = draws @ draws.T / draws.shape[1]
-    err = np.linalg.norm(emp - cov.C) / np.linalg.norm(cov.C)
+    err = np.linalg.norm(emp - C) / np.linalg.norm(C)
     assert err < 0.05
 
 
@@ -206,16 +205,3 @@ def test_sample_field_rejects_bad_arguments():
         with pytest.raises(ParameterError):
             sample_field(factor, seed=seed, n_samples=1)
 
-
-# ------------------------------------------------- pointwise field cov
-
-
-def test_field_covariance_symmetric_and_zero_on_boundary():
-    basis = build_basis(80, 1, DIRICHLET)
-    ops = assemble_aL(basis, ONE, _const(100.0))
-    cov = covariance_direct(ops, 1, tau=10.0)
-    v1 = field_covariance_at(cov, basis, 0.3, 0.6)
-    v2 = field_covariance_at(cov, basis, 0.6, 0.3)
-    npt.assert_allclose(v1, v2, rtol=1e-12)
-    assert field_covariance_at(cov, basis, 0.0, 0.5) == 0.0
-    assert field_covariance_at(cov, basis, 0.5, 0.5) > 0.0
