@@ -260,15 +260,17 @@ def _read_only(A):
 
 
 def band_matmul(band, X):
-    """A @ X for the symmetric matrix A held as a lower band, X of shape (n, m).
+    """A @ X for the symmetric matrix A held as a lower band, X of shape
+    (n,) or (n, m).
 
     Costs O(n p) per column of X instead of the O(n^2) of a dense
     product.
     """
     n = band.shape[1]
-    out = band[0][:, None] * X
+    col = (slice(None),) + (None,) * (X.ndim - 1)
+    out = band[0][col] * X
     for k in range(1, band.shape[0]):
-        d = band[k, : n - k, None]
+        d = band[k, : n - k][col]
         out[k:] += d * X[:-k]
         out[:-k] += d * X[k:]
     return out

@@ -292,14 +292,18 @@ def _route(model):
     """How a model is discretized: (constraint mode, direct exponent).
 
     Integer beta in {1, 2, 3} assembles the form of the beta-th operator
-    power and takes the direct covariance route (exponent beta); beta = 3
-    also needs the Laplace-zero constraint. Any other beta assembles a_L
-    and takes the spectral route (exponent None).
+    power and takes the direct covariance route with exponent beta;
+    beta = 3 also needs the Laplace-zero constraint. Any other beta with
+    2 beta an integer (half-integer Matern smoothness 2 beta - 1/2, and
+    integer beta > 3) assembles a_L and takes the direct route with
+    exponent beta, which is exact: C = tau^2 (K^-1 M)^(2 beta - 1) K^-1.
+    Every remaining beta assembles a_L and takes the spectral route
+    (exponent None), the only one that diagonalizes the pencil.
     """
     if _is_integer(model.beta) and int(round(model.beta)) in (1, 2, 3):
         b = int(round(model.beta))
         return (DIRICHLET_LAPLACE if b == 3 else DIRICHLET), b
-    return DIRICHLET, None
+    return DIRICHLET, (model.beta if _is_integer(2 * model.beta) else None)
 
 
 def _model_basis(model, N):

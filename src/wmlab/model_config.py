@@ -210,8 +210,11 @@ class ModelSpec:
     Dirichlet conditions. ``basis_order`` is the spline degree used by
     the Galerkin discretization; integer beta requires basis_order >=
     beta (the assembly path for the beta-th operator power needs it).
-    Any other beta takes the spectral route on the a_L pencil of a
-    ``basis_order`` basis, whose bands have width ``basis_order``.
+    Any other beta is discretized on the a_L pencil of a ``basis_order``
+    basis, whose bands have width ``basis_order``: with 2*beta an
+    integer (half-integer beta, or beta > 3) its covariance is factored
+    exactly on those bands, and every other beta takes the spectral
+    route, a full eigendecomposition of the pencil.
     """
 
     beta: float

@@ -5,12 +5,18 @@ weight covariance, C = F F', as a CovarianceFactor, the package's one
 covariance object; every consumer works from F: a draw is F z and an
 observation covariance is G'G with G = F' Phi'. The dense C is formed
 only on request, by covariance_weights, for either route. The direct
-route, for beta in {1, 2, 3}, takes F = tau K^-1 L_M with K the matrix
-of the beta-th operator-power form and M = L_M L_M' (the Galerkin load
-of white noise has covariance M; Lindgren, Rue & Lindstrom, 2011). K and
-M are held as (p+1, N) lower bands (see :mod:`wmlab.fem1d`) and factored
-as stored by banded Cholesky, so F X costs O(N p) per column. The
-spectral route diagonalizes the (K, M) pencil, F = tau V Lambda^(-beta).
+route serves every beta for which s = 2 beta / q is a positive integer,
+K being the matrix of the q-th operator-power form: then the covariance
+tau^2 A^(-2 beta) of the pencil is exactly tau^2 (K^-1 M)^(s-1) K^-1,
+the precision recursion of Lindgren, Rue & Lindstrom (2011), and
+F = tau (K^-1 M)^floor((s-1)/2) R with R = L_K^-T for odd s and
+R = K^-1 L_M for even s (M = L_M L_M'; the Galerkin load of white noise
+has covariance M). beta in {1, 2, 3} on its power form is s = 2,
+F = tau K^-1 L_M; half-integer beta on a_L is odd s. K and M are held
+as (p+1, N) lower bands (see :mod:`wmlab.fem1d`) and factored as stored
+by banded Cholesky, so F X costs O(N p s) per column. The spectral route,
+left to genuinely fractional beta, diagonalizes the (K, M) pencil,
+F = tau V Lambda^(-beta).
 A tridiagonal pencil (piecewise-linear basis) of order up to
 BANDED_EIG_MAX_N is diagonalized as stored by LAPACK dsbgvd; any other
 pencil is expanded into dense matrices for a dense eigensolve, the one
@@ -44,6 +50,7 @@ from .errors import (
     ParameterError,
 )
 from .fem1d import band_matmul, dense
+from .model_config import _is_integer
 
 __all__ = [
     "SpectralDecomposition",
@@ -176,7 +183,10 @@ def generalized_eig(ops):
         # dense solver errs by 7e-12. The Rayleigh quotients of its vectors
         # err by 1.6e-11 there, and agree with the dense eigenvalues to
         # 1.4e-12 on the builtin "41" pencils up to N = 2000.
-        lam = _quadratic_forms(ops.K_band, vec) / _quadratic_forms(ops.M_band, vec)
+        # M V serves both the denominators and the orthonormality check
+        numerators = _quadratic_forms(ops.K_band, vec)
+        MV = band_matmul(ops.M_band, vec)
+        lam = numerators / np.einsum("ij,ij->j", vec, MV)
     else:
         try:
             lam, vec = scipy.linalg.eigh(
@@ -184,11 +194,12 @@ def generalized_eig(ops):
             )
         except scipy.linalg.LinAlgError as exc:
             raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
+        MV = band_matmul(ops.M_band, vec)
     if lam[0] <= 0.0:
         raise AssemblyIntegrityError(
             f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
         )
-    err = _identity_defect(vec.T @ band_matmul(ops.M_band, vec))
+    err = _identity_defect(vec.T @ MV)
     if err > 1e-8:
         raise NumericalIntegrityError(
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
@@ -251,24 +262,33 @@ def spectral_factor(decomposition, beta, tau):
     )
 
 
-_FORM_FOR_BETA = {1: "a_L", 2: "a2", 3: "a3"}
+# Operator power q that each form discretizes ("a2" is A^2, and so on).
+_FORM_ORDER = {"a_L": 1, "a2": 2, "a3": 3}
 
 
 def direct_factor(ops, beta, tau):
-    """Direct-route square root F = tau K^-1 L_M for integer beta.
+    """Direct-route square root F of C = tau^2 (K^-1 M)^(s-1) K^-1, banded.
 
-    K must be the form matrix of the beta-th operator power (form_order
-    "a_L", "a2", "a3" for beta = 1, 2, 3). The (p+1, N) lower bands of K
-    and M are LAPACK's ``pbtrf`` layout, so each is factored as stored by
-    banded Cholesky in O(N p^2). ConditioningError if K or M is not
-    positive definite.
+    K is the form matrix of the q-th operator power (``ops.form_order``
+    "a_L", "a2", "a3" for q = 1, 2, 3), and s = 2 beta / q must be a
+    positive integer: then C is exactly the spectral route's
+    tau^2 V Lambda^(-2 beta / q) V', with no eigenpairs. With
+    K = L_K L_K' and M = L_M L_M',
+
+        F = tau (K^-1 M)^floor((s-1)/2) R,  R = L_K^-T (odd s), K^-1 L_M (even s).
+
+    beta = q (s = 2) is the power forms' F = tau K^-1 L_M. The (p+1, N)
+    lower bands of K and M are LAPACK's ``pbtrf`` layout, so each is
+    factored as stored by banded Cholesky in O(N p^2), and F X costs
+    O(N p s) per column. ConditioningError if K or M is not positive
+    definite.
     """
-    if beta not in (1, 2, 3):
-        raise ParameterError(f"direct covariance route needs beta in {{1,2,3}}, got {beta}")
-    expected = _FORM_FOR_BETA[int(beta)]
-    if ops.form_order != expected:
+    q = _FORM_ORDER[ops.form_order]
+    s = 2.0 * beta / q
+    if not (s >= 1.0 and _is_integer(s)):
         raise ParameterError(
-            f"beta={beta} needs form_order {expected!r}, got {ops.form_order!r}"
+            f"direct covariance route needs 2*beta/q a positive integer; form "
+            f"{ops.form_order!r} has q = {q}, got beta={beta}"
         )
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
@@ -280,11 +300,38 @@ def direct_factor(ops, beta, tau):
             raise ConditioningError(f"{name} is not positive definite: {exc}") from exc
     L_K, L_M = factors
     solve = functools.partial(scipy.linalg.cho_solve_banded, (L_K, True))
-    return CovarianceFactor(
-        n=L_K.shape[1],
-        dot=lambda X: tau * solve(_triangular_band_matmul(L_M, X, transpose=False)),
-        tdot=lambda X: tau * _triangular_band_matmul(L_M, solve(X), transpose=True),
-    )
+    s = int(round(s))
+    if s % 2:
+        root = functools.partial(_triangular_band_solve, L_K, trans="T")
+        root_t = functools.partial(_triangular_band_solve, L_K, trans="N")
+    else:
+        def root(X):
+            return solve(_triangular_band_matmul(L_M, X, transpose=False))
+
+        def root_t(X):
+            return _triangular_band_matmul(L_M, solve(X), transpose=True)
+
+    def dot(X):
+        X = root(X)
+        for _ in range((s - 1) // 2):
+            X = solve(band_matmul(ops.M_band, X))
+        return tau * X
+
+    def tdot(X):
+        for _ in range((s - 1) // 2):
+            X = band_matmul(ops.M_band, solve(X))
+        return tau * root_t(X)
+
+    return CovarianceFactor(n=L_K.shape[1], dot=dot, tdot=tdot)
+
+
+def _triangular_band_solve(band, X, trans):
+    """L^-1 X (``trans`` "N") or L^-T X ("T") by LAPACK dtbtrs, for lower
+    triangular L held as a lower band with a nonzero diagonal."""
+    out, info = scipy.linalg.lapack.dtbtrs(band, X, uplo="L", trans=trans)
+    if info != 0:
+        raise ConditioningError(f"triangular band solve failed (dtbtrs info {info})")
+    return out
 
 
 def _triangular_band_matmul(band, X, transpose):

@@ -134,16 +134,18 @@ def test_tridiagonal_pencil_above_cutoff_takes_dense_path(monkeypatch):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_fractional_beta_pencil_has_the_basis_order_bandwidth(monkeypatch, order):
-    # fractional beta assembles a_L on the model's own basis, so only
-    # basis_order 1 gives a tridiagonal pencil for dsbgvd
+    # non-integer beta assembles a_L on the model's own basis, so only
+    # basis_order 1 gives a tridiagonal pencil for dsbgvd; half-integer
+    # beta factors that pencil directly, any other beta diagonalizes it
     from wmlab.kriging import _model_basis, _model_operators
     from wmlab.model_config import ModelSpec
 
     one = CoefficientField("constant", (1.0,))
-    model = ModelSpec(beta=1.5, a=one, kappa2=one, tau=1.0, basis_order=order)
-    ops, direct = _model_operators(model, _model_basis(model, 40))
-    assert direct is None and ops.form_order == "a_L"
-    assert ops.bandwidth == order
+    for beta, route in ((1.5, 1.5), (1.3, None)):
+        model = ModelSpec(beta=beta, a=one, kappa2=one, tau=1.0, basis_order=order)
+        ops, direct = _model_operators(model, _model_basis(model, 40))
+        assert direct == route and ops.form_order == "a_L"
+        assert ops.bandwidth == order
     calls = []
     monkeypatch.setattr(spectral, "dense", lambda band: calls.append(band) or dense(band))
     generalized_eig(ops)

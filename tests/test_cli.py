@@ -317,7 +317,9 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
     # only the dense eigensolver may call dense(), and below the banded
     # eigensolver's cut-off it never sees a tridiagonal pencil: no command
     # expands the band of a piecewise-linear pencil, and integer-beta
-    # figures and samples never reach an eigensolver
+    # figures and samples never reach an eigensolver; a half-integer beta
+    # (1.5) samples from the banded factor, a fractional one (1.3) from
+    # dsbgvd's eigenpairs
     import sys
 
     from wmlab import fem1d, kriging, spectral
@@ -339,10 +341,11 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
     for name, beta in (("base41", 1), ("base42", 2), ("base42", 3)):
         sample = {"model": {"name": name, "beta": beta}, "N": 60, "n_samples": 2}
         assert _run(tmp_path, "sample", {**sample, "out": str(tmp_path / f"s{beta}")}) == 0
-    fractional = {"model": {"beta": 1.5, "a": {"kind": "constant", "params": [1.0]},
-                            "kappa2": {"kind": "constant", "params": [1200.0]}, "tau": 1.0},
-                  "N": 60, "n_samples": 2}
-    assert _run(tmp_path, "sample", {**fractional, "out": str(tmp_path / "s1.5")}) == 0
+    for beta in (1.5, 1.3):
+        fractional = {"model": {"beta": beta, "a": {"kind": "constant", "params": [1.0]},
+                                "kappa2": {"kind": "constant", "params": [1200.0]}, "tau": 1.0},
+                      "N": 60, "n_samples": 2}
+        assert _run(tmp_path, "sample", {**fractional, "out": str(tmp_path / f"s{beta}")}) == 0
     diagnose = {"base_model": {"name": "base41", "beta": 1},
                 "alt_model": {"name": "model2_41", "beta": 1}, "N": 60, "truncations": [30, 60]}
     assert _run(tmp_path, "diagnose", {**diagnose, "out": str(tmp_path / "d")}) == 0

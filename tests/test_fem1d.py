@@ -206,6 +206,16 @@ def test_band_layout_expansion_and_product():
     npt.assert_array_equal(band_matmul(band, X), A @ X)
 
 
+@pytest.mark.parametrize("shape", [(40,), (40, 3)], ids=["vector", "matrix"])
+def test_band_matmul_matches_the_dense_product(shape):
+    # a bandwidth-3 band, one draw (as sample_field passes it) or a block
+    band = _FORMS["a2"](build_basis(40, 3, DIRICHLET)).K_band
+    X = np.random.default_rng(4).standard_normal(shape)
+    out = band_matmul(band, X)
+    assert out.shape == shape
+    npt.assert_allclose(out, dense(band) @ X, rtol=1e-13, atol=1e-13 * np.max(np.abs(band)))
+
+
 def test_operators_hold_bands_and_expand_on_demand():
     basis = build_basis(30, 3, DIRICHLET_LAPLACE)
     ops = assemble_a3(basis, CoefficientField("polynomial", (2.0, 0.5)))

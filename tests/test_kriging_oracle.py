@@ -161,8 +161,8 @@ def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
         return real(*args, **kwargs)
 
     # no covariance route factors with cho_factor (the direct route for
-    # integer beta factors K in band storage, the spectral route factors
-    # nothing), so every factorization counted is the engine's
+    # integer 2 beta factors K in band storage, the spectral route
+    # factors nothing), so every factorization counted is the engine's
     pairs = [
         (builtin_model("base41", 1), builtin_model("model1_41", 1)),
         (builtin_model("base42", 2), builtin_model("model1_42", 2)),
@@ -170,6 +170,10 @@ def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
         (
             dataclasses.replace(builtin_model("base41", 1), beta=1.5),
             dataclasses.replace(builtin_model("model1_41", 1), beta=1.5),
+        ),
+        (
+            dataclasses.replace(builtin_model("base41", 1), beta=1.3),
+            dataclasses.replace(builtin_model("model1_41", 1), beta=1.3),
         ),
     ]
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)

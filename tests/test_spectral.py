@@ -86,16 +86,44 @@ def test_covariance_routes_agree_for_integer_exponent():
 
 
 def test_covariance_direct_checks_form_order():
+    # the direct route needs s = 2 beta / q a positive integer, q the
+    # operator power of the form (1 for a_L, 2 for a2)
     basis = build_basis(50, 1, DIRICHLET)
     ops = assemble_aL(basis, ONE, _const(1.0))
+    for beta in (1.3, 0.25, 0.75):
+        with pytest.raises(ParameterError):
+            direct_factor(ops, beta, tau=1.0)
+    ops2 = assemble_a2(build_basis(50, 2, DIRICHLET), _const(1.0))
+    for beta in (1.5, 0.5):
+        with pytest.raises(ParameterError):
+            direct_factor(ops2, beta, tau=1.0)
     with pytest.raises(ParameterError):
-        direct_factor(ops, 2, tau=1.0)
-    with pytest.raises(ParameterError):
-        direct_factor(ops, 1.5, tau=1.0)
+        direct_factor(ops, 1.5, tau=0.0)
     with pytest.raises(ParameterError):
         spectral_factor(generalized_eig(ops), 0.2, tau=1.0)
     with pytest.raises(ParameterError):
         spectral_factor(generalized_eig(ops), 1.0, tau=0.0)
+
+
+@pytest.mark.parametrize(
+    "form, order, beta",
+    [("a_L", 1, 0.5), ("a_L", 1, 1.5), ("a_L", 1, 2), ("a_L", 2, 2.5),
+     ("a2", 2, 1), ("a2", 2, 3), ("a3", 3, 1.5), ("a3", 3, 4.5)],
+)
+def test_direct_factor_serves_every_integer_s(form, order, beta):
+    # C = tau^2 (K^-1 M)^(s-1) K^-1 with s = 2 beta / q is the spectral
+    # route's tau^2 V Lambda^(-s) V' on the same pencil; K_a3's condition
+    # grows like h^-6, so the pencils are small
+    q = {"a_L": 1, "a2": 2, "a3": 3}[form]
+    mode = DIRICHLET_LAPLACE if form == "a3" else DIRICHLET
+    basis = build_basis(30, order, mode)
+    k2 = _const(40.0)
+    ops = assemble_aL(basis, ONE, k2) if form == "a_L" else (
+        assemble_a2 if form == "a2" else assemble_a3)(basis, k2)
+    direct = covariance_weights(direct_factor(ops, beta, tau=2.0))
+    spectral = covariance_weights(spectral_factor(generalized_eig(ops), beta / q, tau=2.0))
+    err = np.linalg.norm(direct - spectral) / np.linalg.norm(spectral)
+    assert err < 1e-8
 
 
 def test_fractional_covariance_is_positive_semidefinite():
@@ -184,11 +212,14 @@ def test_spectral_draws_ignore_eigenvector_signs():
     npt.assert_array_equal(a, b)
 
 
-def test_sample_covariance_converges_to_model():
+@pytest.mark.parametrize("beta", [1, 1.5])
+def test_sample_covariance_converges_to_model(beta):
+    # the model covariance comes from the pencil's eigenpairs, the draws
+    # from the banded factor the model's route uses
     basis = build_basis(30, 1, DIRICHLET)
     ops = assemble_aL(basis, ONE, _const(40.0))
-    factor = direct_factor(ops, 1, tau=100.0)
-    C = covariance_weights(factor)
+    factor = direct_factor(ops, beta, tau=100.0 * 40.0 ** (beta - 1))
+    C = covariance_weights(spectral_factor(generalized_eig(ops), beta, 100.0 * 40.0 ** (beta - 1)))
     draws = sample_field(factor, seed=3, n_samples=20000)
     emp = draws @ draws.T / draws.shape[1]
     err = np.linalg.norm(emp - C) / np.linalg.norm(C)
