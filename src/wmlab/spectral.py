@@ -183,8 +183,9 @@ def generalized_eig(ops):
         # dense solver errs by 7e-12. The Rayleigh quotients of its vectors
         # err by 1.6e-11 there, and agree with the dense eigenvalues to
         # 1.4e-12 on the builtin "41" pencils up to N = 2000.
-        # M V serves both the denominators and the orthonormality check
-        numerators = _quadratic_forms(ops.K_band, vec)
+        # K V is dropped before M V is formed; M V serves both the
+        # denominators and the orthonormality check
+        numerators = np.einsum("ij,ij->j", vec, band_matmul(ops.K_band, vec))
         MV = band_matmul(ops.M_band, vec)
         lam = numerators / np.einsum("ij,ij->j", vec, MV)
     else:
@@ -205,11 +206,6 @@ def generalized_eig(ops):
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
         )
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
-
-
-def _quadratic_forms(band, V):
-    """v' A v for each column v of V, A held as a lower band."""
-    return np.einsum("ij,ij->j", V, band_matmul(band, V))
 
 
 def _identity_defect(gram):
