@@ -80,8 +80,9 @@ def cross_gram(dec_base, dec_alt, M_band):
     exact arithmetic. A max-norm deviation above 1e-6 indicates
     mismatched bases or a broken eigensolve.
     """
-    W = dec_base.eigenvectors.T @ band_matmul(M_band, dec_alt.eigenvectors)
-    err = _identity_defect(W.T @ W)
+    MV = band_matmul(M_band, dec_alt.eigenvectors)
+    W = scipy.linalg.blas.dgemm(1.0, dec_base.eigenvectors, MV, trans_a=1)
+    err = _identity_defect(scipy.linalg.blas.dgemm(1.0, W, W, trans_a=1))
     if err > 1e-6:
         raise NumericalIntegrityError(
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"
@@ -102,7 +103,7 @@ def t_operator(pair, gamma, c):
     lam = pair.base.eigenvalues
     lam_t = pair.alt.eigenvalues
     W = pair.W
-    inner = (W * lam_t ** (2.0 * gamma)) @ W.T
+    inner = scipy.linalg.blas.dgemm(1.0, W * lam_t ** (2.0 * gamma), W, trans_b=1)
     scale = lam ** (-gamma)
     T = scale[:, None] * inner * scale[None, :]
     T = 0.5 * (T + T.T)

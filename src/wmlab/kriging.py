@@ -24,11 +24,21 @@ out. Leading blocks whose scaled condition estimate exceeds 1e12 are
 flagged in the curve output -- never regularized.
 
 Designs are nested: the first n observations are the first n rows of
-one Sigma. Each covariance is therefore rescaled and Cholesky-factored
-once, at the largest n, and every smaller n solves with the leading
-block of that factor. The condition estimate is LAPACK's 1-norm
-estimate (dpocon, Hager/Higham) of the scaled true block, computed from
-the same factor in O(n^2).
+one Sigma, so each covariance is rescaled and Cholesky-factored once, at
+m = max n, and the factor of every leading n x n block is the leading
+block of that factor. Forward substitution is prefix-consistent as well:
+with Z = L^-1 S[:m, cols] for the union ``cols`` of all target columns,
+Z~ = L~^-1 S~[:m, cols] and R = L~^-1 L (lower triangular), the first n
+rows of each are the same products for the leading n x n blocks. One
+curve therefore costs three triangular solves, however many n it has;
+each n reads prefix sums of their rows (see ``_leading_variances``). The
+condition estimate is LAPACK's 1-norm estimate (dpocon, Hager/Higham) of
+the scaled true block, computed from the same factor in O(n^2).
+
+Every dense matrix-matrix product here goes through scipy.linalg.blas,
+the OpenBLAS behind scipy's factorizations and solves. numpy ships an
+OpenBLAS of its own with its own thread pool, and alternating between
+the two pools made each one's spinning workers slow the other down.
 """
 
 import functools
@@ -141,49 +151,79 @@ def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
 
     The first n rows of Sigma are the n observations and ``targets_of(n)``
     gives the target rows (0-based, all >= n). Both covariances are
-    rescaled by the true standard deviations and factored once, at
-    max(n); the Cholesky factor of each leading n x n block is the
-    leading n x n block of that factor, so every smaller n only solves.
+    rescaled by the true standard deviations d, S = D^-1 Sigma D^-1, and
+    factored once, at m = max(n_values): S[:m, :m] = L L' and likewise
+    S~[:m, :m] = L~ L~'. With ``cols`` the sorted union of all targets,
+    three triangular solves per curve give
 
-    ``diff`` is v_miss - v_true evaluated directly as the quadratic form
-    of the weight discrepancy in the scaled true metric,
-    (w~ - w)' S (w~ - w); expanding it reproduces the textbook variance
-    difference exactly, but the form stays accurate (and nonnegative up
-    to roundoff) even when both predictors are nearly optimal, where
-    subtracting the two variances would cancel catastrophically.
-    ``v_miss`` is returned as v_true + diff for consistency. Both are
-    None when Sigma_tilde is None. ``cond`` is LAPACK's 1-norm condition
-    estimate (dpocon) of the scaled true block, from its factor.
+        Z = L^-1 S[:m, cols],  Z~ = L~^-1 S~[:m, cols],  R = L~^-1 L,
+
+    and because L, L~ and R are lower triangular, row i of each depends
+    only on rows <= i: Z[:n] = L_n^-1 S[:n, cols], Z~[:n] = L~_n^-1
+    S~[:n, cols] and R[:n, :n] = L~_n^-1 L_n. For target column t,
+
+        v_true(n, t) = (1 - sum_{i<n} Z[i, t]^2) d_t^2,
+        diff(n, t)   = |P[:n, t] - Z[:n, t]|^2 d_t^2,  P[:n] = R[:n, :n]' Z~[:n].
+
+    The first is a running sum over row blocks. The second is the
+    quadratic form of the weight discrepancy in the scaled true metric,
+    (w~ - w)' S_n (w~ - w) = |L_n' (w~ - w)|^2, since L_n' w = Z[:n] and
+    L_n' w~ = R[:n, :n]' Z~[:n]; it reproduces the textbook variance
+    difference exactly, but stays accurate (and nonnegative up to
+    roundoff) when both predictors are nearly optimal, where subtracting
+    the two variances would cancel catastrophically. P grows by one
+    product per n, P[:n] += R[prev:n, :n]' Z~[prev:n], since R is lower
+    triangular. R comes from substitution, one LAPACK trtrs call that
+    reads only the lower triangles and is backward stable column by
+    column, which an explicit inverse is not. cho_factor leaves the input
+    matrix in the upper triangle of each factor, so an explicit inverse
+    (dtrtri) or a general solve must mask it first; multiplying by an
+    unmasked inverse moved fig2's e_max at N = 250 by up to 21x relative.
+
+    ``v_miss`` is returned as v_true + diff; both are None when
+    Sigma_tilde is None. ``cond`` is LAPACK's 1-norm condition estimate
+    (dpocon) of the scaled true block, from its factor.
     """
-    m = max(n_values)
+    n_values = sorted(n_values)
+    m = n_values[-1]
+    targets = [np.asarray(targets_of(n), dtype=np.int64) for n in n_values]
+    cols = np.unique(np.concatenate(targets))
     d = np.sqrt(np.maximum(np.diag(Sigma), 0.0))
     inv = 1.0 / np.where(d > 0.0, d, 1.0)
-    scale = np.outer(inv[:m], inv)
-    S = Sigma[:m] * scale
-    L = _chol(S[:, :m], "true")
+    block_scale = np.outer(inv[:m], inv[:m])
+    cross_scale = np.outer(inv[:m], inv[cols])
+    S = Sigma[:m, :m] * block_scale
+    L = _chol(S, "true")
+    Z = scipy.linalg.solve_triangular(L, Sigma[:m, cols] * cross_scale, lower=True)
+    explained = np.zeros(cols.size)  # sum_{i<n} Z[i, t]^2
     if Sigma_tilde is not None:
-        St = Sigma_tilde[:m] * scale
-        Lt = _chol(St[:, :m], "misspecified")
-    for n in sorted(n_values):
-        targets = np.asarray(targets_of(n), dtype=np.int64)
-        Sn = S[:n, :n]
-        cross = S[:n, targets]
-        dt2 = d[targets] ** 2
+        Lt = _chol(Sigma_tilde[:m, :m] * block_scale, "misspecified")
+        Zt = scipy.linalg.solve_triangular(Lt, Sigma_tilde[:m, cols] * cross_scale, lower=True)
+        # cho_factor leaves the input in L's upper triangle, so it is masked
+        R = scipy.linalg.solve_triangular(Lt, np.tril(L), lower=True)
+        PT = np.zeros((cols.size, m), order="F")  # P', so PT[:, :n] is contiguous
+    prev = 0
+    for n, tg in zip(n_values, targets):
+        k = np.searchsorted(cols, tg)
+        explained += np.sum(Z[prev:n] ** 2, axis=0)
+        dt2 = d[tg] ** 2
         att = np.where(dt2 > 0.0, 1.0, 0.0)  # scaled target variances
-        X = scipy.linalg.cho_solve((L[:n, :n], True), cross)
-        v_true = (att - np.sum(cross * X, axis=0)) * dt2
+        v_true = (att - explained[k]) * dt2
 
         v_miss = diff = None
         if Sigma_tilde is not None:
-            W = scipy.linalg.cho_solve((Lt[:n, :n], True), St[:n, targets])
-            D = W - X
-            diff = np.sum(D * (Sn @ D), axis=0) * dt2
+            scipy.linalg.blas.dgemm(
+                1.0, Zt[prev:n], R[prev:n, :n], beta=1.0, c=PT[:, :n], trans_a=1, overwrite_c=1
+            )
+            E = PT[k, :n] - Z[:n, k].T
+            diff = np.sum(E * E, axis=1) * dt2
             v_miss = v_true + diff
 
-        anorm = np.max(np.sum(np.abs(Sn), axis=0))
+        anorm = np.max(np.sum(np.abs(S[:n, :n]), axis=0))
         rcond, _ = scipy.linalg.lapack.dpocon(L[:n, :n], anorm, uplo="L")
         cond = 1.0 / rcond if rcond > 0.0 else math.inf
-        yield n, targets, v_true, v_miss, diff, cond
+        prev = n
+        yield n, tg, v_true, v_miss, diff, cond
 
 
 def _efficiencies(v_true, diff, sigma_tt):
@@ -339,7 +379,11 @@ def _sigma_for_model(model, basis, Phi):
     the absolute noise floor of a dense N x N covariance.
     """
     G = _model_factor(model, basis).tdot(Phi.T)
-    return G.T @ G
+    # dsyrk fills the lower triangle, which is mirrored; both routes
+    # return a Fortran-ordered G, which it reads in place
+    Sigma = scipy.linalg.blas.dsyrk(1.0, G, trans=1, lower=1)
+    Sigma += np.tril(Sigma, -1).T
+    return Sigma
 
 
 @functools.lru_cache(maxsize=1)

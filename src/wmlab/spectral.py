@@ -200,7 +200,7 @@ def generalized_eig(ops):
         raise AssemblyIntegrityError(
             f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
         )
-    err = _identity_defect(vec.T @ MV)
+    err = _identity_defect(scipy.linalg.blas.dgemm(1.0, vec, MV, trans_a=1))
     if err > 1e-8:
         raise NumericalIntegrityError(
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
@@ -253,9 +253,14 @@ def spectral_factor(decomposition, beta, tau):
     V = decomposition.eigenvectors
     sign = np.where(np.arange(1, V.shape[0] + 1) @ V < 0.0, -1.0, 1.0)
     F = V * (sign * tau * decomposition.eigenvalues ** (-beta))
-    return CovarianceFactor(
-        n=F.shape[0], dot=functools.partial(np.matmul, F), tdot=functools.partial(np.matmul, F.T)
-    )
+
+    def tdot(X):
+        if np.ndim(X) == 1:
+            return scipy.linalg.blas.dgemv(1.0, F, X, trans=1)
+        return scipy.linalg.blas.dgemm(1.0, F, X, trans_a=1)
+
+    # a draw is one matrix-vector product, whose bits each draw keeps
+    return CovarianceFactor(n=F.shape[0], dot=functools.partial(np.matmul, F), tdot=tdot)
 
 
 # Operator power q that each form discretizes ("a2" is A^2, and so on).

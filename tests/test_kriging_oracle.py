@@ -184,3 +184,26 @@ def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
         curve = kriging.efficiency_curve_integral(base, missp, N=120, n_values=n_values)
         assert calls == [(m, m), (m, m)], base.beta
         assert curve.n_values == tuple(sorted(n_values))
+
+
+@pytest.mark.parametrize("n_values", [(10,), (5, 10, 20, 40), tuple(range(2, 60, 3))])
+def test_each_curve_makes_three_triangular_solves(monkeypatch, n_values):
+    # Z, Z~ and R, once per curve whatever the number of n; no per-n solve
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_triangular", "cho_solve"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
+    base, missp = builtin_model("base41", 1), builtin_model("model1_41", 1)
+    for curve_of in (kriging.efficiency_curve_integral, kriging.efficiency_curve_point):
+        kriging._true_stage.cache_clear()
+        calls.clear()
+        curve = curve_of(base, missp, N=120, n_values=n_values)
+        assert calls == ["solve_triangular"] * 3, curve_of.__name__
+        assert curve.n_values == tuple(sorted(n_values))
