@@ -134,6 +134,22 @@ def test_fractional_covariance_is_positive_semidefinite():
     assert ev[0] > -1e-12 * ev[-1]
 
 
+@pytest.mark.parametrize("route", ["direct", "spectral"])
+def test_factor_tdot_is_the_transpose_of_dot(route):
+    # tdot takes a vector or a matrix, like dot
+    basis = build_basis(40, 1, DIRICHLET)
+    ops = assemble_aL(basis, ONE, _const(25.0))
+    factor = (
+        direct_factor(ops, 1.5, tau=2.0) if route == "direct"
+        else spectral_factor(generalized_eig(ops), 1.3, tau=2.0)
+    )
+    F = factor.dot(np.eye(40))
+    X = np.random.default_rng(5).standard_normal((40, 3))
+    npt.assert_allclose(factor.tdot(X), F.T @ X, rtol=1e-12, atol=1e-12 * np.abs(F).max())
+    npt.assert_allclose(factor.tdot(X[:, 0]), F.T @ X[:, 0], rtol=1e-12,
+                        atol=1e-12 * np.abs(F).max())
+
+
 # ------------------------------------------------ fractional inverse
 
 
