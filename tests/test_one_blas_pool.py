@@ -3,7 +3,7 @@
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool. A path that alternates between the two libraries' products makes
 each pool's spinning workers slow the other one down, so ``kriging``,
-``diagnostics`` and ``spectral`` issue their dense products through
+``diagnostics`` and ``spectral`` send their dense products through
 ``scipy.linalg.blas``, the library behind scipy's factorizations and
 solves. This test parses the three modules and fails on any ``@``,
 ``np.matmul``, ``np.dot`` or ``np.linalg`` outside the functions listed
