@@ -17,8 +17,10 @@ existing scripts and configs still run, but it has no effect: every
 subcommand runs in one Python thread, and parallelism comes from the
 BLAS library's threads (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...).
 
-CSV artifacts are byte-identical across reruns and ``--threads`` values;
-the manifest is not (it contains the wall time).
+Data artifacts are byte-identical across reruns and ``--threads`` values
+at a fixed BLAS thread count (a different count can move the last bits
+of the kriging numbers); the manifest is not (it contains the wall
+time).
 
 Exit codes: 0 success; 2 configuration error (bad JSON, schema
 violation, invalid parameter values); 3 numerical-integrity failure,
@@ -126,6 +128,15 @@ _POSITIVE_INT_ARRAY = {
     "minItems": 1,
 }
 
+_POSITIVE_NUMBER_ARRAY = {
+    "type": "array",
+    "items": {"type": "number", "exclusiveMinimum": 0},
+    "minItems": 1,
+}
+
+# (value at 0, value at 1, derivative at 0, derivative at 1)
+_BOUNDARY_VALUES = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
+
 _COMMON_PROPS = {
     "N": {"type": "integer", "minimum": 10},
     "seed": {"type": "integer", "minimum": 0},
@@ -158,11 +169,7 @@ _FIG_N_VALUES_DEFAULT = [10, 20, 50, 100, 200, 300, 400, 500]
 SCHEMAS = {
     "fig1_integral": _schema(
         {
-            "deltas": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
+            "deltas": _POSITIVE_NUMBER_ARRAY,
             "models": _MODELS_PROP,
             "n_values": _POSITIVE_INT_ARRAY,
             "per_target": {"type": "boolean"},
@@ -170,11 +177,7 @@ SCHEMAS = {
     ),
     "fig1_point": _schema(
         {
-            "deltas": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
+            "deltas": _POSITIVE_NUMBER_ARRAY,
             "models": _MODELS_PROP,
             "n_values": _POSITIVE_INT_ARRAY,
             "s0": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
@@ -231,18 +234,8 @@ SCHEMAS = {
                     "beta_alt": {"type": "number"},
                     "a_relation": {"enum": ["equal", "proportional", "different"]},
                     "a_ratio": {"type": "number", "exclusiveMinimum": 0},
-                    "kappa2_boundary_base": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 4,
-                        "maxItems": 4,
-                    },
-                    "kappa2_boundary_alt": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 4,
-                        "maxItems": 4,
-                    },
+                    "kappa2_boundary_base": _BOUNDARY_VALUES,
+                    "kappa2_boundary_alt": _BOUNDARY_VALUES,
                     "mean_diff_in_cm": {"type": ["boolean", "null"]},
                     "kappa2_equal": {"type": ["boolean", "null"]},
                     "higher_traces_zero": {"type": ["boolean", "null"]},
@@ -274,74 +267,49 @@ SCHEMAS = {
     ),
 }
 
+
+def _defaults(command, svg=False, N=1000, **extra):
+    return {"N": N, "seed": 0, "out": f"out/{command}", "threads": 1, "svg": svg, **extra}
+
+
 DEFAULTS = {
-    "fig1_integral": {
-        "N": 1000,
-        "seed": 0,
-        "out": "out/fig1_integral",
-        "threads": 1,
-        "svg": True,
-        "deltas": [1.0, 10.0, 100.0],
-        "models": ["model1", "model2"],
-        "n_values": _FIG_N_VALUES_DEFAULT,
-        "per_target": False,
-    },
-    "fig1_point": {
-        "N": 1000,
-        "seed": 0,
-        "out": "out/fig1_point",
-        "threads": 1,
-        "svg": True,
-        "deltas": [1.0, 10.0, 100.0],
-        "models": ["model1", "model2"],
-        "n_values": list(range(10, 100, 10)),
-        "s0": 0.5,
-        "delta_o": 0.01,
-    },
-    "fig2": {
-        "N": 1000,
-        "seed": 0,
-        "out": "out/fig2",
-        "threads": 1,
-        "svg": True,
-        "betas": [1, 2, 3],
-        "models": ["model1", "model2"],
-        "n_values": _FIG_N_VALUES_DEFAULT,
-        "per_target": False,
-    },
-    "matern_check": {
-        "N": 1000,
-        "seed": 0,
-        "out": "out/matern_check",
-        "threads": 1,
-        "svg": False,
-        "model": {"name": "base41", "beta": 1},
-        "offsets": [0.0, 0.005, 0.01, 0.02, 0.05, 0.1],
-    },
-    "diagnose": {
-        "N": 800,
-        "seed": 0,
-        "out": "out/diagnose",
-        "threads": 1,
-        "svg": False,
-        "gamma": 1.0,
-        "c": 1.0,
-        "truncations": [100, 200, 400, 800],
-    },
-    "verdict": {
-        "out": "out/verdict",
-        "d": 1,
-    },
-    "sample": {
-        "N": 1000,
-        "seed": 0,
-        "out": "out/sample",
-        "threads": 1,
-        "svg": False,
-        "model": {"name": "base41", "beta": 1},
-        "n_samples": 10,
-        "format": "csv",
-    },
+    "fig1_integral": _defaults(
+        "fig1_integral",
+        svg=True,
+        deltas=[1.0, 10.0, 100.0],
+        models=["model1", "model2"],
+        n_values=_FIG_N_VALUES_DEFAULT,
+        per_target=False,
+    ),
+    "fig1_point": _defaults(
+        "fig1_point",
+        svg=True,
+        deltas=[1.0, 10.0, 100.0],
+        models=["model1", "model2"],
+        n_values=list(range(10, 100, 10)),
+        s0=0.5,
+        delta_o=0.01,
+    ),
+    "fig2": _defaults(
+        "fig2",
+        svg=True,
+        betas=[1, 2, 3],
+        models=["model1", "model2"],
+        n_values=_FIG_N_VALUES_DEFAULT,
+        per_target=False,
+    ),
+    "matern_check": _defaults(
+        "matern_check",
+        model={"name": "base41", "beta": 1},
+        offsets=[0.0, 0.005, 0.01, 0.02, 0.05, 0.1],
+    ),
+    "diagnose": _defaults(
+        "diagnose", N=800, gamma=1.0, c=1.0, truncations=[100, 200, 400, 800]
+    ),
+    "verdict": {"out": "out/verdict", "d": 1},
+    "sample": _defaults(
+        "sample", model={"name": "base41", "beta": 1}, n_samples=10, format="csv"
+    ),
 }
 
 
@@ -400,18 +368,9 @@ def _resolve_model(ref):
     return model_from_dict(ref)
 
 
-def _write_manifest(outdir, command, cfg, defaulted, artifacts, t0):
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "defaulted_keys": list(defaulted),
-        "version": __version__,
-        "wall_time_seconds": time.time() - t0,
-        "artifacts": sorted(artifacts),
-    }
-    path = os.path.join(outdir, "manifest.json")
+def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -627,10 +586,7 @@ def _figure_curve(fig, cfg, true_model, missp):
     )
 
 
-def run_figure(command, cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+def run_figure(command, cfg, outdir):
     fig = _FIGURES[command]
     cells = _figure_cells(fig, cfg)
     # Within a figure the true model depends only on beta, so running the
@@ -660,35 +616,22 @@ def run_figure(command, cfg, defaulted):
             ylabel=fig.ylabel,
         )
         artifacts.append(svg_path)
-    artifacts.append(_write_manifest(outdir, command, cfg, defaulted, artifacts, t0))
-    print(f"{command}: wrote {csv_path}")
-    return 0
+    return artifacts, [f"{command}: wrote {csv_path}"]
 
 
-def run_matern_check(cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+def run_matern_check(cfg, outdir):
     model = _resolve_model(cfg["model"])
     basis = _model_basis(model, cfg["N"])
     comparison = compare_fem_vs_matern(model, basis, cfg["offsets"])
     csv_path = os.path.join(outdir, "matern_check.csv")
     comparison.write_csv(csv_path)
-    artifacts = [csv_path]
-    artifacts.append(
-        _write_manifest(outdir, "matern_check", cfg, defaulted, artifacts, t0)
-    )
-    print(
+    return [csv_path], [
         f"matern_check: max relative error {comparison.max_rel_error:.6g} "
         f"over {len(cfg['offsets'])} offsets"
-    )
-    return 0
+    ]
 
 
-def run_diagnose(cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+def run_diagnose(cfg, outdir):
     base = _resolve_model(cfg["base_model"])
     alt = _resolve_model(cfg["alt_model"])
     N = cfg["N"]
@@ -713,99 +656,58 @@ def run_diagnose(cfg, defaulted):
 
     csv_path = os.path.join(outdir, "diagnose.csv")
     report.write_csv(csv_path)
-    json_path = os.path.join(outdir, "diagnose.json")
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path = _write_json(os.path.join(outdir, "diagnose.json"), payload)
     eig_base_path = os.path.join(outdir, "eigenvalues_base.csv")
     eig_alt_path = os.path.join(outdir, "eigenvalues_alt.csv")
     write_eigenvalues_csv(eig_base_path, dec_base.eigenvalues)
     write_eigenvalues_csv(eig_alt_path, dec_alt.eigenvalues)
     artifacts = [csv_path, json_path, eig_base_path, eig_alt_path]
-    artifacts.append(
-        _write_manifest(outdir, "diagnose", cfg, defaulted, artifacts, t0)
-    )
-    print(f"diagnose: classification = {report.classification}")
-    return 0
+    return artifacts, [f"diagnose: classification = {report.classification}"]
 
 
-def run_verdict(cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+def run_verdict(cfg, outdir):
     if "base_model" in cfg:
-        base = _resolve_model(cfg["base_model"])
-        alt = _resolve_model(cfg["alt_model"])
         vin = verdict_input_from_models(
-            base,
-            alt,
+            _resolve_model(cfg["base_model"]),
+            _resolve_model(cfg["alt_model"]),
             d=cfg["d"],
             mean_diff_in_cm=cfg.get("mean_diff_in_cm"),
             higher_traces_zero=cfg.get("higher_traces_zero"),
         )
     else:
+        # this schema branch's keys are VerdictInput's fields plus "out"
         vin = VerdictInput(
-            d=cfg["d"],
-            beta=cfg["beta"],
-            beta_alt=cfg["beta_alt"],
-            a_relation=cfg["a_relation"],
-            a_ratio=cfg.get("a_ratio", 1.0),
-            kappa2_boundary_base=(
-                tuple(cfg["kappa2_boundary_base"])
-                if "kappa2_boundary_base" in cfg
-                else None
-            ),
-            kappa2_boundary_alt=(
-                tuple(cfg["kappa2_boundary_alt"])
-                if "kappa2_boundary_alt" in cfg
-                else None
-            ),
-            mean_diff_in_cm=cfg.get("mean_diff_in_cm"),
-            kappa2_equal=cfg.get("kappa2_equal"),
-            higher_traces_zero=cfg.get("higher_traces_zero"),
+            **{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in cfg.items()
+                if k != "out"
+            }
         )
     verdict = table1_verdict(vin)
-    json_path = os.path.join(outdir, "verdict.json")
-    with open(json_path, "w") as fh:
-        json.dump(verdict.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    artifacts = [json_path]
-    artifacts.append(
-        _write_manifest(outdir, "verdict", cfg, defaulted, artifacts, t0)
-    )
-    print(f"cm_isomorphic: {verdict.cm_isomorphic}")
-    print(f"measures_equivalent: {verdict.measures_equivalent}")
-    print(f"asympt_optimal: {verdict.asympt_optimal}")
-    for note in verdict.notes:
-        print(f"note: {note}")
-    return 0
+    json_path = _write_json(os.path.join(outdir, "verdict.json"), verdict.to_dict())
+    lines = [
+        f"cm_isomorphic: {verdict.cm_isomorphic}",
+        f"measures_equivalent: {verdict.measures_equivalent}",
+        f"asympt_optimal: {verdict.asympt_optimal}",
+    ]
+    return [json_path], lines + [f"note: {note}" for note in verdict.notes]
 
 
-def run_sample(cfg, defaulted):
-    t0 = time.time()
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
+def run_sample(cfg, outdir):
     model = _resolve_model(cfg["model"])
     factor = _model_factor(model, _model_basis(model, cfg["N"]))
     draws = sample_field(factor, cfg["seed"], cfg["n_samples"])
-    artifacts = []
     if cfg["format"] == "bin":
-        bin_path = os.path.join(outdir, "samples.bin")
-        write_matrix(bin_path, draws)
-        artifacts.append(bin_path)
+        path = os.path.join(outdir, "samples.bin")
+        write_matrix(path, draws)
     else:
-        csv_path = os.path.join(outdir, "samples.csv")
-        with open(csv_path, "w", newline="") as fh:
+        path = os.path.join(outdir, "samples.csv")
+        with open(path, "w", newline="") as fh:
             fh.write("sample,index,weight\n")
             for j in range(draws.shape[1]):
                 for i in range(draws.shape[0]):
                     fh.write(f"{j},{i},{repr(float(draws[i, j]))}\n")
-        artifacts.append(csv_path)
-    artifacts.append(
-        _write_manifest(outdir, "sample", cfg, defaulted, artifacts, t0)
-    )
-    print(f"sample: wrote {artifacts[0]}")
-    return 0
+    return [path], [f"sample: wrote {path}"]
 
 
 COMMANDS = {
@@ -839,15 +741,25 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {
-        "N": args.N,
-        "seed": args.seed,
-        "out": args.out,
-        "threads": args.threads,
-    }
+    overrides = {key: getattr(args, key) for key in ("N", "seed", "out", "threads")}
     try:
         cfg, defaulted = load_config(args.command, args.config, overrides)
-        return COMMANDS[args.command](cfg, defaulted)
+        t0 = time.time()
+        outdir = cfg["out"]
+        os.makedirs(outdir, exist_ok=True)
+        artifacts, lines = COMMANDS[args.command](cfg, outdir)
+        manifest = {
+            "command": args.command,
+            "config": cfg,
+            "defaulted_keys": defaulted,
+            "version": __version__,
+            "wall_time_seconds": time.time() - t0,
+            "artifacts": sorted(artifacts),
+        }
+        _write_json(os.path.join(outdir, "manifest.json"), manifest)
+        for line in lines:
+            print(line)
+        return 0
     except ConfigError as exc:
         print(f"wmlab {args.command}: config error: {exc}", file=sys.stderr)
         return 2

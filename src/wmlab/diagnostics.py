@@ -58,6 +58,7 @@ __all__ = [
     "VerdictInput",
     "Verdict",
     "table1_verdict",
+    "verdict_input_from_models",
 ]
 
 

@@ -5,6 +5,20 @@ ValueError/RuntimeError bases are kept so the types behave like their
 stdlib counterparts in generic code.
 """
 
+__all__ = [
+    "WmlabError",
+    "DomainError",
+    "ParameterError",
+    "CoefficientError",
+    "ConstraintError",
+    "UnsupportedFormError",
+    "AssemblyIntegrityError",
+    "ConditioningError",
+    "DegenerateTargetError",
+    "NumericalIntegrityError",
+    "DataError",
+]
+
 
 class WmlabError(Exception):
     """Base class for all wmlab errors."""

@@ -72,12 +72,12 @@ from .errors import (
 from .model_config import CoefficientField
 
 __all__ = [
+    "DIRICHLET",
+    "DIRICHLET_LAPLACE",
     "SplineBasis",
     "build_basis",
     "eval_matrix",
     "AssembledOperators",
-    "dense",
-    "band_matmul",
     "mass_matrix",
     "assemble_aL",
     "assemble_a2",

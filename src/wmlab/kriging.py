@@ -78,8 +78,8 @@ __all__ = [
     "EfficiencyCurve",
     "efficiency_curve_integral",
     "efficiency_curve_point",
+    "curve_rows",
     "write_curves_csv",
-    "CURVE_CSV_COLUMNS",
 ]
 
 COND_FLAG_LIMIT = 1e12
@@ -127,11 +127,9 @@ def point_locations(design, n=None):
     n = design.n_max if n is None else int(n)
     if not 1 <= n <= design.n_max:
         raise ParameterError(f"n must lie in [1, {design.n_max}], got {n}")
-    out = np.empty(n)
-    for i in range(1, n + 1):
-        j = (i + 1) // 2
-        out[i - 1] = design.s0 + j * design.delta_o if i % 2 == 0 else design.s0 - j * design.delta_o
-    return out
+    i = np.arange(1, n + 1)
+    step = ((i + 1) // 2) * design.delta_o
+    return np.where(i % 2 == 0, design.s0 + step, design.s0 - step)
 
 
 def _chol(S, what):
@@ -387,19 +385,19 @@ def _sigma_for_model(model, basis, Phi):
 
 
 @functools.lru_cache(maxsize=1)
-def _true_stage(model, N, design, nquad):
+def _true_stage(model, N, design):
     """(basis, Phi, Sigma) of the true model, built once for all cells.
 
     A pure function of its hashable arguments, so every curve with an
     equal true model, N and design reuses it; the misspecified model is
     assembled on the same basis. The arrays are shared between callers
     and therefore read-only. Integral designs observe the first
-    ``design.n_max`` sine functions (quadrature ``nquad``); point designs
-    observe the alternating points and then s0 (``nquad`` is None).
+    ``design.n_max`` sine functions; point designs observe the
+    alternating points and then s0.
     """
     basis = _model_basis(model, N)
     if design.kind == "integral":
-        Phi = integral_obs_matrix(basis, design.n_max, nquad=nquad)
+        Phi = integral_obs_matrix(basis, design.n_max)
     else:
         Phi = point_obs_matrix(basis, np.concatenate([point_locations(design), [design.s0]]))
     Sigma = _sigma_for_model(model, basis, Phi)
@@ -408,7 +406,8 @@ def _true_stage(model, N, design, nquad):
     return basis, Phi, Sigma
 
 
-def _check_curve_models(true_model, missp_model):
+def _curve_n_values(true_model, missp_model, n_values):
+    """Check that two models can share a curve; n_values as distinct ints."""
     if true_model.beta != missp_model.beta:
         raise ParameterError(
             "efficiency curves compare models with a common exponent; got "
@@ -416,6 +415,10 @@ def _check_curve_models(true_model, missp_model):
         )
     if true_model.basis_order != missp_model.basis_order:
         raise ParameterError("models must share basis_order")
+    n_values = tuple(int(n) for n in n_values)
+    if any(n < 1 for n in n_values) or len(set(n_values)) != len(n_values):
+        raise ParameterError(f"n_values must be distinct positive integers: {n_values}")
+    return n_values
 
 
 def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_target=False):
@@ -459,28 +462,23 @@ def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_tar
     )
 
 
-def efficiency_curve_integral(
-    true_model, missp_model, N, n_values=None, nquad=None, keep_per_target=False
-):
+def efficiency_curve_integral(true_model, missp_model, N, n_values=None, keep_per_target=False):
     """Worst-case loss over sine targets l = n+1..N versus n.
 
     Both covariances are discretized on the same N-dimensional basis;
     observation l pairs the field with sqrt(2) sin(l pi s). Requires
     max(n_values) <= N/2 so a substantial target range remains.
     """
-    _check_curve_models(true_model, missp_model)
     if n_values is None:
         n_values = (10, 20, 50, 100, 200, 300, 400, 500)
-    n_values = tuple(int(n) for n in n_values)
-    if any(n < 1 for n in n_values) or len(set(n_values)) != len(n_values):
-        raise ParameterError(f"n_values must be distinct positive integers: {n_values}")
+    n_values = _curve_n_values(true_model, missp_model, n_values)
     if max(n_values) > N // 2:
         raise ParameterError(
             f"max(n_values)={max(n_values)} exceeds N/2={N // 2}; "
             "leave room for prediction targets"
         )
     design = ObservationDesign(kind="integral", n_max=int(N))
-    basis, Phi, Sigma = _true_stage(true_model, int(N), design, nquad)
+    basis, Phi, Sigma = _true_stage(true_model, int(N), design)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
     return _efficiency_curve(
         "integral", Sigma, Sigma_t, n_values, lambda n: np.arange(n, N), keep_per_target
@@ -496,16 +494,13 @@ def efficiency_curve_point(
     for each n; the target functional is the field value at the center
     s0 itself.
     """
-    _check_curve_models(true_model, missp_model)
     if n_values is None:
         n_values = tuple(range(10, 100, 10))
-    n_values = tuple(int(n) for n in n_values)
-    if any(n < 1 for n in n_values) or len(set(n_values)) != len(n_values):
-        raise ParameterError(f"n_values must be distinct positive integers: {n_values}")
+    n_values = _curve_n_values(true_model, missp_model, n_values)
     design = ObservationDesign(
         kind="point", n_max=max(n_values), s0=float(s0), delta_o=float(delta_o)
     )
-    basis, Phi, Sigma = _true_stage(true_model, int(N), design, None)
+    basis, Phi, Sigma = _true_stage(true_model, int(N), design)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
     t = Sigma.shape[0] - 1  # target row: the center evaluation
     return _efficiency_curve("point", Sigma, Sigma_t, n_values, lambda _: [t])

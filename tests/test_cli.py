@@ -1,5 +1,6 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -68,6 +69,16 @@ def test_config_may_be_omitted_when_defaults_suffice(tmp_path):
     )
     assert code == 0
     assert os.path.exists(os.path.join(out, "samples.csv"))
+
+
+def test_every_default_is_a_schema_property():
+    assert set(wmlab.cli.DEFAULTS) == set(wmlab.cli.SCHEMAS) == set(wmlab.cli.COMMANDS)
+    for command, defaults in wmlab.cli.DEFAULTS.items():
+        schema = wmlab.cli.SCHEMAS[command]
+        branches = schema.get("oneOf", [schema])
+        for key in defaults:
+            assert any(key in b["properties"] for b in branches), (command, key)
+        assert defaults["out"] == f"out/{command}"
 
 
 # ------------------------------------------------------- happy paths
@@ -196,6 +207,31 @@ def test_verdict_explicit_branch(tmp_path):
     verdict = json.load(open(os.path.join(out, "verdict.json")))
     assert verdict["asympt_optimal"] is False
     assert any("slope" in note for note in verdict["notes"])
+
+
+def test_verdict_explicit_branch_passes_every_key_as_a_field(tmp_path, monkeypatch):
+    branch = wmlab.cli.SCHEMAS["verdict"]["oneOf"][0]["properties"]
+    fields = {f.name for f in dataclasses.fields(wmlab.cli.VerdictInput)}
+    assert set(branch) - {"out"} == fields
+    seen = []
+    real = wmlab.cli.table1_verdict
+    monkeypatch.setattr(wmlab.cli, "table1_verdict", lambda vin: seen.append(vin) or real(vin))
+    payload = {
+        "d": 2,
+        "beta": 1.5,
+        "beta_alt": 1.5,
+        "a_relation": "proportional",
+        "a_ratio": 2.0,
+        "kappa2_boundary_base": [1.0, 2.0, 3.0, 4.0],
+        "kappa2_boundary_alt": [1.0, 2.0, 3.0, 5.0],
+        "mean_diff_in_cm": True,
+        "kappa2_equal": False,
+        "higher_traces_zero": None,
+    }
+    assert _run(tmp_path, "verdict", {**payload, "out": str(tmp_path / "o")}) == 0
+    (vin,) = seen
+    expected = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
+    assert dataclasses.asdict(vin) == expected
 
 
 def test_sample_formats_agree(tmp_path):

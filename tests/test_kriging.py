@@ -139,6 +139,26 @@ def test_point_locations_alternate_around_center():
     npt.assert_allclose(locs, [0.49, 0.51, 0.48, 0.52, 0.47], rtol=1e-12)
 
 
+def _point_locations_loop(design, n):
+    """The scalar loop point_locations replaced, kept as its oracle."""
+    out = np.empty(n)
+    for i in range(1, n + 1):
+        j = (i + 1) // 2
+        out[i - 1] = design.s0 + j * design.delta_o if i % 2 == 0 else design.s0 - j * design.delta_o
+    return out
+
+
+@pytest.mark.parametrize(
+    "s0, delta_o, n_max",
+    [(0.5, 0.01, 98), (0.3, 0.007, 81), (0.5, 1.0 / 3.0, 1), (0.71, 0.0123, 2), (0.5, 0.1, 8)],
+)
+def test_point_locations_match_scalar_loop_bit_for_bit(s0, delta_o, n_max):
+    design = ObservationDesign(kind="point", n_max=n_max, s0=s0, delta_o=delta_o)
+    for n in sorted({1, (n_max + 1) // 2, n_max}):
+        assert np.array_equal(point_locations(design, n), _point_locations_loop(design, n))
+    assert np.array_equal(point_locations(design), _point_locations_loop(design, n_max))
+
+
 def test_point_design_must_stay_inside_domain():
     from wmlab.errors import DomainError
 
@@ -231,7 +251,7 @@ def test_true_model_stage_is_built_once(monkeypatch, kind, N, n_values, design):
     kriging._true_stage.cache_clear()
     curves = [curve(1), curve(2)]
     assert len(calls) == 1
-    _, Phi, Sigma = kriging._true_stage(base, N, design, None)
+    _, Phi, Sigma = kriging._true_stage(base, N, design)
     assert len(calls) == 1
     assert not Phi.flags.writeable and not Sigma.flags.writeable
     kriging._true_stage.cache_clear()

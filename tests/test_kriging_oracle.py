@@ -74,9 +74,9 @@ def oracle_curve(Sigma, Sigma_tilde, n_values, targets_of):
 # ---------------------------------------------------------- helpers
 
 
-def _stage(true_model, missp_model, N, design, nquad=None):
+def _stage(true_model, missp_model, N, design):
     kriging._true_stage.cache_clear()
-    basis, Phi, Sigma = kriging._true_stage(true_model, N, design, nquad)
+    basis, Phi, Sigma = kriging._true_stage(true_model, N, design)
     return Sigma, kriging._sigma_for_model(missp_model, basis, Phi)
 
 
