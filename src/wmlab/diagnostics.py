@@ -19,6 +19,11 @@ optimality of kriging predictions:
 * ``cm_equivalence_constants``: extreme eigenvalues of
   L^(-b) L~^(2b) L^(-b), the discrete norm-equivalence constants of the
   two Cameron-Martin norms.
+
+T and the Cameron-Martin matrices are all Gram products B B' of one
+scaled cross Gram matrix B = Lam^(-b) W Lam~^(b), formed by one
+symmetric rank-k update (``_gram``); their spectra come from symmetric
+eigensolves, and no routine here runs an SVD.
 * ``mean_difference_check``: partial sums of sum_j lambda_j^(2b) <dm, e_j>^2,
   finite exactly when the mean difference lies in the common
   Cameron-Martin space.
@@ -83,7 +88,9 @@ def cross_gram(dec_base, dec_alt, M_band):
     """
     MV = band_matmul(M_band, dec_alt.eigenvectors)
     W = scipy.linalg.blas.dgemm(1.0, dec_base.eigenvectors, MV, trans_a=1)
-    err = _identity_defect(scipy.linalg.blas.dgemm(1.0, W, W, trans_a=1))
+    # dsyrk stores W'W in the upper triangle and leaves the lower one
+    # zero, so the defect over the whole array is the stored triangle's
+    err = _identity_defect(scipy.linalg.blas.dsyrk(1.0, W, trans=1))
     if err > 1e-6:
         raise NumericalIntegrityError(
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"
@@ -96,20 +103,34 @@ def t_operator(pair, gamma, c):
 
     Expressed in the eigenbasis of the base operator; gamma is the
     fractional comparison order and c the candidate proportionality
-    constant between the operators.
+    constant between the operators. Formed as the Gram matrix B B' of
+    B = Lam^(-g) W Lam~^(g) minus c^(2g) I, so it is exactly symmetric.
     """
     if not c > 0.0:
         raise ParameterError(f"c must be positive, got {c}")
     gamma = float(gamma)
+    n = pair.W.shape[0]
+    T = _gram(pair, gamma, n)
+    T[np.diag_indices_from(T)] -= c ** (2.0 * gamma)
+    # mirror the upper triangle one row at a time, with no n x n temporary
+    for i in range(1, n):
+        T[i, :i] = T[:i, i]
+    return T
+
+
+def _gram(pair, b, t):
+    """Upper triangle of B_t B_t' for B_t = (Lam^(-b) W Lam~^(b))[:t, :].
+
+    One dsyrk; the lower triangle is left zero. B_t B_t' is the leading
+    t x t block of Lam^(-b) W Lam~^(2b) W' Lam^(-b), symmetric and
+    positive semidefinite by construction, and the rows of B are scaled
+    before the product, so its entries stay O(1) where Lam^(-b) alone
+    spans many decades.
+    """
     lam = pair.base.eigenvalues
     lam_t = pair.alt.eigenvalues
-    W = pair.W
-    inner = scipy.linalg.blas.dgemm(1.0, W * lam_t ** (2.0 * gamma), W, trans_b=1)
-    scale = lam ** (-gamma)
-    T = scale[:, None] * inner * scale[None, :]
-    T = 0.5 * (T + T.T)
-    T[np.diag_indices_from(T)] -= c ** (2.0 * gamma)
-    return T
+    B = np.multiply(lam[:t, None] ** (-b), pair.W[:t] * lam_t**b, order="F")
+    return scipy.linalg.blas.dsyrk(1.0, B)
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,7 @@ def hs_curve(pair, gamma, c, truncations):
     T = t_operator(pair, gamma, c)
     fro, opn, smin, smax, tail = [], [], [], [], []
     for t in truncs:
-        # T is exactly symmetric (t_operator symmetrizes it), so its
+        # T is exactly symmetric (t_operator mirrors one triangle), so its
         # singular values are its absolute eigenvalues, found without an SVD
         sv = np.sort(np.abs(scipy.linalg.eigvalsh(T[:t, :t])))[::-1]
         fro.append(float(np.sqrt(np.sum(sv * sv))))
@@ -224,14 +245,20 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     truncation grows is the discrete signature of isomorphic spaces;
     drift toward 0 or infinity signals failure.
 
-    The matrix is formed as a Gram product B B' with
-    B = Lam^(-b) W Lam~^(b), so the returned constants are squared
-    singular values: nonnegative by construction even when the dynamic
-    range of Lam^(-2b) is far below machine epsilon. Caution: at high
-    beta the constants at truncations near the full dof count reflect
-    the top of the *discrete* spectrum, whose eigenpairs are poor
-    approximations of the continuum ones; read only truncations up to
-    about half the dof count as continuum-faithful.
+    The leading t x t block is formed as the Gram product B_t B_t' of
+    the first t rows of B = Lam^(-b) W Lam~^(b), and its extreme
+    eigenvalues come from a symmetric eigensolve. B is scaled before the
+    product, so no entry carries the dynamic range of Lam^(-2b). Both
+    constants are accurate to a few units of
+    roundoff relative to the larger one, so a lower constant far below
+    that level reads as noise; the Gram matrix is positive
+    semidefinite, and a lower constant that roundoff pushes below zero
+    is returned as 0.
+
+    Caution: at high beta the constants at truncations near the full dof
+    count reflect the top of the *discrete* spectrum, whose eigenpairs
+    are poor approximations of the continuum ones; read only truncations
+    up to about half the dof count as continuum-faithful.
     """
     if not beta > 0.25:
         raise ParameterError(f"beta must exceed 1/4, got {beta}")
@@ -239,11 +266,8 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     t = n if truncation is None else int(truncation)
     if not 2 <= t <= n:
         raise ParameterError(f"truncation must lie in [2, {n}], got {t}")
-    lam = pair.base.eigenvalues
-    lam_t = pair.alt.eigenvalues
-    B = lam[:, None] ** (-beta) * (pair.W * lam_t**beta)
-    sv = scipy.linalg.svdvals(B[:t, :])
-    return float(sv[-1] ** 2), float(sv[0] ** 2)
+    ev = scipy.linalg.eigvalsh(_gram(pair, beta, t), lower=False, overwrite_a=True)
+    return max(float(ev[0]), 0.0), float(ev[-1])
 
 
 @dataclass(frozen=True)

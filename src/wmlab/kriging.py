@@ -416,8 +416,10 @@ def _curve_n_values(true_model, missp_model, n_values):
     if true_model.basis_order != missp_model.basis_order:
         raise ParameterError("models must share basis_order")
     n_values = tuple(int(n) for n in n_values)
-    if any(n < 1 for n in n_values) or len(set(n_values)) != len(n_values):
-        raise ParameterError(f"n_values must be distinct positive integers: {n_values}")
+    if not n_values or any(n < 1 for n in n_values) or len(set(n_values)) != len(n_values):
+        raise ParameterError(
+            f"n_values must be one or more distinct positive integers: {n_values}"
+        )
     return n_values
 
 

@@ -196,6 +196,30 @@ def test_cm_constants_are_nonnegative_even_at_extreme_dynamic_range():
     assert 0.0 <= lo <= hi
 
 
+def _svd_cm_oracle(pair, beta, t):
+    """(lo, hi) as squared extreme singular values of B[:t, :]."""
+    lam, lam_t = pair.base.eigenvalues, pair.alt.eigenvalues
+    B = lam[:, None] ** (-beta) * (pair.W * lam_t**beta)
+    sv = scipy.linalg.svdvals(B[:t, :])
+    return sv[-1] ** 2, sv[0] ** 2
+
+
+@pytest.fixture(scope="module", params=["model1_41", "model2_41"])
+def fem_pair_200(request):
+    return _fem_pair(builtin_model("base41", 1), builtin_model(request.param, 1), N=200)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("t", [50, 200])
+def test_cm_constants_match_svd_oracle(fem_pair_200, beta, t):
+    lo, hi = cm_equivalence_constants(fem_pair_200, beta, truncation=t)
+    lo_ref, hi_ref = _svd_cm_oracle(fem_pair_200, beta, t)
+    assert 0.0 <= lo <= hi
+    assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0.0)
+    # the eigensolve of the Gram matrix resolves lo to roundoff relative to hi
+    assert abs(lo - lo_ref) <= 1e-12 * hi_ref
+
+
 def test_cm_constants_validation():
     lam = np.linspace(1.0, 5.0, 5)
     pair = _diag_pair(lam, lam)
@@ -235,6 +259,20 @@ def test_cross_gram_rejects_mismatched_bases():
         eigenvalues=dec.eigenvalues, eigenvectors=2.0 * dec.eigenvectors
     )
     with pytest.raises(NumericalIntegrityError):
+        cross_gram(dec, corrupted, ops.M_band)
+
+
+def test_cross_gram_rejects_an_off_diagonal_defect():
+    # two equal columns keep every diagonal entry of W'W at 1; only the
+    # entry between them, in either triangle, shows the defect
+    basis = build_basis(60, 1, DIRICHLET)
+    model = builtin_model("base42", 1)
+    ops = assemble_aL(basis, model.a, model.kappa2)
+    dec = generalized_eig(ops)
+    vec = dec.eigenvectors.copy()
+    vec[:, 1] = vec[:, 0]
+    corrupted = SimpleNamespace(eigenvalues=dec.eigenvalues, eigenvectors=vec)
+    with pytest.raises(NumericalIntegrityError, match="not orthogonal"):
         cross_gram(dec, corrupted, ops.M_band)
 
 

@@ -201,6 +201,13 @@ def test_integral_curve_input_validation():
         )
 
 
+@pytest.mark.parametrize("curve_fn", [efficiency_curve_integral, efficiency_curve_point])
+def test_curves_reject_empty_n_values(curve_fn):
+    base = builtin_model("base41", 1)
+    with pytest.raises(ParameterError, match="one or more"):
+        curve_fn(base, builtin_model("model1_41", 1), N=100, n_values=[])
+
+
 def test_point_curve_basic_shape():
     base = builtin_model("base41", 1)
     missp = builtin_model("model2_41", 1)

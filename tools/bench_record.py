@@ -10,11 +10,12 @@ For each of ``perfbench/run.py``'s workloads the script runs
 checkout ("change") and, with ``--compare``, in the checkout DIR
 ("parent"), alternating which side runs first. Each run lasts
 ``BENCHMARK.json``'s ``run_seconds``, as the benchmark's own runs do.
-It records every result line, each side's commit, environment line
-(BLAS threads, core count, library versions) and a digest of its
-``src/`` tree, then runs each workload's CLI invocations once more per
-side and records the SHA-256 of every data artifact, by the rule
-``perfbench/check.py`` applies. The summary gives, per workload and
+It records every result line, each side's commit, whether that
+checkout had uncommitted changes, its environment line (BLAS threads,
+core count, library versions) and a digest of its ``src/`` tree, then
+runs each workload's CLI invocations once more per side and records the
+SHA-256 of every data artifact, by the rule ``perfbench/check.py``
+applies. The summary gives, per workload and
 end-to-end metric, each side's median and quartiles; with a parent, how
 many pairs the change won, whether that is a gain (at least nine of the
 ten pairs won, medians apart by more than the parent's interquartile
@@ -91,9 +92,19 @@ def artifact_digests(checkout, workload, seed):
 
 
 def commit_of(checkout):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    """{"commit": HEAD, "dirty": uncommitted changes?} of a git checkout.
+
+    A checkout is dirty when ``git status --porcelain`` lists anything:
+    then HEAD does not name the measured code, and only ``src_sha256``
+    does. Both are None outside a git checkout.
+    """
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain") if head is not None else None
+    return {"commit": head, "dirty": None if status is None else status != ""}
 
 
 def source_digest(checkout):
@@ -206,7 +217,7 @@ def main(argv=None):
         "host": {"cpu": cpu_model(), "cores": os.cpu_count(),
                  "usable_cores": len(os.sched_getaffinity(0)),
                  "blas_threads": run.blas_threads(), "python": platform.python_version()},
-        "checkouts": {side: {"commit": commit_of(path), "src_sha256": source_digest(path),
+        "checkouts": {side: {**commit_of(path), "src_sha256": source_digest(path),
                              "environment": environments.get(side)}
                       for side, path in sides.items()},
         "summary": summarize(runs, bounds),
