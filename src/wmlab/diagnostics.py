@@ -19,11 +19,6 @@ optimality of kriging predictions:
 * ``cm_equivalence_constants``: extreme eigenvalues of
   L^(-b) L~^(2b) L^(-b), the discrete norm-equivalence constants of the
   two Cameron-Martin norms.
-
-T and the Cameron-Martin matrices are all Gram products B B' of one
-scaled cross Gram matrix B = Lam^(-b) W Lam~^(b), formed by one
-symmetric rank-k update (``_gram``); their spectra come from symmetric
-eigensolves, and no routine here runs an SVD.
 * ``mean_difference_check``: partial sums of sum_j lambda_j^(2b) <dm, e_j>^2,
   finite exactly when the mean difference lies in the common
   Cameron-Martin space.
@@ -31,6 +26,11 @@ eigensolves, and no routine here runs an SVD.
   Cameron-Martin spaces / asymptotic optimality as a function of the
   exponent regime and how the coefficient pairs relate, evaluated from
   exact boundary data rather than from truncated spectra.
+
+T + c^(2g) I and the Cameron-Martin matrices are Gram products B B'
+of a scaled cross Gram matrix B = Lam^(-b) W Lam~^(b) (b = g for T),
+each formed by one symmetric rank-k update (``_gram``); their spectra
+come from symmetric eigensolves, and no routine here runs an SVD.
 
 The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
@@ -98,6 +98,21 @@ def cross_gram(dec_base, dec_alt, M_band):
     return OperatorPair(base=dec_base, alt=dec_alt, W=W)
 
 
+def _gram(pair, b, t):
+    """Upper triangle of B_t B_t' for B_t = (Lam^(-b) W Lam~^(b))[:t, :].
+
+    One dsyrk; the lower triangle is left zero. B_t B_t' is the leading
+    t x t block of Lam^(-b) W Lam~^(2b) W' Lam^(-b), symmetric and
+    positive semidefinite by construction. B is scaled before the
+    product, so its entries stay O(1) where Lam^(-2b) alone spans many
+    decades.
+    """
+    lam = pair.base.eigenvalues
+    lam_t = pair.alt.eigenvalues
+    B = np.multiply(lam[:t, None] ** (-b), pair.W[:t] * lam_t**b, order="F")
+    return scipy.linalg.blas.dsyrk(1.0, B)
+
+
 def t_operator(pair, gamma, c):
     """Defect matrix Lam^(-g) W Lam~^(2g) W' Lam^(-g) - c^(2g) I.
 
@@ -116,21 +131,6 @@ def t_operator(pair, gamma, c):
     for i in range(1, n):
         T[i, :i] = T[:i, i]
     return T
-
-
-def _gram(pair, b, t):
-    """Upper triangle of B_t B_t' for B_t = (Lam^(-b) W Lam~^(b))[:t, :].
-
-    One dsyrk; the lower triangle is left zero. B_t B_t' is the leading
-    t x t block of Lam^(-b) W Lam~^(2b) W' Lam^(-b), symmetric and
-    positive semidefinite by construction, and the rows of B are scaled
-    before the product, so its entries stay O(1) where Lam^(-b) alone
-    spans many decades.
-    """
-    lam = pair.base.eigenvalues
-    lam_t = pair.alt.eigenvalues
-    B = np.multiply(lam[:t, None] ** (-b), pair.W[:t] * lam_t**b, order="F")
-    return scipy.linalg.blas.dsyrk(1.0, B)
 
 
 @dataclass(frozen=True)
@@ -249,11 +249,10 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     the first t rows of B = Lam^(-b) W Lam~^(b), and its extreme
     eigenvalues come from a symmetric eigensolve. B is scaled before the
     product, so no entry carries the dynamic range of Lam^(-2b). Both
-    constants are accurate to a few units of
-    roundoff relative to the larger one, so a lower constant far below
-    that level reads as noise; the Gram matrix is positive
-    semidefinite, and a lower constant that roundoff pushes below zero
-    is returned as 0.
+    constants are accurate to a few units of roundoff relative to the
+    larger one, so a lower constant far below that level reads as noise.
+    The Gram matrix is positive semidefinite, and a lower constant that
+    roundoff pushes below zero is returned as 0.
 
     Caution: at high beta the constants at truncations near the full dof
     count reflect the top of the *discrete* spectrum, whose eigenpairs

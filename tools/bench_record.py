@@ -15,11 +15,11 @@ checkout had uncommitted changes, its environment line (BLAS threads,
 core count, library versions) and a digest of its ``src/`` tree, then
 runs each workload's CLI invocations once more per side and records the
 SHA-256 of every data artifact, by the rule ``perfbench/check.py``
-applies. The summary gives, per workload and
-end-to-end metric, each side's median and quartiles; with a parent, how
-many pairs the change won, whether that is a gain (at least nine of the
-ten pairs won, medians apart by more than the parent's interquartile
-range) and whether the change's median stays within the metric's
+applies. The summary gives, per workload and end-to-end metric, each
+side's median and quartiles; with a parent, how many pairs the change
+won, whether that is a gain (at least nine of the ten pairs won,
+medians apart by more than the parent's interquartile range) and
+whether the change's median stays within the metric's
 ``BENCHMARK.json`` bound.
 
 Each run takes about ``run_seconds`` plus a few seconds of start-up,
