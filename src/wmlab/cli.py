@@ -23,8 +23,10 @@ of the kriging numbers); the manifest is not (it contains the wall
 time).
 
 Exit codes: 0 success; 2 configuration error (bad JSON, schema
-violation, invalid parameter values); 3 numerical-integrity failure,
-with a JSON diagnostic dump on stderr.
+violation, invalid parameter values, an output directory that cannot be
+created); 3 numerical-integrity failure, with a JSON diagnostic dump on
+stderr. A run that fails removes the output directories it created, as
+long as they are empty.
 """
 
 import argparse
@@ -366,6 +368,20 @@ def _resolve_model(ref):
     if "name" in ref:
         return builtin_model(ref["name"], ref["beta"], ref.get("delta", 10.0))
     return model_from_dict(ref)
+
+
+def _make_outdir(outdir):
+    """Create the output directory; return the ones this created, deepest first."""
+    created = []
+    head = os.path.abspath(outdir)
+    while not os.path.exists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
+    return created
 
 
 def _write_json(path, payload):
@@ -746,8 +762,16 @@ def main(argv=None):
         cfg, defaulted = load_config(args.command, args.config, overrides)
         t0 = time.time()
         outdir = cfg["out"]
-        os.makedirs(outdir, exist_ok=True)
-        artifacts, lines = COMMANDS[args.command](cfg, outdir)
+        created = _make_outdir(outdir)
+        try:
+            artifacts, lines = COMMANDS[args.command](cfg, outdir)
+        except BaseException:
+            for path in created:
+                try:
+                    os.rmdir(path)  # refuses a directory that is not empty
+                except OSError:
+                    break
+            raise
         manifest = {
             "command": args.command,
             "config": cfg,

@@ -25,7 +25,9 @@ optimality of kriging predictions:
 * ``table1_verdict``: the decision rules for equivalence / isomorphic
   Cameron-Martin spaces / asymptotic optimality as a function of the
   exponent regime and how the coefficient pairs relate, evaluated from
-  exact boundary data rather than from truncated spectra.
+  exact boundary data rather than from truncated spectra. All three
+  read one boundary condition on kappa2_alt - c*kappa2_base, c = a_alt/a_base:
+  flat endpoint slopes from 9/4 on, vanishing higher traces too above 13/4.
 
 T + c^(2g) I and the Cameron-Martin matrices are Gram products B B'
 of a scaled cross Gram matrix B = Lam^(-b) W Lam~^(b) (b = g for T),
@@ -398,28 +400,19 @@ class Verdict:
         }
 
 
-def _boundary_slope_zero(vin, c):
-    """Do the endpoint slopes of kappa2_alt - c*kappa2_base vanish?"""
+def _boundary_slope_zero(vin):
+    """Do the endpoint slopes of kappa2_alt - c*kappa2_base vanish, c = a_ratio?"""
     if vin.kappa2_boundary_base is None or vin.kappa2_boundary_alt is None:
         raise DataError(
             "reaction boundary data (value and slope at both endpoints) are "
             "required in this exponent regime"
         )
+    c = vin.a_ratio
     _, _, p0, p1 = vin.kappa2_boundary_base
     _, _, q0, q1 = vin.kappa2_boundary_alt
     ok0 = abs(q0 - c * p0) <= 1e-9 * max(abs(q0), abs(c * p0), 1.0)
     ok1 = abs(q1 - c * p1) <= 1e-9 * max(abs(q1), abs(c * p1), 1.0)
     return ok0 and ok1
-
-
-def _higher_traces_zero(vin):
-    """Do the higher-order boundary traces vanish? Required above 13/4."""
-    if vin.higher_traces_zero is None:
-        raise DataError(
-            "higher-order boundary trace information required for "
-            "exponents above 13/4"
-        )
-    return bool(vin.higher_traces_zero)
 
 
 def table1_verdict(vin):
@@ -428,8 +421,8 @@ def table1_verdict(vin):
 
     The rules depend on the exponent regime (quarter-integer breakpoints
     at 5/4, 9/4, 13/4), on how the diffusions relate, and -- in the
-    higher regimes -- on endpoint values/slopes of the reaction
-    difference kappa2_alt - c*kappa2_base with c the diffusion ratio.
+    higher regimes -- on one boundary condition on the reaction
+    difference kappa2_alt - c*kappa2_base, c the diffusion ratio.
     Exponents in {k + 1/4} are rejected as inadmissible. Unknown mean
     information is treated as satisfied with a note; a mean difference
     known to fall outside the common Cameron-Martin space rules out both
@@ -441,95 +434,64 @@ def table1_verdict(vin):
         raise ParameterError(
             f"exponents must exceed d/4 = {vin.d / 4.0} for function-valued fields"
         )
+    if abs(vin.beta - vin.beta_alt) > 1e-12:
+        notes = ("exponents differ: no isomorphism, equivalence or optimality",)
+        return Verdict(False, False, False, notes)
+    regime = _regime(vin.beta)
     notes = []
 
-    if abs(vin.beta - vin.beta_alt) > 1e-12:
-        notes.append("exponents differ: no isomorphism, equivalence or optimality")
-        return Verdict(False, False, False, tuple(notes))
-
-    regime = _regime(vin.beta)
-
-    # mean difference gate (measures + optimality only)
+    # the mean difference gates measures and optimality only
+    mean_ok = vin.mean_diff_in_cm is None or bool(vin.mean_diff_in_cm)
     if vin.mean_diff_in_cm is None:
-        mean_ok = True
         notes.append(
             "mean difference not supplied; assumed to lie in the common "
             "Cameron-Martin space"
         )
-    else:
-        mean_ok = bool(vin.mean_diff_in_cm)
-        if not mean_ok:
-            notes.append("mean difference falls outside the common Cameron-Martin space")
+    elif not mean_ok:
+        notes.append("mean difference falls outside the common Cameron-Martin space")
 
-    # ---- Cameron-Martin isomorphism ----
-    if regime == 0:
-        cm = True
-    elif vin.a_relation == "different":
-        cm = False
+    # the boundary condition; non-proportional diffusions fail every
+    # property that reads it, so it is not evaluated for them
+    equal = vin.a_relation == "equal"
+    proportional = vin.a_relation != "different"
+    boundary = True
+    if not proportional and regime > 0:
         notes.append(
             "diffusions differ non-proportionally: boundary compatibility "
             "cannot be certified from the available data; reporting "
             "non-isomorphic conservatively"
         )
-    else:
-        # proportional diffusions make the first-order diffusion condition
-        # vacuous; from the third regime on the reaction difference
-        # kappa2_alt - c*kappa2_base must have flat endpoint slopes.
-        cm = True
-        if regime >= 2:
-            cm = _boundary_slope_zero(vin, vin.a_ratio)
-            if not cm:
-                notes.append(
-                    "endpoint slope of the reaction difference does not vanish"
+    elif proportional and regime >= 2:
+        boundary = _boundary_slope_zero(vin)
+        if not boundary:
+            notes.append("endpoint slope of the reaction difference does not vanish")
+        elif regime >= 3:
+            if vin.higher_traces_zero is None:
+                raise DataError(
+                    "higher-order boundary trace information required for "
+                    "exponents above 13/4"
                 )
-        if cm and regime >= 3:
-            cm = _higher_traces_zero(vin)
-            if not cm:
+            boundary = vin.higher_traces_zero
+            if not boundary:
                 notes.append("higher-order boundary traces do not vanish")
 
-    # ---- measure equivalence ----
-    if vin.a_relation != "equal":
-        measures = False
+    cm = regime == 0 or (proportional and boundary)
+    measures = equal and mean_ok and boundary
+    if not equal:
         notes.append("measure equivalence needs identical diffusions")
-    elif not mean_ok:
-        measures = False
-    else:
-        measures = True
-        if regime >= 2:
-            measures = _boundary_slope_zero(vin, 1.0)
-        if measures and regime >= 3:
-            measures = _higher_traces_zero(vin)
-        if measures and vin.d >= 4:
-            if vin.kappa2_equal is None:
-                raise DataError(
-                    "in dimension >= 4 measure equivalence additionally needs "
-                    "to know whether the reaction coefficients are identical"
-                )
-            measures = bool(vin.kappa2_equal)
-            if not measures:
-                notes.append(
-                    "in dimension >= 4 equivalence needs identical reactions"
-                )
-
-    # ---- asymptotic optimality ----
-    if vin.a_relation == "different":
-        optimal = False
+    elif measures and vin.d >= 4:
+        if vin.kappa2_equal is None:
+            raise DataError(
+                "in dimension >= 4 measure equivalence additionally needs "
+                "to know whether the reaction coefficients are identical"
+            )
+        measures = vin.kappa2_equal
+        if not measures:
+            notes.append("in dimension >= 4 equivalence needs identical reactions")
+    optimal = proportional and mean_ok and boundary
+    if not proportional:
         notes.append("optimality needs proportional diffusions")
-    elif not mean_ok:
-        optimal = False
-    else:
-        optimal = True
-        if regime >= 2:
-            optimal = _boundary_slope_zero(vin, vin.a_ratio)
-        if optimal and regime >= 3:
-            optimal = _higher_traces_zero(vin)
-
-    return Verdict(
-        cm_isomorphic=bool(cm),
-        measures_equivalent=bool(measures),
-        asympt_optimal=bool(optimal),
-        notes=tuple(notes),
-    )
+    return Verdict(bool(cm), bool(measures), bool(optimal), tuple(notes))
 
 
 def verdict_input_from_models(base, alt, d=1, mean_diff_in_cm=None,

@@ -61,7 +61,13 @@ def erf(x):
     return r
 
 
-_erf_arr = np.vectorize(erf, otypes=[np.float64])
+def _erf_arr(x):
+    """``erf`` elementwise on an array: one NaN check, one clamp."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise DomainError("erf: argument is NaN")
+    r = np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, count=x.size)
+    return np.clip(r, -_ONE_INSIDE, _ONE_INSIDE).reshape(x.shape)
 
 _FIELD_KINDS = (
     "constant",

@@ -234,6 +234,40 @@ def test_verdict_explicit_branch_passes_every_key_as_a_field(tmp_path, monkeypat
     assert dataclasses.asdict(vin) == expected
 
 
+_UNDECIDABLE = {  # beta above 13/4 with no higher-trace information
+    "beta": 3.5,
+    "beta_alt": 3.5,
+    "a_relation": "equal",
+    "kappa2_boundary_base": [100.0, 100.0, 0.0, 0.0],
+    "kappa2_boundary_alt": [100.0, 100.0, 0.0, 0.0],
+}
+
+
+def test_failed_run_removes_the_directories_it_created(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert _run(tmp_path, "verdict", {**_UNDECIDABLE, "out": str(out)}) == 2
+    assert "higher-order boundary trace" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_failed_run_keeps_a_directory_that_existed(tmp_path):
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert _run(tmp_path, "verdict", {**_UNDECIDABLE, "out": str(out)}) == 2
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("suffix", ["", "x"])
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, suffix):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["matern_check", "--N", "20", "--out", str(blocker / suffix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("wmlab matern_check: config error: cannot create output directory ")
+    assert blocker.is_file()
+
+
 def test_sample_formats_agree(tmp_path):
     base = {
         "model": {"name": "base41", "beta": 1},

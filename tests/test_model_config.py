@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.special
 
-from wmlab.errors import CoefficientError, ParameterError
+from wmlab.errors import CoefficientError, DomainError, ParameterError
 from wmlab.model_config import (
     BUILTIN_MODEL_NAMES,
     CoefficientField,
@@ -22,6 +22,7 @@ from wmlab.model_config import (
     model_to_dict,
     tau_unit_variance,
 )
+from wmlab.model_config import _erf_arr
 
 
 # ---------------------------------------------------------------- erf
@@ -43,6 +44,25 @@ def test_erf_matches_scipy_on_grid():
 def test_erf_odd_symmetry():
     for v in (0.1, 0.77, 2.5, 4.0):
         npt.assert_allclose(erf(-v), -erf(v), rtol=0, atol=0)
+
+
+def test_array_erf_is_scalar_erf_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 6.0, -6.0, 6.5, -7.0,
+               27.0, -1e300, np.inf, -np.inf]
+    x = np.concatenate([np.linspace(-8.0, 8.0, 2001), special]).reshape(-1, 5)
+    got = _erf_arr(x)
+    want = np.array([erf(v) for v in x.ravel()]).reshape(x.shape)
+    assert got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    # the clamp keeps every value inside (-1, 1), as the scalar does
+    assert np.all(np.abs(got) < 1.0)
+    assert _erf_arr(np.float64(0.5)).shape == ()
+
+
+def test_array_erf_rejects_nan():
+    with pytest.raises(DomainError, match="NaN"):
+        _erf_arr(np.array([0.0, np.nan, 1.0]))
 
 
 # ------------------------------------------------- coefficient fields
