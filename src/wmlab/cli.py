@@ -651,9 +651,14 @@ def run_diagnose(cfg, outdir):
     base = _resolve_model(cfg["base_model"])
     alt = _resolve_model(cfg["alt_model"])
     N = cfg["N"]
+    # truncations above N are dropped, so the default list serves any N
     truncations = [t for t in cfg["truncations"] if t <= N]
-    if not truncations:
-        raise ConfigError(f"all truncations exceed N={N}")
+    dropped = [t for t in cfg["truncations"] if t > N]
+    if dropped and len(truncations) < 2:
+        raise ConfigError(
+            f"need at least two truncations to classify growth; dropped "
+            f"{dropped} above N={N}, leaving {truncations}"
+        )
     basis = build_basis(int(N), 1, DIRICHLET)
     ops_base = assemble_aL(basis, base.a, base.kappa2)
     ops_alt = assemble_aL(basis, alt.a, alt.kappa2)
@@ -678,7 +683,8 @@ def run_diagnose(cfg, outdir):
     write_eigenvalues_csv(eig_base_path, dec_base.eigenvalues)
     write_eigenvalues_csv(eig_alt_path, dec_alt.eigenvalues)
     artifacts = [csv_path, json_path, eig_base_path, eig_alt_path]
-    return artifacts, [f"diagnose: classification = {report.classification}"]
+    lines = [f"diagnose: dropped truncations {dropped} above N={N}"] if dropped else []
+    return artifacts, lines + [f"diagnose: classification = {report.classification}"]
 
 
 def run_verdict(cfg, outdir):

@@ -33,13 +33,17 @@ T + c^(2g) I and the Cameron-Martin matrices are Gram products B B'
 of a scaled cross Gram matrix B = Lam^(-b) W Lam~^(b) (b = g for T),
 each formed by one symmetric rank-k update (``_gram``); their spectra
 come from symmetric eigensolves, and no routine here runs an SVD.
+At matched exponents (b = g) they are one matrix shifted by
+s = c^(2g): ``hs_curve`` keeps each block's spectrum of T on the pair,
+and ``cm_equivalence_constants`` reads its constants off that spectrum
+plus s instead of forming and eigensolving the Gram block again.
 
 The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -72,11 +76,21 @@ __all__ = [
 @dataclass(frozen=True)
 class OperatorPair:
     """Two spectral decompositions on a common mass matrix, plus their
-    cross Gram matrix W = V_base' M V_alt (orthogonal up to roundoff)."""
+    cross Gram matrix W = V_base' M V_alt (orthogonal up to roundoff).
+
+    A pair is immutable once built: its decompositions and W are never
+    changed in place, so spectra computed from them stay valid for the
+    pair's lifetime. ``hs_curve`` stores the ascending eigenvalues of
+    each leading block of T, with the shift s = c^(2g), keyed by
+    (g, truncation); ``cm_equivalence_constants`` reads them back.
+    """
 
     base: object
     alt: object
     W: np.ndarray
+    _defect_spectra: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def cross_gram(dec_base, dec_alt, M_band):
@@ -192,6 +206,9 @@ def hs_curve(pair, gamma, c, truncations):
     Classification precedence: Frobenius saturation is checked first
     (HS_stable), then a persistently flat singular-value profile
     (non_compact); everything else is compact_like.
+
+    Each block's ascending eigenvalues are kept on the pair, keyed by
+    (gamma, truncation), for ``cm_equivalence_constants`` at beta = gamma.
     """
     truncs = tuple(int(t) for t in truncations)
     n = pair.W.shape[0]
@@ -205,11 +222,14 @@ def hs_curve(pair, gamma, c, truncations):
         raise ParameterError(f"largest truncation {truncs[-1]} exceeds pencil size {n}")
 
     T = t_operator(pair, gamma, c)
+    shift = c ** (2.0 * float(gamma))
     fro, opn, smin, smax, tail = [], [], [], [], []
     for t in truncs:
         # T is exactly symmetric (t_operator mirrors one triangle), so its
         # singular values are its absolute eigenvalues, found without an SVD
-        sv = np.sort(np.abs(scipy.linalg.eigvalsh(T[:t, :t])))[::-1]
+        ev = scipy.linalg.eigvalsh(T[:t, :t])
+        pair._defect_spectra[float(gamma), t] = (ev, shift)
+        sv = np.sort(np.abs(ev))[::-1]
         fro.append(float(np.sqrt(np.sum(sv * sv))))
         opn.append(float(sv[0]))
         smin.append(float(sv[-1]))
@@ -256,6 +276,14 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     The Gram matrix is positive semidefinite, and a lower constant that
     roundoff pushes below zero is returned as 0.
 
+    After ``hs_curve(pair, beta, c, ...)`` covered this truncation, the
+    block is T + c^(2b) I, and the constants are the extreme eigenvalues
+    of T shifted by s = c^(2b), with no Gram product or eigensolve.
+    Read that way they err by a few units of roundoff times max(hi, s),
+    so the stored spectrum is used only when s <= hi, where this is the
+    same accuracy as above; otherwise the block is formed and
+    eigensolved as above.
+
     Caution: at high beta the constants at truncations near the full dof
     count reflect the top of the *discrete* spectrum, whose eigenpairs
     are poor approximations of the continuum ones; read only truncations
@@ -267,8 +295,15 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     t = n if truncation is None else int(truncation)
     if not 2 <= t <= n:
         raise ParameterError(f"truncation must lie in [2, {n}], got {t}")
-    ev = scipy.linalg.eigvalsh(_gram(pair, beta, t), lower=False, overwrite_a=True)
-    return max(float(ev[0]), 0.0), float(ev[-1])
+    stored = pair._defect_spectra.get((float(beta), t))
+    # a negative top eigenvalue of T means s > hi, where reading through
+    # the shift would cost accuracy relative to hi
+    if stored is not None and stored[0][-1] >= 0.0:
+        ev, shift = stored
+    else:
+        ev = scipy.linalg.eigvalsh(_gram(pair, beta, t), lower=False, overwrite_a=True)
+        shift = 0.0
+    return max(float(ev[0] + shift), 0.0), float(ev[-1] + shift)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import wmlab.cli
+import wmlab.diagnostics
 from wmlab.cli import main
 from wmlab.matio import read_matrix
 
@@ -179,6 +181,55 @@ def test_diagnose_truncations_beyond_dofs_rejected(tmp_path, capsys):
         "out": str(tmp_path / "o"),
     }
     assert _run(tmp_path, "diagnose", payload) == 2
+
+
+def _diagnose_payload(tmp_path, truncations, **extra):
+    return {
+        "base_model": {"name": "base41", "beta": 1},
+        "alt_model": {"name": "model2_41", "beta": 1},
+        "N": 100,
+        "truncations": truncations,
+        "out": str(tmp_path / "o"),
+        **extra,
+    }
+
+
+def test_diagnose_names_dropped_truncations(tmp_path, capsys):
+    assert _run(tmp_path, "diagnose", _diagnose_payload(tmp_path, [25, 50, 400])) == 0
+    assert "diagnose: dropped truncations [400] above N=100" in capsys.readouterr().out
+    rows = open(tmp_path / "o" / "diagnose.csv").read().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["25", "50"]
+
+
+def test_diagnose_too_few_truncations_names_the_dropped_ones(tmp_path, capsys):
+    assert _run(tmp_path, "diagnose", _diagnose_payload(tmp_path, [25, 400])) == 2
+    err = capsys.readouterr().err
+    assert "need at least two truncations" in err and "dropped [400] above N=100" in err
+
+
+@pytest.mark.parametrize("gamma, solves, grams", [(1.0, 3, 1), (0.5, 6, 4)])
+def test_diagnose_eigensolves_each_block_once_at_matched_exponents(
+    tmp_path, monkeypatch, gamma, solves, grams
+):
+    # gamma == cm_beta: the constants come off hs_curve's spectra; otherwise
+    # each truncation forms and eigensolves its own Gram block
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted("eigvalsh", scipy.linalg.eigvalsh))
+    monkeypatch.setattr(
+        wmlab.diagnostics, "_gram", counted("_gram", wmlab.diagnostics._gram)
+    )
+    payload = _diagnose_payload(tmp_path, [25, 50, 100], gamma=gamma, cm_beta=1.0)
+    assert _run(tmp_path, "diagnose", payload) == 0
+    assert calls.count("eigvalsh") == solves
+    assert calls.count("_gram") == grams
 
 
 def test_verdict_model_pair_branch(tmp_path):

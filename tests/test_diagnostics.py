@@ -8,7 +8,9 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+import wmlab.diagnostics
 from wmlab.diagnostics import (
+    OperatorPair,
     VerdictInput,
     cm_equivalence_constants,
     cross_gram,
@@ -32,7 +34,7 @@ def _diag_pair(lam, lam_alt, W=None):
     lam = np.asarray(lam, dtype=np.float64)
     lam_alt = np.asarray(lam_alt, dtype=np.float64)
     W = np.eye(lam.shape[0]) if W is None else W
-    return SimpleNamespace(
+    return OperatorPair(
         base=SimpleNamespace(eigenvalues=lam),
         alt=SimpleNamespace(eigenvalues=lam_alt),
         W=W,
@@ -218,6 +220,55 @@ def test_cm_constants_match_svd_oracle(fem_pair_200, beta, t):
     assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0.0)
     # the eigensolve of the Gram matrix resolves lo to roundoff relative to hi
     assert abs(lo - lo_ref) <= 1e-12 * hi_ref
+
+
+def _fresh(pair):
+    """The same decompositions and W in a pair with no stored spectra."""
+    return OperatorPair(base=pair.base, alt=pair.alt, W=pair.W)
+
+
+def _forbid_gram(*args):
+    raise AssertionError("constants were not read off the stored defect spectrum")
+
+
+@pytest.mark.parametrize("gamma, c", [(0.5, 1.0), (1.0, 1.0), (1.5, 1.3)])
+def test_cm_constants_read_after_hs_curve_match_svd_oracle(fem_pair_200, monkeypatch, gamma, c):
+    pair = _fresh(fem_pair_200)
+    truncs = (50, 100, 200)
+    hs_curve(pair, gamma, c, truncs)
+    monkeypatch.setattr(wmlab.diagnostics, "_gram", _forbid_gram)
+    for t in truncs:
+        lo, hi = cm_equivalence_constants(pair, gamma, truncation=t)
+        lo_ref, hi_ref = _svd_cm_oracle(pair, gamma, t)
+        assert 0.0 <= lo <= hi
+        assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0.0)
+        assert abs(lo - lo_ref) <= 1e-12 * hi_ref
+
+
+def test_stored_spectrum_keeps_beta_validation(fem_pair_200):
+    # hs_curve accepts gamma = 1/4, the constants do not
+    pair = _fresh(fem_pair_200)
+    hs_curve(pair, 0.25, 1.3, (50, 100))
+    with pytest.raises(ParameterError):
+        cm_equivalence_constants(pair, 0.25, truncation=50)
+
+
+def test_cm_constants_recomputed_when_shift_exceeds_upper_constant(fem_pair_200):
+    # s = c^2 = 1e4 lies far above hi, so T's spectrum is all negative
+    pair = _fresh(fem_pair_200)
+    truncs = (50, 100, 200)
+    hs_curve(pair, 1.0, 100.0, truncs)
+    for t in truncs:
+        got = cm_equivalence_constants(pair, 1.0, truncation=t)
+        assert got == cm_equivalence_constants(_fresh(fem_pair_200), 1.0, truncation=t)
+
+
+def test_hs_curve_unchanged_by_prior_cm_constants(fem_pair_200):
+    truncs = (50, 100, 200)
+    pair = _fresh(fem_pair_200)
+    for t in truncs:
+        cm_equivalence_constants(pair, 1.0, truncation=t)
+    assert hs_curve(pair, 1.0, 1.0, truncs) == hs_curve(_fresh(fem_pair_200), 1.0, 1.0, truncs)
 
 
 def test_cm_constants_validation():
