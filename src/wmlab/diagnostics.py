@@ -129,22 +129,27 @@ def _gram(pair, b, t):
     return scipy.linalg.blas.dsyrk(1.0, B)
 
 
-def t_operator(pair, gamma, c):
+def t_operator(pair, gamma, c, truncation=None):
     """Defect matrix Lam^(-g) W Lam~^(2g) W' Lam^(-g) - c^(2g) I.
 
     Expressed in the eigenbasis of the base operator; gamma is the
     fractional comparison order and c the candidate proportionality
     constant between the operators. Formed as the Gram matrix B B' of
     B = Lam^(-g) W Lam~^(g) minus c^(2g) I, so it is exactly symmetric.
+    With ``truncation`` t only the leading t x t block is formed, from
+    the first t rows of B.
     """
     if not c > 0.0:
         raise ParameterError(f"c must be positive, got {c}")
     gamma = float(gamma)
     n = pair.W.shape[0]
-    T = _gram(pair, gamma, n)
+    t = n if truncation is None else int(truncation)
+    if not 1 <= t <= n:
+        raise ParameterError(f"truncation must lie in [1, {n}], got {t}")
+    T = _gram(pair, gamma, t)
     T[np.diag_indices_from(T)] -= c ** (2.0 * gamma)
-    # mirror the upper triangle one row at a time, with no n x n temporary
-    for i in range(1, n):
+    # mirror the upper triangle one row at a time, with no t x t temporary
+    for i in range(1, t):
         T[i, :i] = T[:i, i]
     return T
 
@@ -207,8 +212,10 @@ def hs_curve(pair, gamma, c, truncations):
     (HS_stable), then a persistently flat singular-value profile
     (non_compact); everything else is compact_like.
 
-    Each block's ascending eigenvalues are kept on the pair, keyed by
-    (gamma, truncation), for ``cm_equivalence_constants`` at beta = gamma.
+    Only the leading block of T that the largest truncation needs is
+    formed. Each block's ascending eigenvalues are kept on the pair, keyed
+    by (gamma, truncation), for ``cm_equivalence_constants`` at
+    beta = gamma.
     """
     truncs = tuple(int(t) for t in truncations)
     n = pair.W.shape[0]
@@ -221,7 +228,7 @@ def hs_curve(pair, gamma, c, truncations):
     if truncs[-1] > n:
         raise ParameterError(f"largest truncation {truncs[-1]} exceeds pencil size {n}")
 
-    T = t_operator(pair, gamma, c)
+    T = t_operator(pair, gamma, c, truncs[-1])
     shift = c ** (2.0 * float(gamma))
     fro, opn, smin, smax, tail = [], [], [], [], []
     for t in truncs:

@@ -49,9 +49,8 @@ entries past the matrix (``band[k, n-k:]``) are zero. Since the band
 keeps only the lower triangle, assembly refuses a per-element matrix
 that is not symmetric to 1e-12 of its scale (AssemblyIntegrityError).
 ``dense`` expands a band into the full matrix; only the dense
-eigensolver (pencils wider than tridiagonal, or above the banded
-eigensolver's order cut-off) and the tests need it. ``band_matmul``
-multiplies by a band.
+eigensolver (pencils wider than tridiagonal) and the tests need it.
+``band_matmul`` multiplies by a band.
 """
 
 import functools
@@ -242,8 +241,7 @@ def dense(band):
     """The symmetric matrix held as a lower band (``band[k, j] = A[j+k, j]``).
 
     For the dense eigensolver, which ``spectral.generalized_eig`` uses
-    for pencils wider than tridiagonal or above its order cut-off, and
-    for the tests; every other consumer reads the band. The result is
+    for pencils wider than tridiagonal, and for the tests; every other consumer reads the band. The result is
     Fortran-ordered, so LAPACK can work on it in place.
     """
     n = band.shape[1]

@@ -17,12 +17,13 @@ as (p+1, N) lower bands (see :mod:`wmlab.fem1d`) and factored as stored
 by banded Cholesky, so F X costs O(N p s) per column. The spectral route,
 left to genuinely fractional beta, diagonalizes the (K, M) pencil,
 F = tau V Lambda^(-beta).
-A tridiagonal pencil (piecewise-linear basis) of order up to
-BANDED_EIG_MAX_N is diagonalized as stored by LAPACK dsbgvd; any other
-pencil is expanded into dense matrices for a dense eigensolve, the one
-place the bands are expanded. Agreement of the two routes is a strong
-end-to-end check and is part of the test suite; library code never
-substitutes one for the other.
+A tridiagonal pencil (piecewise-linear basis), of any order, is
+diagonalized as stored: eigenvalues by LAPACK dsbgvd without vectors,
+eigenvectors by inverse iteration on the tridiagonal K - sigma M, in
+O(N^2) time. Wider pencils are expanded into dense matrices for a dense
+eigensolve, the one place the bands are expanded. Agreement of the two
+routes is a strong end-to-end check and is part of the test suite;
+library code never substitutes one for the other.
 
 For fractional powers of a single SPD matrix an exponentially convergent
 sinc quadrature of the Balakrishnan integral
@@ -77,15 +78,29 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-# Largest order of a tridiagonal (bandwidth 1) pencil that generalized_eig
-# solves as stored with LAPACK dsbgvd. dsbgvd's time over the dense
-# eigh's, piecewise-linear pencils, 2-core Xeon VM, 2 BLAS threads:
-# 0.60 at N = 300, 0.55 at 1200, 0.68 at 1600, 0.78-0.79 at 2000,
-# 0.88-0.91 at 2400, 0.91 at 2800; dsbgst's level-1 update of the
-# eigenvector matrix costs O(N^3) without level-3 BLAS. Wider pencils
-# stay dense: at N = 1200 dsbgvd took 1.8x (bandwidth 2) and 2.6x
-# (bandwidth 3) the dense time.
-BANDED_EIG_MAX_N = 2000
+# Tridiagonal (bandwidth 1) pencils are diagonalized in band storage:
+# LAPACK dsbgvd without vectors for the eigenvalues (3N of work), then
+# inverse iteration on K - sigma_j M for each vector. dsbgvd's own
+# vectors cost O(N^3), since its reduction updates an N x N
+# transformation with level-1 BLAS, and a 1 + 5N + 2N^2 workspace.
+# generalized_eig on builtin piecewise-linear pencils, 2-core Xeon VM,
+# 2 BLAS threads: 0.25 s at N = 1200 and 0.69-0.92 s at N = 2000, where
+# the same steps with dsbgvd's vectors took 0.41-0.74 s and 2.2-3.1 s;
+# 3.9 s at N = 4000, 1.1 s of it for the vectors and 2.4 s for the
+# Rayleigh quotients and the M-orthonormality check, where the dense
+# eigh took 15.0 s. Wider pencils stay dense: at N = 1200 dsbgvd took
+# 1.8x (bandwidth 2) and 2.6x (bandwidth 3) the dense time.
+#
+# A vector computed by inverse iteration errs toward the eigenvector of
+# eigenvalue lambda_i by about eps lambda_max / |lambda_j - lambda_i|
+# (Ipsen, SIAM Review 1997). Each vector is therefore M-orthogonalized
+# against its predecessors within _CLOSE_GAP lambda_max of its eigenvalue,
+# as LAPACK dstein does within clusters; its threshold of 1e-3 of the
+# norm would make one cluster of most of a discretized spectrum. At
+# N = 1200 that touches at most 16 predecessors of 95-150 vectors, at the
+# two ends of the spectrum, and takes the M-orthonormality defect from
+# 1.4-2.9e-12 to at most 4.3e-13; at N = 4000 it is 7.5e-13.
+_CLOSE_GAP = 1e-4
 
 _LAPACK_DOUBLE = "__pyx_t_5scipy_6linalg_13cython_lapack_d"
 # dsbgvd(jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work,
@@ -122,32 +137,31 @@ def _lapack_routine(name, signature):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(",") + 1))(address)
 
 
-def _dsbgvd_eigenvectors(K_band, M_band):
-    """M-orthonormal eigenvectors of the pencil held as lower bands, by
-    ascending eigenvalue, from LAPACK dsbgvd.
+def _dsbgvd_eigenvalues(K_band, M_band):
+    """Ascending eigenvalues of the pencil held as lower bands, from LAPACK
+    dsbgvd without vectors.
 
     dsbgvd reduces the pencil to a standard tridiagonal problem without
     leaving band storage (split Cholesky factor of M, band-preserving
-    congruence) and solves that by divide and conquer. It overwrites its
-    bands, so they are copied, Fortran-ordered.
+    congruence) and solves that. It overwrites its bands, so they are
+    copied, Fortran-ordered.
     """
     n = K_band.shape[1]
     ka, kb = K_band.shape[0] - 1, M_band.shape[0] - 1
     ab = np.array(K_band, order="F")
     bb = np.array(M_band, order="F")
     lam = np.empty(n)
-    vec = np.empty((n, n), order="F")
-    work = np.empty(1 + 5 * n + 2 * n * n)
-    iwork = np.empty(3 + 5 * n, dtype=np.intc)
+    unused = np.empty(1)  # z and iwork, not referenced without vectors
+    work = np.empty(3 * n)
     info = ctypes.c_int(0)
 
     def integer(value):
         return ctypes.byref(ctypes.c_int(value))
 
     _lapack_routine("dsbgvd", _DSBGVD_SIGNATURE)(
-        b"V", b"L", integer(n), integer(ka), integer(kb), ab.ctypes.data, integer(ka + 1),
-        bb.ctypes.data, integer(kb + 1), lam.ctypes.data, vec.ctypes.data, integer(n),
-        work.ctypes.data, integer(work.size), iwork.ctypes.data, integer(iwork.size),
+        b"N", b"L", integer(n), integer(ka), integer(kb), ab.ctypes.data, integer(ka + 1),
+        bb.ctypes.data, integer(kb + 1), lam.ctypes.data, unused.ctypes.data, integer(1),
+        work.ctypes.data, integer(work.size), unused.ctypes.data, integer(1),
         ctypes.byref(info),
     )
     if info.value > n:
@@ -159,35 +173,86 @@ def _dsbgvd_eigenvectors(K_band, M_band):
         raise AssemblyIntegrityError(
             f"generalized eigensolve failed: dsbgvd did not converge (info {info.value})"
         )
+    return lam
+
+
+def _tridiagonal_eigenvectors(K_band, M_band, lam):
+    """Eigenvectors of the tridiagonal pencil held as lower bands, one
+    column per eigenvalue in ``lam`` (ascending), by inverse iteration.
+
+    For each lambda_j, K - sigma M with sigma = lambda_j (1 + 1e-14), just
+    above lambda_j so that it is never exactly singular, is factored once
+    by LAPACK dgttrf (LU with partial pivoting), and two steps
+    x <- (K - sigma M)^-1 M x are taken from a fixed start vector.
+    The vector is then M-orthogonalized against its predecessors within
+    _CLOSE_GAP lambda_max, which are M-normalized for that; the other
+    columns are left unnormalized.
+    """
+    n = K_band.shape[1]
+    k0, k1 = K_band[0], K_band[1, :-1]
+    m0, m1 = M_band[0], M_band[1, :-1]
+    # a fixed pseudo-random start has a component along every eigenvector,
+    # where a symmetric one misses the antisymmetric modes of a symmetric
+    # pencil
+    start = band_matmul(M_band, np.random.default_rng(0).uniform(-1.0, 1.0, n))
+    # first close predecessor of each vector, and whether the next vector
+    # counts it among its close predecessors
+    first = np.searchsorted(lam, lam - _CLOSE_GAP * lam[-1])
+    neighbour = np.append(first[1:] < np.arange(1, n), False)
+    gttrf, gttrs = scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs
+    dgemv, ddot = scipy.linalg.blas.dgemv, scipy.linalg.blas.ddot
+    vec = np.empty((n, n), order="F")
+    for j in range(n):
+        sigma = lam[j] * (1.0 + 1e-14)
+        sub = k1 - sigma * m1
+        lu = gttrf(sub, k0 - sigma * m0, sub.copy(),
+                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)[:5]
+        x = gttrs(*lu, start)[0]
+        x = gttrs(*lu, band_matmul(M_band, x), overwrite_b=1)[0]
+        if first[j] < j:
+            close = vec[:, first[j]:j]
+            coef = dgemv(1.0, close, band_matmul(M_band, x), trans=1)
+            x = dgemv(-1.0, close, coef, beta=1.0, y=x, overwrite_y=1)
+        if neighbour[j]:
+            x /= math.sqrt(ddot(x, band_matmul(M_band, x)))
+        vec[:, j] = x
     return vec
 
 
 def generalized_eig(ops):
     """All eigenpairs of the assembled pencil, ascending and M-orthonormal.
 
-    A tridiagonal pencil (``ops.bandwidth`` 1) of order at most
-    BANDED_EIG_MAX_N is solved as stored by LAPACK dsbgvd, and each
-    eigenvalue is taken as the Rayleigh quotient of its vector. Any other
+    A tridiagonal pencil (``ops.bandwidth`` 1), of any order, is solved
+    as stored: eigenvalues by LAPACK dsbgvd without vectors, vectors by
+    inverse iteration with one tridiagonal LU factorization per
+    eigenvalue (``_tridiagonal_eigenvectors``), and each eigenvalue is
+    then taken as the Rayleigh quotient of its vector. Any other pencil
     goes to the dense symmetric-definite solver (Cholesky reduction of M
     followed by a standard symmetric eigensolve) on dense copies of the
     bands, which LAPACK overwrites. Raises AssemblyIntegrityError if M is
     not positive definite, the solver fails, or any eigenvalue is
     nonpositive, and NumericalIntegrityError if the returned vectors fail
-    the M-orthonormality tolerance.
+    the M-orthonormality tolerance or are not finite.
     """
-    if ops.bandwidth == 1 and ops.K_band.shape[1] <= BANDED_EIG_MAX_N:
-        vec = _dsbgvd_eigenvectors(ops.K_band, ops.M_band)
+    if ops.bandwidth == 1:
+        vec = _tridiagonal_eigenvectors(
+            ops.K_band, ops.M_band, _dsbgvd_eigenvalues(ops.K_band, ops.M_band)
+        )
         # dsbgvd's eigenvalues err by about eps * lambda_max, which at the
         # low end of a wide spectrum is coarse: 1.3e-10 relative for the
         # lowest at N = 1200 with constant coefficients 1 and 25, where the
-        # dense solver errs by 7e-12. The Rayleigh quotients of its vectors
-        # err by 1.6e-11 there, and agree with the dense eigenvalues to
-        # 1.4e-12 on the builtin "41" pencils up to N = 2000.
-        # K V is dropped before M V is formed; M V serves both the
-        # denominators and the orthonormality check
+        # dense solver errs by 7e-12. The Rayleigh quotients of the
+        # vectors agree with the dense eigenvalues to 9e-12 there and to
+        # 5.5e-13 on the builtin "41" pencils.
+        # K V is dropped before M V is formed; M V serves the denominators,
+        # the M-normalization and the orthonormality check
         numerators = np.einsum("ij,ij->j", vec, band_matmul(ops.K_band, vec))
         MV = band_matmul(ops.M_band, vec)
-        lam = numerators / np.einsum("ij,ij->j", vec, MV)
+        norms = np.einsum("ij,ij->j", vec, MV)
+        lam = numerators / norms
+        scale = 1.0 / np.sqrt(norms)
+        vec *= scale
+        MV *= scale
     else:
         try:
             lam, vec = scipy.linalg.eigh(
@@ -201,7 +266,8 @@ def generalized_eig(ops):
             f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
         )
     err = _identity_defect(scipy.linalg.blas.dgemm(1.0, vec, MV, trans_a=1))
-    if err > 1e-8:
+    # written so that a NaN defect fails too
+    if not err <= 1e-8:
         raise NumericalIntegrityError(
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
         )

@@ -2,9 +2,10 @@
 
 The oracle is ``generalized_eig`` as the package computed it before
 tridiagonal pencils were solved in band storage: both bands expanded and
-passed to the dense symmetric-definite ``scipy.linalg.eigh``. The error
-paths of both solvers and the LAPACK capsule binding are checked here
-too.
+passed to the dense symmetric-definite ``scipy.linalg.eigh``. Above the
+sizes where that is cheap, the constant-coefficient pencil's exact
+discrete eigenpairs are the oracle. The error paths of both solvers and
+the LAPACK capsule binding are checked here too.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import scipy.linalg
 
 import wmlab.cli
 from wmlab import spectral
-from wmlab.errors import AssemblyIntegrityError
+from wmlab.errors import AssemblyIntegrityError, NumericalIntegrityError
 from wmlab.fem1d import DIRICHLET, assemble_a2, assemble_aL, band_matmul, build_basis, dense
 from wmlab.model_config import CoefficientField, builtin_model
 from wmlab.spectral import SpectralDecomposition, generalized_eig
@@ -42,7 +43,7 @@ def _pencil(name, N):
 @pytest.mark.parametrize("name", ["base41", "model1_41", "model2_41", "constant"])
 def test_banded_eigenpairs_match_dense_oracle(name, N):
     ops = _pencil(name, N)
-    assert ops.bandwidth == 1 and N <= spectral.BANDED_EIG_MAX_N
+    assert ops.bandwidth == 1
     dec = generalized_eig(ops)
     ref = dense_eig(ops)
     np.testing.assert_allclose(dec.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0.0)
@@ -120,22 +121,72 @@ def test_nonpositive_eigenvalue_raises(make):
         generalized_eig(dataclasses.replace(ops, K_band=K_band))
 
 
-def test_tridiagonal_pencil_above_cutoff_takes_dense_path(monkeypatch):
-    ops = _pencil("constant", 40)
+def _count_dense_calls(monkeypatch):
     calls = []
     monkeypatch.setattr(spectral, "dense", lambda band: calls.append(band) or dense(band))
+    return calls
+
+
+@pytest.mark.parametrize("order,N", [(1, 2001), (2, 40), (3, 40)])
+def test_only_wider_pencils_take_dense_path(monkeypatch, order, N):
+    # no size cut-off: a tridiagonal pencil of any order N stays banded,
+    # including above the 2000 where it once went dense
+    one = CoefficientField("constant", (1.0,))
+    ops = assemble_aL(build_basis(N, order, DIRICHLET), one, one)
+    assert ops.bandwidth == order
+    calls = _count_dense_calls(monkeypatch)
     generalized_eig(ops)
-    assert calls == []
-    monkeypatch.setattr(spectral, "BANDED_EIG_MAX_N", 39)
+    assert len(calls) == (0 if order == 1 else 2)
+
+
+@pytest.mark.parametrize("bad", [lambda n: np.linspace(1.0, 2.0, n), lambda n: np.full(n, np.nan)],
+                         ids=["collapsed", "nan"])
+def test_corrupted_eigenvectors_raise(monkeypatch, bad):
+    # from the 10th solve on, every shift returns the same vector, so the
+    # columns from the 5th on collapse onto one direction or are NaN
+    real = scipy.linalg.lapack.dgttrs
+    calls = []
+
+    def stuck(*args, **kwargs):
+        calls.append(None)
+        if len(calls) < 10:
+            return real(*args, **kwargs)
+        return bad(args[1].size), 0
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", stuck)
+    with pytest.raises(NumericalIntegrityError, match="lost M-orthonormality"):
+        generalized_eig(_pencil("constant", 40))
+
+
+def test_banded_eigenpairs_match_exact_pencil_above_old_cutoff():
+    # a = 1, kappa^2 = 25 on hat functions of width h = 1/(N+1): the
+    # pencil's eigenvectors are sin(k pi i h), i = 1..N, with eigenvalues
+    # (6/h^2)(1 - cos k pi h)/(2 + cos k pi h) + 25. The dense eigh
+    # matches these to 2.2e-13 (eigenvalues) and 5.3e-13 (vectors) at
+    # N = 50. At N = 2500 its vectors differ from them by the same 4.8e-9
+    # as the banded ones, at the top of the spectrum, so that difference
+    # is the assembled pencil's, not the solver's
+    N = 2500
+    ops = _pencil("constant", N)
     dec = generalized_eig(ops)
-    assert len(calls) == 2
-    np.testing.assert_allclose(dec.eigenvalues, dense_eig(ops).eigenvalues, rtol=0.0, atol=0.0)
+    h = 1.0 / (N + 1)
+    theta = np.arange(1, N + 1) * np.pi * h
+    lam = 6.0 / h**2 * (1.0 - np.cos(theta)) / (2.0 + np.cos(theta)) + 25.0
+    np.testing.assert_allclose(dec.eigenvalues, lam, rtol=1e-10, atol=0.0)
+    # M-normalized: v' M v = c^2 (2 + cos theta) / 6 for v = c sin(k pi i h)
+    exact = np.sin(np.outer(np.arange(1, N + 1), theta)) * np.sqrt(6.0 / (2.0 + np.cos(theta)))
+    V = dec.eigenvectors
+    sign = np.where(np.einsum("ij,ij->j", V, exact) < 0.0, -1.0, 1.0)
+    assert np.max(np.abs(V * sign - exact)) <= 1e-8
+    gram = scipy.linalg.blas.dgemm(1.0, V, band_matmul(ops.M_band, V), trans_a=1)
+    gram[np.diag_indices(N)] -= 1.0
+    assert np.max(np.abs(gram)) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_fractional_beta_pencil_has_the_basis_order_bandwidth(monkeypatch, order):
     # non-integer beta assembles a_L on the model's own basis, so only
-    # basis_order 1 gives a tridiagonal pencil for dsbgvd; half-integer
+    # basis_order 1 gives a tridiagonal pencil, solved banded; half-integer
     # beta factors that pencil directly, any other beta diagonalizes it
     from wmlab.kriging import _model_basis, _model_operators
     from wmlab.model_config import ModelSpec
@@ -146,8 +197,7 @@ def test_fractional_beta_pencil_has_the_basis_order_bandwidth(monkeypatch, order
         ops, direct = _model_operators(model, _model_basis(model, 40))
         assert direct == route and ops.form_order == "a_L"
         assert ops.bandwidth == order
-    calls = []
-    monkeypatch.setattr(spectral, "dense", lambda band: calls.append(band) or dense(band))
+    calls = _count_dense_calls(monkeypatch)
     generalized_eig(ops)
     assert len(calls) == (0 if order == 1 else 2)
 

@@ -435,12 +435,12 @@ def test_point_figure_memory_is_linear_in_N(tmp_path):
 
 
 def test_figures_never_expand_a_band(tmp_path, monkeypatch):
-    # only the dense eigensolver may call dense(), and below the banded
-    # eigensolver's cut-off it never sees a tridiagonal pencil: no command
-    # expands the band of a piecewise-linear pencil, and integer-beta
-    # figures and samples never reach an eigensolver; a half-integer beta
-    # (1.5) samples from the banded factor, a fractional one (1.3) from
-    # dsbgvd's eigenpairs
+    # only the dense eigensolver may call dense(), and it never sees a
+    # tridiagonal pencil: no command expands the band of a
+    # piecewise-linear pencil, and integer-beta figures and samples never
+    # reach an eigensolver; a half-integer beta (1.5) samples from the
+    # banded factor, a fractional one (1.3) from the banded eigenpairs
+    # (dsbgvd's eigenvalues, eigenvectors by inverse iteration)
     import sys
 
     from wmlab import fem1d, kriging, spectral

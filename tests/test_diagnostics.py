@@ -152,6 +152,35 @@ def test_hs_curve_matches_svd_oracle(alt, gamma, c):
     assert rep.classification == expected
 
 
+@pytest.mark.parametrize("gamma, c", [(0.5, 1.0), (1.0, 1.3)])
+def test_hs_curve_forms_only_the_leading_block(monkeypatch, gamma, c):
+    pair = _fem_pair(builtin_model("base41", 1), builtin_model("model2_41", 1))
+    truncs = (15, 30)
+    full = t_operator(pair, gamma, c)
+    npt.assert_allclose(t_operator(pair, gamma, c, truncs[-1]), full[:30, :30],
+                        rtol=0.0, atol=1e-12 * np.max(np.abs(full[:30, :30])))
+    sizes = []
+    real = wmlab.diagnostics._gram
+    monkeypatch.setattr(wmlab.diagnostics, "_gram",
+                        lambda p, b, t: sizes.append(t) or real(p, b, t))
+    rep = hs_curve(pair, gamma, c, truncs)
+    assert sizes == [truncs[-1]]
+    for i, t in enumerate(truncs):
+        ev = scipy.linalg.eigvalsh(full[:t, :t])
+        npt.assert_allclose(pair._defect_spectra[float(gamma), t][0], ev,
+                            rtol=0.0, atol=1e-12 * np.max(np.abs(ev)))
+        sv = np.sort(np.abs(ev))
+        npt.assert_allclose([rep.frobenius[i], rep.opnorm[i]],
+                            [np.sqrt(np.sum(sv * sv)), sv[-1]], rtol=1e-12, atol=0.0)
+
+
+def test_t_operator_rejects_a_truncation_outside_the_pencil():
+    pair = _diag_pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    for t in (0, 4):
+        with pytest.raises(ParameterError, match="truncation"):
+            t_operator(pair, 1.0, 1.0, t)
+
+
 def test_hs_curve_validates_truncations():
     pair = _diag_pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ParameterError):
