@@ -151,7 +151,7 @@ def _dsbgvd_eigenvalues(K_band, M_band):
     ab = np.array(K_band, order="F")
     bb = np.array(M_band, order="F")
     lam = np.empty(n)
-    unused = np.empty(1)  # z and iwork, not referenced without vectors
+    unused = np.empty(1)  # z and iwork; without vectors only iwork(1) is set
     work = np.empty(3 * n)
     info = ctypes.c_int(0)
 

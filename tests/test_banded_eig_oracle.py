@@ -165,7 +165,9 @@ def test_banded_eigenpairs_match_exact_pencil_above_old_cutoff():
     # matches these to 2.2e-13 (eigenvalues) and 5.3e-13 (vectors) at
     # N = 50. At N = 2500 its vectors differ from them by the same 4.8e-9
     # as the banded ones, at the top of the spectrum, so that difference
-    # is the assembled pencil's, not the solver's
+    # is the assembled pencil's, not the solver's: its entries differ from
+    # the exact ones by up to 4.4e-13 relative, and the top relative gaps
+    # are near 1e-6
     N = 2500
     ops = _pencil("constant", N)
     dec = generalized_eig(ops)
