@@ -14,6 +14,9 @@ The package is organized around a small pipeline:
 ``matern``
     modified Bessel functions and the stationary Matern covariance used
     as an analytic cross-check;
+``matio``
+    the WMLABMAT binary matrix format and ``write_csv``, the one writer
+    of every CSV artifact;
 ``kriging``
     prediction error variances under correct and misspecified models,
     efficiency curves for point and integral observation designs;

@@ -5,8 +5,9 @@ strict schema: unknown keys are rejected), applies a few flag overrides
 (--N, --seed, --out, --threads), runs the computation and writes its
 artifacts into the output directory:
 
-* a CSV with the numbers (efficiency curves share one canonical column
-  set; other commands have their own small formats),
+* a CSV with the numbers, written by ``matio.write_csv`` (efficiency
+  curves share one canonical column set; other commands have their own
+  small column sets),
 * a best-effort SVG chart where a curve makes sense,
 * a ``manifest.json`` recording the effective configuration, which keys
   came from defaults, the package version, wall time and the artifact
@@ -67,8 +68,8 @@ from .kriging import (
     write_curves_csv,
 )
 from .matern import compare_fem_vs_matern
-from .matio import write_eigenvalues_csv, write_matrix
-from .model_config import BUILTIN_MODEL_NAMES, builtin_model, model_from_dict
+from .matio import write_csv, write_eigenvalues_csv, write_matrix
+from .model_config import BUILTIN_MODEL_NAMES, FIELD_KINDS, builtin_model, model_from_dict
 from .spectral import generalized_eig, sample_field
 
 
@@ -82,15 +83,7 @@ class ConfigError(Exception):
 _FIELD_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {
-            "enum": [
-                "constant",
-                "polynomial",
-                "sigmoid_scaled",
-                "sigmoid_reciprocal",
-                "tabulated",
-            ]
-        },
+        "kind": {"enum": list(FIELD_KINDS)},
         "params": {"type": "array", "items": {"type": "number"}, "minItems": 1},
     },
     "required": ["kind", "params"],
@@ -724,11 +717,15 @@ def run_sample(cfg, outdir):
         write_matrix(path, draws)
     else:
         path = os.path.join(outdir, "samples.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("sample,index,weight\n")
-            for j in range(draws.shape[1]):
-                for i in range(draws.shape[0]):
-                    fh.write(f"{j},{i},{repr(float(draws[i, j]))}\n")
+        n, n_samples = draws.shape
+        write_csv(
+            path,
+            {
+                "sample": np.repeat(np.arange(n_samples), n),
+                "index": np.tile(np.arange(n), n_samples),
+                "weight": draws.ravel(order="F"),
+            },
+        )
     return [path], [f"sample: wrote {path}"]
 
 

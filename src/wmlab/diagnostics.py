@@ -42,6 +42,7 @@ The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -55,6 +56,7 @@ from .errors import (
     ParameterError,
 )
 from .fem1d import band_matmul
+from .matio import write_csv
 from .spectral import _identity_defect
 
 __all__ = [
@@ -71,6 +73,11 @@ __all__ = [
     "table1_verdict",
     "verdict_input_from_models",
 ]
+
+
+def _json_dict(fields):
+    """``dataclasses.asdict`` factory: a report's fields, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
 
 
 @dataclass(frozen=True)
@@ -182,26 +189,19 @@ class DiagnosticsReport:
     classification: str
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("truncation,frobenius,opnorm,smin,smax\n")
-            for i, t in enumerate(self.truncations):
-                fh.write(
-                    f"{t},{repr(self.frobenius[i])},{repr(self.opnorm[i])},"
-                    f"{repr(self.smin[i])},{repr(self.smax[i])}\n"
-                )
+        write_csv(
+            path,
+            {
+                "truncation": self.truncations,
+                "frobenius": self.frobenius,
+                "opnorm": self.opnorm,
+                "smin": self.smin,
+                "smax": self.smax,
+            },
+        )
 
     def to_dict(self):
-        return {
-            "gamma": self.gamma,
-            "c": self.c,
-            "truncations": list(self.truncations),
-            "frobenius": list(self.frobenius),
-            "opnorm": list(self.opnorm),
-            "smin": list(self.smin),
-            "smax": list(self.smax),
-            "tail_ratio": list(self.tail_ratio),
-            "classification": self.classification,
-        }
+        return dataclasses.asdict(self, dict_factory=_json_dict)
 
 
 def hs_curve(pair, gamma, c, truncations):
@@ -221,9 +221,9 @@ def hs_curve(pair, gamma, c, truncations):
     n = pair.W.shape[0]
     if len(truncs) < 2:
         raise ParameterError("need at least two truncations to classify growth")
-    if any(t < 2 for t in truncs) or any(
-        truncs[i] >= truncs[i + 1] for i in range(len(truncs) - 1)
-    ):
+    if min(truncs) < 2:
+        raise ParameterError(f"truncations must be at least 2, got {truncs}")
+    if any(truncs[i] >= truncs[i + 1] for i in range(len(truncs) - 1)):
         raise ParameterError(f"truncations must be strictly increasing, got {truncs}")
     if truncs[-1] > n:
         raise ParameterError(f"largest truncation {truncs[-1]} exceeds pencil size {n}")
@@ -434,12 +434,7 @@ class Verdict:
     notes: Tuple[str, ...] = ()
 
     def to_dict(self):
-        return {
-            "cm_isomorphic": self.cm_isomorphic,
-            "measures_equivalent": self.measures_equivalent,
-            "asympt_optimal": self.asympt_optimal,
-            "notes": list(self.notes),
-        }
+        return dataclasses.asdict(self, dict_factory=_json_dict)
 
 
 def _boundary_slope_zero(vin):

@@ -47,7 +47,8 @@ the (p+1, n) array with ``band[k, j] = A[j + k, j]`` that LAPACK
 ``pbtrf`` (``scipy.linalg.cholesky_banded(..., lower=True)``) takes;
 entries past the matrix (``band[k, n-k:]``) are zero. Since the band
 keeps only the lower triangle, assembly refuses a per-element matrix
-that is not symmetric to 1e-12 of its scale (AssemblyIntegrityError).
+that is not finite or not symmetric to 1e-12 of its scale
+(AssemblyIntegrityError).
 ``dense`` expands a band into the full matrix; only the dense
 eigensolver (pencils wider than tridiagonal) and the tests need it.
 ``band_matmul`` multiplies by a band.
@@ -372,19 +373,20 @@ class AssembledOperators:
     lower bands, ``band[k, j] = A[j + k, j]`` (see the module docstring);
     the shared ``M_band`` is read-only. ``form_order`` records which
     bilinear form K discretizes: "a_L" for the second-order operator
-    itself, "a2"/"a3" for its second/third power. ``bandwidth`` is the
-    spline order p: splines of order p overlap only when their indices
-    differ by at most p, so every entry of K and M with |i - j| > p is
-    exactly zero. The Laplace-zero edge combinations keep that bound: the
-    first kept function combines raw splines 1 and 2, so it meets raw
-    splines up to 2 + p only, which is constrained index p (and mirrored
-    at the right end).
+    itself, "a2"/"a3" for its second/third power.
     """
 
     M_band: np.ndarray
     K_band: np.ndarray
     form_order: str
-    bandwidth: int
+
+    @property
+    def bandwidth(self):
+        """The spline order p: splines of order p overlap only when their
+        indices differ by at most p, and the Laplace-zero edge combinations
+        keep that bound (the first kept function meets raw splines up to
+        2 + p only, constrained index p; mirrored at the right end)."""
+        return self.K_band.shape[0] - 1
 
     @property
     def M(self):
@@ -431,13 +433,18 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
     coefficient at the quadrature points. The form must be symmetric:
     the band keeps only the lower triangle, so AssemblyIntegrityError is
     raised if any per-element matrix is asymmetric beyond 1e-12 of its
-    largest entry.
+    largest entry, or has an entry that is not finite (a coefficient that
+    overflows the element integrals).
     """
     p = basis.order
     B, first = _element_ders(basis, qpts, max(max(d1), max(d2)))
     local = np.zeros((qpts.shape[0], p + 1, p + 1))
     for c, k1, k2 in zip(coeffs, d1, d2):
         local += np.einsum("ieq,jeq->eij", B[k1] * (c * qwts), B[k2])
+    if not np.isfinite(local).all():
+        raise AssemblyIntegrityError(
+            "bilinear form is not finite: a coefficient overflows its element integrals"
+        )
     skew = np.max(np.abs(local - local.transpose(0, 2, 1)), axis=(1, 2))
     scale = np.max(np.abs(local), axis=(1, 2))
     bad = skew > 1e-12 * scale
@@ -456,31 +463,30 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
     return _constrain_band(basis, raw)
 
 
-def mass_matrix(basis, nquad=None):
+def mass_matrix(basis):
     """Constrained mass matrix, exact for the spline products.
 
     Dense and read-only, expanded from the shared band (see
     ``_mass_band``); assembled operators carry the band itself.
     """
-    return _read_only(dense(_mass_band(basis, nquad)))
+    return _read_only(dense(_mass_band(basis)))
 
 
-def _mass_band(basis, nquad=None):
+def _mass_band(basis):
     """Read-only lower band of the mass matrix.
 
     M depends on the basis only through the fields ``build_basis`` takes,
-    so it is built once per (order, n_dof, constraint mode, nquad) and
-    shared between callers.
+    so it is built once per (order, n_dof, constraint mode) and shared
+    between callers.
     """
-    if nquad is None:
-        nquad = basis.order + 1
-    return _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode, int(nquad))
+    return _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode)
 
 
 @functools.lru_cache(maxsize=1)
-def _mass_matrix(order, n_dof, constraint_mode, nquad):
+def _mass_matrix(order, n_dof, constraint_mode):
     basis = build_basis(n_dof, order, constraint_mode)
-    qpts, qwts = _element_quadrature(basis, nquad)
+    # order + 1 Gauss points integrate the degree-2p spline products exactly
+    qpts, qwts = _element_quadrature(basis, order + 1)
     coeffs = np.ones((1,) + qpts.shape)
     return _read_only(_assemble(basis, qpts, qwts, coeffs, [0], [0]))
 
@@ -507,9 +513,7 @@ def assemble_aL(basis, a, kappa2, nquad=None):
         )
     coeffs = np.stack([a_q, k2_q])
     K = _assemble(basis, qpts, qwts, coeffs, [1, 0], [1, 0])
-    return AssembledOperators(
-        M_band=_mass_band(basis), K_band=K, form_order="a_L", bandwidth=basis.order
-    )
+    return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a_L")
 
 
 def _require_unit_diffusion(a, form):
@@ -523,7 +527,7 @@ def _require_unit_diffusion(a, form):
     )
 
 
-def assemble_a2(basis, kappa2, a=None, nquad=None):
+def assemble_a2(basis, kappa2, a=None):
     """Form for the squared operator (kappa2 - Laplacian)^2, unit diffusion.
 
     With g = kappa2 the assembled form is
@@ -535,9 +539,7 @@ def assemble_a2(basis, kappa2, a=None, nquad=None):
     if basis.order < 2:
         raise ParameterError("squared-operator form needs spline order >= 2")
     _require_unit_diffusion(a, "a2")
-    if nquad is None:
-        nquad = basis.order + 5
-    qpts, qwts = _element_quadrature(basis, nquad)
+    qpts, qwts = _element_quadrature(basis, basis.order + 5)
     g = _field_at(kappa2, qpts)
     gp = _field_at(kappa2, qpts, derivative=True)
     if np.min(g) < 0.0:
@@ -546,12 +548,10 @@ def assemble_a2(basis, kappa2, a=None, nquad=None):
     d1 = [0, 1, 0, 1, 2]
     d2 = [0, 1, 1, 0, 2]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return AssembledOperators(
-        M_band=_mass_band(basis), K_band=K, form_order="a2", bandwidth=basis.order
-    )
+    return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a2")
 
 
-def assemble_a3(basis, kappa2, a=None, nquad=None):
+def assemble_a3(basis, kappa2, a=None):
     """Form for the cubed operator (kappa2 - Laplacian)^3, unit diffusion.
 
     Requires order-3 splines with the second-derivative endpoint
@@ -568,9 +568,7 @@ def assemble_a3(basis, kappa2, a=None, nquad=None):
             "second-derivative endpoint constraints"
         )
     _require_unit_diffusion(a, "a3")
-    if nquad is None:
-        nquad = 9
-    qpts, qwts = _element_quadrature(basis, nquad)
+    qpts, qwts = _element_quadrature(basis, 9)
     g = _field_at(kappa2, qpts)
     gp = _field_at(kappa2, qpts, derivative=True)
     if np.min(g) < 0.0:
@@ -595,9 +593,7 @@ def assemble_a3(basis, kappa2, a=None, nquad=None):
     d1 = [0, 0, 1, 1, 2, 0, 2, 3, 0, 3, 1, 3]
     d2 = [0, 1, 0, 1, 0, 2, 2, 0, 3, 1, 3, 3]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return AssembledOperators(
-        M_band=_mass_band(basis), K_band=K, form_order="a3", bandwidth=basis.order
-    )
+    return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a3")
 
 
 def integral_obs_matrix(basis, n_rows, nquad=None):

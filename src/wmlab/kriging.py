@@ -66,6 +66,7 @@ from .fem1d import (
     integral_obs_matrix,
     point_obs_matrix,
 )
+from .matio import write_csv
 from .model_config import _is_integer
 from .spectral import direct_factor, generalized_eig, spectral_factor
 
@@ -178,9 +179,8 @@ def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
     (dtrtri) or a general solve must mask it first; multiplying by an
     unmasked inverse moved fig2's e_max at N = 250 by up to 21x relative.
 
-    ``v_miss`` is returned as v_true + diff; both are None when
-    Sigma_tilde is None. ``cond`` is LAPACK's 1-norm condition estimate
-    (dpocon) of the scaled true block, from its factor.
+    ``v_miss`` is returned as v_true + diff. ``cond`` is LAPACK's 1-norm
+    condition estimate (dpocon) of the scaled true block, from its factor.
     """
     n_values = sorted(n_values)
     m = n_values[-1]
@@ -194,12 +194,11 @@ def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
     L = _chol(S, "true")
     Z = scipy.linalg.solve_triangular(L, Sigma[:m, cols] * cross_scale, lower=True)
     explained = np.zeros(cols.size)  # sum_{i<n} Z[i, t]^2
-    if Sigma_tilde is not None:
-        Lt = _chol(Sigma_tilde[:m, :m] * block_scale, "misspecified")
-        Zt = scipy.linalg.solve_triangular(Lt, Sigma_tilde[:m, cols] * cross_scale, lower=True)
-        # cho_factor leaves the input in L's upper triangle, so it is masked
-        R = scipy.linalg.solve_triangular(Lt, np.tril(L), lower=True)
-        PT = np.zeros((cols.size, m), order="F")  # P', so PT[:, :n] is contiguous
+    Lt = _chol(Sigma_tilde[:m, :m] * block_scale, "misspecified")
+    Zt = scipy.linalg.solve_triangular(Lt, Sigma_tilde[:m, cols] * cross_scale, lower=True)
+    # cho_factor leaves the input in L's upper triangle, so it is masked
+    R = scipy.linalg.solve_triangular(Lt, np.tril(L), lower=True)
+    PT = np.zeros((cols.size, m), order="F")  # P', so PT[:, :n] is contiguous
     prev = 0
     for n, tg in zip(n_values, targets):
         k = np.searchsorted(cols, tg)
@@ -207,15 +206,12 @@ def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
         dt2 = d[tg] ** 2
         att = np.where(dt2 > 0.0, 1.0, 0.0)  # scaled target variances
         v_true = (att - explained[k]) * dt2
-
-        v_miss = diff = None
-        if Sigma_tilde is not None:
-            scipy.linalg.blas.dgemm(
-                1.0, Zt[prev:n], R[prev:n, :n], beta=1.0, c=PT[:, :n], trans_a=1, overwrite_c=1
-            )
-            E = PT[k, :n] - Z[:n, k].T
-            diff = np.sum(E * E, axis=1) * dt2
-            v_miss = v_true + diff
+        scipy.linalg.blas.dgemm(
+            1.0, Zt[prev:n], R[prev:n, :n], beta=1.0, c=PT[:, :n], trans_a=1, overwrite_c=1
+        )
+        E = PT[k, :n] - Z[:n, k].T
+        diff = np.sum(E * E, axis=1) * dt2
+        v_miss = v_true + diff
 
         anorm = np.max(np.sum(np.abs(S[:n, :n]), axis=0))
         rcond, _ = scipy.linalg.lapack.dpocon(L[:n, :n], anorm, uplo="L")
@@ -252,8 +248,8 @@ def _efficiencies(v_true, diff, sigma_tt):
 def _one_target(Sigma, Sigma_tilde, n, target_row):
     """Checked engine run for one n and one 1-based target row.
 
-    Returns (v_true, v_miss, diff, sigma_tt): length-1 arrays (v_miss and
-    diff are None without Sigma_tilde) and the target's prior variance.
+    Returns (v_true, v_miss, diff, sigma_tt): length-1 arrays and the
+    target's prior variance.
     """
     Sigma = np.asarray(Sigma, dtype=np.float64)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
@@ -263,12 +259,9 @@ def _one_target(Sigma, Sigma_tilde, n, target_row):
         raise ParameterError(
             f"need 1 <= n < target_row <= {rows}, got n={n}, target_row={target_row}"
         )
-    if Sigma_tilde is not None:
-        Sigma_tilde = np.asarray(Sigma_tilde, dtype=np.float64)
-        if Sigma_tilde.shape != Sigma.shape:
-            raise ParameterError(
-                f"covariance shapes differ: {Sigma.shape} vs {Sigma_tilde.shape}"
-            )
+    Sigma_tilde = np.asarray(Sigma_tilde, dtype=np.float64)
+    if Sigma_tilde.shape != Sigma.shape:
+        raise ParameterError(f"covariance shapes differ: {Sigma.shape} vs {Sigma_tilde.shape}")
     t = int(target_row) - 1
     ((_, _, v_true, v_miss, diff, _),) = _leading_variances(
         Sigma, Sigma_tilde, [int(n)], lambda _: [t]
@@ -278,8 +271,9 @@ def _one_target(Sigma, Sigma_tilde, n, target_row):
 
 def correct_error_variance(Sigma, n, target_row):
     """Optimal linear prediction error of row ``target_row`` (1-based)
-    from the first n functionals, all under the covariance Sigma."""
-    return float(_one_target(Sigma, None, n, target_row)[0][0])
+    from the first n functionals, all under the covariance Sigma (which
+    the engine also takes as the second one: v_true does not read it)."""
+    return float(_one_target(Sigma, Sigma, n, target_row)[0][0])
 
 
 def misspecified_error_variance(Sigma, Sigma_tilde, n, target_row):
@@ -554,21 +548,10 @@ def curve_rows(experiment, model_label, beta, delta, curve, per_target=False):
     with the single target "z(s0)". With per_target=True each retained
     target adds its own row (efficiency of that target, e_max of its n).
     """
+    fixed = (experiment, model_label, beta, delta, curve.design)
 
-    def row(n, target, true_var, missp_var, eff, e_max):
-        return {
-            "experiment": experiment,
-            "model": model_label,
-            "beta": beta,
-            "delta": delta,
-            "design": curve.design,
-            "n": n,
-            "target": target,
-            "true_var": true_var,
-            "missp_var": missp_var,
-            "efficiency": eff,
-            "e_max": e_max,
-        }
+    def row(*values):  # the remaining columns, n to e_max
+        return dict(zip(CURVE_CSV_COLUMNS, fixed + values))
 
     rows = []
     for i, n in enumerate(curve.n_values):
@@ -583,20 +566,7 @@ def curve_rows(experiment, model_label, beta, delta, curve, per_target=False):
 
 
 def write_curves_csv(path, rows):
-    """Write efficiency rows in the canonical column order, sorted and
-    repr-formatted so reruns are byte-identical."""
-
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return repr(float(v))
-        return str(v)
-
+    """Write efficiency rows in the canonical column order and a canonical
+    row order, by ``matio.write_csv``; a key a row lacks is an empty cell."""
     rows = sorted(rows, key=_row_sort_key)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CURVE_CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row.get(c)) for c in CURVE_CSV_COLUMNS) + "\n")
+    write_csv(path, {c: [row.get(c) for row in rows] for c in CURVE_CSV_COLUMNS})

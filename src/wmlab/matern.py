@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError, ParameterError, UnsupportedFormError
 from .fem1d import eval_matrix
 from .kriging import _sigma_for_model
+from .matio import write_csv
 
 __all__ = [
     "bessel_k",
@@ -111,14 +112,15 @@ class MaternComparison:
     max_rel_error: float
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("offset,fem_value,matern_value,rel_error\n")
-            for h, f, m, r in zip(
-                self.offsets, self.fem_values, self.analytic_values, self.rel_errors
-            ):
-                fh.write(
-                    f"{repr(float(h))},{repr(float(f))},{repr(float(m))},{repr(float(r))}\n"
-                )
+        write_csv(
+            path,
+            {
+                "offset": self.offsets,
+                "fem_value": self.fem_values,
+                "matern_value": self.analytic_values,
+                "rel_error": self.rel_errors,
+            },
+        )
 
 
 def compare_fem_vs_matern(model, basis, offsets):
@@ -135,7 +137,8 @@ def compare_fem_vs_matern(model, basis, offsets):
     The Galerkin values are the first row of the observation covariance
     of the points 1/2, 1/2 + h_1, ..., evaluated by the model's own route
     (``kriging._sigma_for_model``) at O(N p) per point, so no N x N
-    covariance is formed.
+    covariance is formed. A model whose Matern variance overflows or
+    underflows the float range raises DomainError.
     """
     if model.a.kind != "constant" or model.kappa2.kind != "constant":
         raise UnsupportedFormError(
@@ -148,7 +151,10 @@ def compare_fem_vs_matern(model, basis, offsets):
     k20 = model.kappa2.params[0]
     kappa_eff = math.sqrt(k20 / a0)
     nu = 2.0 * model.beta - 0.5
-    sigma2 = model.tau**2 * a0 ** (-2.0 * model.beta) * whittle_variance(nu, kappa_eff, 1)
+    try:
+        sigma2 = model.tau**2 * a0 ** (-2.0 * model.beta) * whittle_variance(nu, kappa_eff, 1)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError("the model's Matern variance is outside the float range") from exc
     params = MaternParams(nu=nu, kappa=kappa_eff, sigma2=sigma2)
 
     Phi = eval_matrix(basis, np.concatenate([[0.5], 0.5 + offsets]))

@@ -34,6 +34,7 @@ __all__ = [
     "tau_unit_variance",
     "builtin_model",
     "BUILTIN_MODEL_NAMES",
+    "FIELD_KINDS",
     "field_to_dict",
     "field_from_dict",
     "model_to_dict",
@@ -69,7 +70,9 @@ def _erf_arr(x):
     r = np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, count=x.size)
     return np.clip(r, -_ONE_INSIDE, _ONE_INSIDE).reshape(x.shape)
 
-_FIELD_KINDS = (
+
+# the coefficient kinds CoefficientField takes, and the CLI schema accepts
+FIELD_KINDS = (
     "constant",
     "polynomial",
     "sigmoid_scaled",
@@ -104,9 +107,9 @@ class CoefficientField:
     params: Tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _FIELD_KINDS:
+        if self.kind not in FIELD_KINDS:
             raise ParameterError(
-                f"unknown coefficient kind {self.kind!r}; expected one of {_FIELD_KINDS}"
+                f"unknown coefficient kind {self.kind!r}; expected one of {FIELD_KINDS}"
             )
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,10 +98,10 @@ def test_fig1_integral_artifacts_and_manifest(tmp_path):
         "svg": True,
     }
     assert _run(tmp_path, "fig1_integral", payload) == 0
-    csv_lines = open(os.path.join(out, "fig1_integral.csv")).read().splitlines()
+    csv_lines = Path(out, "fig1_integral.csv").read_text().splitlines()
     assert csv_lines[0] == CSV_HEADER
     assert len(csv_lines) == 3
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["command"] == "fig1_integral"
     assert "per_target" in manifest["defaulted_keys"]
     assert "version" in manifest and "wall_time_seconds" in manifest
@@ -119,7 +120,7 @@ def test_fig1_integral_rows_sorted_across_cells(tmp_path):
         "svg": False,
     }
     assert _run(tmp_path, "fig1_integral", payload) == 0
-    rows = open(os.path.join(out, "fig1_integral.csv")).read().splitlines()[1:]
+    rows = Path(out, "fig1_integral.csv").read_text().splitlines()[1:]
     keys = []
     for row in rows:
         f = row.split(",")
@@ -138,7 +139,7 @@ def test_fig2_covers_selected_exponents(tmp_path):
         "svg": False,
     }
     assert _run(tmp_path, "fig2", payload) == 0
-    rows = open(os.path.join(out, "fig2.csv")).read().splitlines()[1:]
+    rows = Path(out, "fig2.csv").read_text().splitlines()[1:]
     betas = sorted({float(r.split(",")[2]) for r in rows})
     assert betas == [1.0, 2.0]
     # delta column is empty for the 42 family
@@ -149,7 +150,7 @@ def test_matern_check_csv(tmp_path):
     out = str(tmp_path / "o")
     payload = {"offsets": [0.0, 0.05], "N": 200, "out": out}
     assert _run(tmp_path, "matern_check", payload) == 0
-    lines = open(os.path.join(out, "matern_check.csv")).read().splitlines()
+    lines = Path(out, "matern_check.csv").read_text().splitlines()
     assert lines[0] == "offset,fem_value,matern_value,rel_error"
     assert len(lines) == 3
 
@@ -165,7 +166,7 @@ def test_diagnose_artifacts(tmp_path):
         "out": out,
     }
     assert _run(tmp_path, "diagnose", payload) == 0
-    report = json.load(open(os.path.join(out, "diagnose.json")))
+    report = json.loads(Path(out, "diagnose.json").read_text())
     assert report["classification"] in ("HS_stable", "non_compact", "compact_like")
     assert set(report["cm_constants_by_truncation"]) == {"30", "60", "120"}
     for name in ("diagnose.csv", "eigenvalues_base.csv", "eigenvalues_alt.csv"):
@@ -197,7 +198,7 @@ def _diagnose_payload(tmp_path, truncations, **extra):
 def test_diagnose_names_dropped_truncations(tmp_path, capsys):
     assert _run(tmp_path, "diagnose", _diagnose_payload(tmp_path, [25, 50, 400])) == 0
     assert "diagnose: dropped truncations [400] above N=100" in capsys.readouterr().out
-    rows = open(tmp_path / "o" / "diagnose.csv").read().splitlines()[1:]
+    rows = (tmp_path / "o" / "diagnose.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["25", "50"]
 
 
@@ -240,7 +241,7 @@ def test_verdict_model_pair_branch(tmp_path):
         "out": out,
     }
     assert _run(tmp_path, "verdict", payload) == 0
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    verdict = json.loads(Path(out, "verdict.json").read_text())
     assert verdict["asympt_optimal"] is True
 
 
@@ -255,7 +256,7 @@ def test_verdict_explicit_branch(tmp_path):
         "out": out,
     }
     assert _run(tmp_path, "verdict", payload) == 0
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    verdict = json.loads(Path(out, "verdict.json").read_text())
     assert verdict["asympt_optimal"] is False
     assert any("slope" in note for note in verdict["notes"])
 
@@ -330,7 +331,7 @@ def test_sample_formats_agree(tmp_path):
     out_bin = str(tmp_path / "bin")
     assert _run(tmp_path, "sample", {**base, "format": "csv", "out": out_csv}) == 0
     assert _run(tmp_path, "sample", {**base, "format": "bin", "out": out_bin}) == 0
-    lines = open(os.path.join(out_csv, "samples.csv")).read().splitlines()
+    lines = Path(out_csv, "samples.csv").read_text().splitlines()
     assert lines[0] == "sample,index,weight"
     assert len(lines) == 1 + 2 * 60
     from_csv = np.array([float(l.split(",")[2]) for l in lines[1:]]).reshape(2, 60)
@@ -359,6 +360,42 @@ def test_numerical_failure_exits_three_with_diagnostic(tmp_path, capsys):
     assert "condition_estimate" in blob
 
 
+def _constant_model(beta, a, kappa2, tau=1.0):
+    return {
+        "beta": beta,
+        "a": {"kind": "constant", "params": [a]},
+        "kappa2": {"kind": "constant", "params": [kappa2]},
+        "tau": tau,
+    }
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_constant_model(1, 1e308, 1200.0), _constant_model(1.3, 1e308, 1e308)],
+    ids=["direct_beta_1", "spectral_beta_1.3"],
+)
+def test_overflowing_form_exits_three_before_lapack(tmp_path, capsys, model):
+    # a = 1e308 overflows the element integrals of <a u', v'> on purpose
+    payload = {"N": 20, "model": model, "out": str(tmp_path / "o")}
+    assert _run(tmp_path, "sample", payload) == 3
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "AssemblyIntegrityError"
+    assert "not finite" in blob["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_constant_model(1, 1.0, 100.0, tau=1e200), _constant_model(1, 1e308, 1200.0)],
+    ids=["tau_squared_overflows", "whittle_variance_underflows"],
+)
+def test_matern_check_out_of_float_range_is_a_domain_error(tmp_path, capsys, model):
+    payload = {"N": 20, "model": model, "out": str(tmp_path / "o")}
+    assert _run(tmp_path, "matern_check", payload) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "outside the float range" in err
+
+
 # -------------------------------------------------------- determinism
 
 
@@ -378,11 +415,11 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path):
         )
         assert code == 0
         outs.append(out)
-    ref_csv = open(os.path.join(outs[0], "fig1_integral.csv"), "rb").read()
-    ref_svg = open(os.path.join(outs[0], "fig1_integral.svg"), "rb").read()
+    ref_csv = Path(outs[0], "fig1_integral.csv").read_bytes()
+    ref_svg = Path(outs[0], "fig1_integral.svg").read_bytes()
     for out in outs[1:]:
-        assert open(os.path.join(out, "fig1_integral.csv"), "rb").read() == ref_csv
-        assert open(os.path.join(out, "fig1_integral.svg"), "rb").read() == ref_svg
+        assert Path(out, "fig1_integral.csv").read_bytes() == ref_csv
+        assert Path(out, "fig1_integral.svg").read_bytes() == ref_svg
 
 
 def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
@@ -403,7 +440,7 @@ def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
         fem1d._mass_matrix.cache_clear()
         kriging._true_stage.cache_clear()
         assert _run(tmp_path, "fig1_point", {**payload, "out": str(tmp_path / name)}) == 0
-        return open(tmp_path / name / "fig1_point.csv", "rb").read()
+        return (tmp_path / name / "fig1_point.csv").read_bytes()
 
     first = run("a")
     assert mass_assemblies == [200]  # 4 cells and the true model share one M
@@ -485,8 +522,8 @@ def test_sample_reruns_byte_identical(tmp_path):
     assert _run(tmp_path, "sample", {**payload, "out": a}) == 0
     assert _run(tmp_path, "sample", {**payload, "out": b}) == 0
     assert (
-        open(os.path.join(a, "samples.csv"), "rb").read()
-        == open(os.path.join(b, "samples.csv"), "rb").read()
+        Path(a, "samples.csv").read_bytes()
+        == Path(b, "samples.csv").read_bytes()
     )
 
 

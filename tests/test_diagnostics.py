@@ -186,10 +186,12 @@ def test_hs_curve_validates_truncations():
     pair = _diag_pair([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ParameterError):
         hs_curve(pair, 1.0, 1.0, truncations=(3,))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="strictly increasing"):
         hs_curve(pair, 1.0, 1.0, truncations=(3, 2))
     with pytest.raises(ParameterError):
         hs_curve(pair, 1.0, 1.0, truncations=(2, 5))
+    with pytest.raises(ParameterError, match="at least 2, got \\(1, 3\\)"):
+        hs_curve(pair, 1.0, 1.0, truncations=(1, 3))
 
 
 def test_report_round_trips_to_csv_and_json(tmp_path):
