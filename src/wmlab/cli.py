@@ -655,9 +655,9 @@ def run_diagnose(cfg, outdir):
     basis = build_basis(int(N), 1, DIRICHLET)
     ops_base = assemble_aL(basis, base.a, base.kappa2)
     ops_alt = assemble_aL(basis, alt.a, alt.kappa2)
-    dec_base = generalized_eig(ops_base)
-    dec_alt = generalized_eig(ops_alt)
-    pair = cross_gram(dec_base, dec_alt, ops_base.M_band)
+    # no eigenvector matrix outlives cross_gram: the pair keeps the
+    # eigenvalues and W
+    pair = cross_gram(generalized_eig(ops_base), generalized_eig(ops_alt), ops_base.M_band)
     report = hs_curve(pair, cfg["gamma"], cfg["c"], truncations)
     payload = report.to_dict()
     if "cm_beta" in cfg:
@@ -673,8 +673,8 @@ def run_diagnose(cfg, outdir):
     json_path = _write_json(os.path.join(outdir, "diagnose.json"), payload)
     eig_base_path = os.path.join(outdir, "eigenvalues_base.csv")
     eig_alt_path = os.path.join(outdir, "eigenvalues_alt.csv")
-    write_eigenvalues_csv(eig_base_path, dec_base.eigenvalues)
-    write_eigenvalues_csv(eig_alt_path, dec_alt.eigenvalues)
+    write_eigenvalues_csv(eig_base_path, pair.lam)
+    write_eigenvalues_csv(eig_alt_path, pair.lam_alt)
     artifacts = [csv_path, json_path, eig_base_path, eig_alt_path]
     lines = [f"diagnose: dropped truncations {dropped} above N={N}"] if dropped else []
     return artifacts, lines + [f"diagnose: classification = {report.classification}"]

@@ -3,10 +3,12 @@
 Given the Galerkin pencils (K, M) and (K~, M) of two second-order
 operators discretized on the same basis, the M-orthonormal eigenvector
 matrices V, V~ define the cross Gram matrix W = V' M V~, an orthogonal
-change of basis between the two discrete eigensystems. From it one
-builds discrete counterparts of the operator-theoretic objects that
-govern equivalence of the induced Gaussian measures and asymptotic
-optimality of kriging predictions:
+change of basis between the two discrete eigensystems. ``cross_gram``
+keeps W and the two spectra in an ``OperatorPair`` and drops the
+eigenvectors, which nothing below reads. From them one builds discrete
+counterparts of the operator-theoretic objects that govern equivalence
+of the induced Gaussian measures and asymptotic optimality of kriging
+predictions:
 
 * ``t_operator``: the defect T = L^(-g) L~^(2g) L^(-g) - c^(2g) I in
   the eigenbasis of the first operator. The induced measures (for
@@ -82,18 +84,20 @@ def _json_dict(fields):
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Two spectral decompositions on a common mass matrix, plus their
-    cross Gram matrix W = V_base' M V_alt (orthogonal up to roundoff).
+    """The ascending eigenvalues of two pencils on a common mass matrix,
+    plus their cross Gram matrix W = V_base' M V_alt (orthogonal up to
+    roundoff). The eigenvectors are not kept: every diagnostic reads only
+    ``lam``, ``lam_alt`` and W.
 
-    A pair is immutable once built: its decompositions and W are never
-    changed in place, so spectra computed from them stay valid for the
-    pair's lifetime. ``hs_curve`` stores the ascending eigenvalues of
-    each leading block of T, with the shift s = c^(2g), keyed by
+    A pair is immutable once built: its arrays are never changed in
+    place, so spectra computed from them stay valid for the pair's
+    lifetime. ``hs_curve`` stores the ascending eigenvalues of each
+    leading block of T, with the shift s = c^(2g), keyed by
     (g, truncation); ``cm_equivalence_constants`` reads them back.
     """
 
-    base: object
-    alt: object
+    lam: np.ndarray
+    lam_alt: np.ndarray
     W: np.ndarray
     _defect_spectra: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -106,19 +110,20 @@ def cross_gram(dec_base, dec_alt, M_band):
     ``M_band`` is the common mass matrix as a lower band
     (``AssembledOperators.M_band``), applied as a band product. Both
     decompositions must be M-orthonormal on it; then W'W = I exactly in
-    exact arithmetic. A max-norm deviation above 1e-6 indicates
-    mismatched bases or a broken eigensolve.
+    exact arithmetic. A max-norm deviation above 1e-6 (or NaN) indicates
+    mismatched bases or a broken eigensolve. The upper triangle of W'W
+    is checked by column blocks after M V_alt is released, so the call
+    holds at most two N x N arrays of its own: M V_alt and W.
     """
     MV = band_matmul(M_band, dec_alt.eigenvectors)
     W = scipy.linalg.blas.dgemm(1.0, dec_base.eigenvectors, MV, trans_a=1)
-    # dsyrk stores W'W in the upper triangle and leaves the lower one
-    # zero, so the defect over the whole array is the stored triangle's
-    err = _identity_defect(scipy.linalg.blas.dsyrk(1.0, W, trans=1))
-    if err > 1e-6:
+    del MV
+    err = _identity_defect(W, lambda a, b: W[:, a:b], upper=True)
+    if not err <= 1e-6:
         raise NumericalIntegrityError(
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"
         )
-    return OperatorPair(base=dec_base, alt=dec_alt, W=W)
+    return OperatorPair(lam=dec_base.eigenvalues, lam_alt=dec_alt.eigenvalues, W=W)
 
 
 def _gram(pair, b, t):
@@ -130,9 +135,7 @@ def _gram(pair, b, t):
     product, so its entries stay O(1) where Lam^(-2b) alone spans many
     decades.
     """
-    lam = pair.base.eigenvalues
-    lam_t = pair.alt.eigenvalues
-    B = np.multiply(lam[:t, None] ** (-b), pair.W[:t] * lam_t**b, order="F")
+    B = np.multiply(pair.lam[:t, None] ** (-b), pair.W[:t] * pair.lam_alt**b, order="F")
     return scipy.linalg.blas.dsyrk(1.0, B)
 
 

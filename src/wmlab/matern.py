@@ -88,6 +88,8 @@ def whittle_variance(nu, kappa, d):
     """Marginal variance of the stationary solution on R^d for amplitude 1:
 
     sigma^2 = Gamma(nu) / ( (4 pi)^(d/2) kappa^(2 nu) Gamma(nu + d/2) ).
+
+    DomainError if kappa^(2 nu) overflows or underflows the float range.
     """
     if not nu > 0.0:
         raise ParameterError(f"nu must be positive, got {nu}")
@@ -95,10 +97,15 @@ def whittle_variance(nu, kappa, d):
         raise ParameterError(f"kappa must be positive, got {kappa}")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ParameterError(f"dimension must be a positive integer, got {d!r}")
-    return (
-        math.gamma(nu)
-        / ((4.0 * math.pi) ** (0.5 * d) * kappa ** (2.0 * nu) * math.gamma(nu + 0.5 * d))
-    )
+    try:
+        power = kappa ** (2.0 * nu)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise DomainError(
+            f"kappa^(2 nu) = {kappa:.6g}^{2.0 * nu:.6g} is outside the float range"
+        )
+    return math.gamma(nu) / ((4.0 * math.pi) ** (0.5 * d) * power * math.gamma(nu + 0.5 * d))
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,7 @@ def compare_fem_vs_matern(model, basis, offsets):
     nu = 2.0 * model.beta - 0.5
     try:
         sigma2 = model.tau**2 * a0 ** (-2.0 * model.beta) * whittle_variance(nu, kappa_eff, 1)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except OverflowError as exc:
         raise DomainError("the model's Matern variance is outside the float range") from exc
     params = MaternParams(nu=nu, kappa=kappa_eff, sigma2=sigma2)
 

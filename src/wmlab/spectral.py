@@ -86,10 +86,14 @@ class SpectralDecomposition:
 # generalized_eig on builtin piecewise-linear pencils, 2-core Xeon VM,
 # 2 BLAS threads: 0.25 s at N = 1200 and 0.69-0.92 s at N = 2000, where
 # the same steps with dsbgvd's vectors took 0.41-0.74 s and 2.2-3.1 s;
-# 3.9 s at N = 4000, 1.1 s of it for the vectors and 2.4 s for the
-# Rayleigh quotients and the M-orthonormality check, where the dense
-# eigh took 15.0 s. Wider pencils stay dense: at N = 1200 dsbgvd took
-# 1.8x (bandwidth 2) and 2.6x (bandwidth 3) the dense time.
+# 3.3-3.5 s at N = 4000, where the dense eigh took 15.0 s: 0.3 s for
+# the eigenvalues, 0.9 s for the vectors, 0.4 s for the Rayleigh
+# quotients and 1.7 s for the M-orthonormality check. The last two run
+# over column blocks (_identity_defect), so the call holds no N x N
+# array besides the vectors; formed over all columns at once they took
+# 0.6 s and 1.2 s and held two more. Wider pencils stay dense: at
+# N = 1200 dsbgvd took 1.8x (bandwidth 2) and 2.6x (bandwidth 3) the
+# dense time.
 #
 # A vector computed by inverse iteration errs toward the eigenvector of
 # eigenvalue lambda_i by about eps lambda_max / |lambda_j - lambda_i|
@@ -244,15 +248,14 @@ def generalized_eig(ops):
         # dense solver errs by 7e-12. The Rayleigh quotients of the
         # vectors agree with the dense eigenvalues to 9e-12 there and to
         # 5.5e-13 on the builtin "41" pencils.
-        # K V is dropped before M V is formed; M V serves the denominators,
-        # the M-normalization and the orthonormality check
-        numerators = np.einsum("ij,ij->j", vec, band_matmul(ops.K_band, vec))
-        MV = band_matmul(ops.M_band, vec)
-        norms = np.einsum("ij,ij->j", vec, MV)
+        numerators = np.empty(vec.shape[1])
+        norms = np.empty(vec.shape[1])
+        for a, b in _column_blocks(vec.shape[1]):
+            block = vec[:, a:b]
+            numerators[a:b] = np.einsum("ij,ij->j", block, band_matmul(ops.K_band, block))
+            norms[a:b] = np.einsum("ij,ij->j", block, band_matmul(ops.M_band, block))
         lam = numerators / norms
-        scale = 1.0 / np.sqrt(norms)
-        vec *= scale
-        MV *= scale
+        vec *= 1.0 / np.sqrt(norms)
     else:
         try:
             lam, vec = scipy.linalg.eigh(
@@ -260,12 +263,11 @@ def generalized_eig(ops):
             )
         except scipy.linalg.LinAlgError as exc:
             raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
-        MV = band_matmul(ops.M_band, vec)
     if lam[0] <= 0.0:
         raise AssemblyIntegrityError(
             f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
         )
-    err = _identity_defect(scipy.linalg.blas.dgemm(1.0, vec, MV, trans_a=1))
+    err = _identity_defect(vec, lambda a, b: band_matmul(ops.M_band, vec[:, a:b]))
     # written so that a NaN defect fails too
     if not err <= 1e-8:
         raise NumericalIntegrityError(
@@ -274,10 +276,37 @@ def generalized_eig(ops):
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
 
 
-def _identity_defect(gram):
-    """max |gram - I|, computed in place: ``gram`` is overwritten."""
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.max(np.abs(gram, out=gram)))
+# Passes over the columns of an N x N matrix that yield one number per
+# column, or one defect, run over blocks of this many columns, so that
+# their temporaries (a band product and its scratch, or a block of a Gram
+# matrix) stay two N x _BLOCK arrays: half an N x N array from N = 4
+# _BLOCK on.
+_BLOCK = 128
+
+
+def _column_blocks(n):
+    """(start, stop) of each block of _BLOCK columns among n."""
+    return [(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK)]
+
+
+def _identity_defect(X, Y_columns, upper=False):
+    """max |X' Y - I| over the entries of X' Y, formed by column blocks.
+
+    ``Y_columns(a, b)`` returns columns a:b of Y. With ``upper`` only the
+    upper triangle of X' Y is read, as for a symmetric X' X. The block
+    maxima are combined by np.max, so a NaN anywhere gives a NaN defect.
+    """
+    maxima = []
+    for a, b in _column_blocks(X.shape[1]):
+        gram = scipy.linalg.blas.dgemm(1.0, X[:, :b] if upper else X, Y_columns(a, b), trans_a=1)
+        square = gram[a:b]
+        square[np.diag_indices_from(square)] -= 1.0
+        if upper:
+            square[np.tril_indices_from(square, -1)] = 0.0
+        maxima.append(np.max(np.abs(gram, out=gram)))
+        # freed before the next block's columns of Y are formed
+        del gram, square
+    return float(np.max(maxima))
 
 
 @dataclass(frozen=True)

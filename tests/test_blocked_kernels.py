@@ -1,0 +1,256 @@
+"""Column-blocked Rayleigh quotients and orthonormality checks.
+
+``generalized_eig`` and ``cross_gram`` form their per-column numbers and
+their identity defects over blocks of ``spectral._BLOCK`` columns. The
+oracle is the full-array code they replace: one band product over all
+columns for each of K V and M V, and one N x N Gram matrix for each
+check. The blocked results must equal it bit for bit (eigenpairs) or to
+roundoff (defects), every block must be checked, and the working memory
+must stay bounded.
+"""
+
+import gc
+import json
+import tracemalloc
+import types
+import weakref
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import wmlab.cli
+from wmlab import spectral
+from wmlab.diagnostics import cross_gram
+from wmlab.errors import NumericalIntegrityError
+from wmlab.fem1d import DIRICHLET, assemble_a2, assemble_aL, band_matmul, build_basis
+from wmlab.model_config import CoefficientField, builtin_model
+from wmlab.spectral import _identity_defect, generalized_eig
+
+
+def _pencil(N, name="model1_41"):
+    model = builtin_model(name, 1)
+    return assemble_aL(build_basis(N, 1, DIRICHLET), model.a, model.kappa2)
+
+
+def _wide_pencil(N):
+    """A bandwidth-2 pencil (quadratic splines), which takes the dense path."""
+    return assemble_a2(build_basis(N, 2, DIRICHLET), CoefficientField("constant", (25.0,)))
+
+
+def full_tridiagonal_eig(ops):
+    """The tridiagonal branch with full-array Rayleigh quotients: (lam, V, M V)."""
+    lam = spectral._dsbgvd_eigenvalues(ops.K_band, ops.M_band)
+    vec = spectral._tridiagonal_eigenvectors(ops.K_band, ops.M_band, lam)
+    numerators = np.einsum("ij,ij->j", vec, band_matmul(ops.K_band, vec))
+    MV = band_matmul(ops.M_band, vec)
+    norms = np.einsum("ij,ij->j", vec, MV)
+    lam = numerators / norms
+    scale = 1.0 / np.sqrt(norms)
+    vec *= scale
+    MV *= scale
+    return lam, vec, MV
+
+
+def full_defect(gram):
+    """max |gram - I| over the whole array."""
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
+def full_upper_defect(W):
+    """max |W'W - I| over the upper triangle, from one dsyrk."""
+    return full_defect(scipy.linalg.blas.dsyrk(1.0, W, trans=1))
+
+
+def _m_columns(ops, vec):
+    return lambda a, b: band_matmul(ops.M_band, vec[:, a:b])
+
+
+# ------------------------------------------------------------ oracle
+
+
+@pytest.mark.parametrize("N", [100, 700], ids=["below_one_block", "partial_last_block"])
+def test_blocked_eigenpairs_equal_full_array_oracle(N):
+    assert N < spectral._BLOCK or N % spectral._BLOCK
+    ops = _pencil(N)
+    lam, vec, MV = full_tridiagonal_eig(ops)
+    dec = generalized_eig(ops)
+    assert np.array_equal(dec.eigenvalues, lam)
+    assert np.array_equal(dec.eigenvectors, vec)
+    blocked = _identity_defect(dec.eigenvectors, _m_columns(ops, dec.eigenvectors))
+    full = full_defect(scipy.linalg.blas.dgemm(1.0, vec, MV, trans_a=1))
+    assert abs(blocked - full) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [100, 700], ids=["below_one_block", "partial_last_block"])
+def test_blocked_defects_equal_full_defects_far_from_identity(N):
+    # entries of X'Y of order one, so roundoff is relative to one
+    rng = np.random.default_rng(N)
+    X = np.asfortranarray(rng.standard_normal((N, N)) / np.sqrt(N))
+    Y = np.asfortranarray(rng.standard_normal((N, N)) / np.sqrt(N))
+    full = full_defect(scipy.linalg.blas.dgemm(1.0, X, Y, trans_a=1))
+    assert _identity_defect(X, lambda a, b: Y[:, a:b]) == pytest.approx(full, rel=1e-13)
+    upper = _identity_defect(X, lambda a, b: X[:, a:b], upper=True)
+    assert upper == pytest.approx(full_upper_defect(X), rel=1e-13)
+
+
+def test_upper_defect_reads_only_the_upper_triangle():
+    N = 300
+    eye = np.eye(N, order="F")
+    for i, j in [(5, 3), (200, 10)]:
+        Y = eye.copy(order="F")
+        Y[i, j] = 5.0
+        assert _identity_defect(eye, lambda a, b: Y[:, a:b]) == 5.0
+        assert _identity_defect(eye, lambda a, b: Y[:, a:b], upper=True) == 0.0
+        Y = eye.copy(order="F")
+        Y[j, i] = 5.0
+        assert _identity_defect(eye, lambda a, b: Y[:, a:b], upper=True) == 5.0
+
+
+# ------------------------------------------------------ planted defects
+
+N_PLANT = 300  # blocks [0, 128), [128, 256) and the partial [256, 300)
+
+
+def _collapse_last(vec):
+    vec[:, -1] = vec[:, -2]
+
+
+def _nan_last(vec):
+    vec[:, -1] = np.nan
+
+
+def _across_blocks(vec):
+    vec[:, 200] = vec[:, 10]
+
+
+PLANTS = pytest.mark.parametrize(
+    "plant", [_collapse_last, _nan_last, _across_blocks],
+    ids=["collapsed_in_last_block", "nan_in_last_block", "pair_across_blocks"],
+)
+
+
+def test_plants_are_where_they_are_said_to_be():
+    blocks = spectral._column_blocks(N_PLANT)
+    assert len(blocks) == 3 and blocks[-1][1] - blocks[-1][0] < spectral._BLOCK
+    assert blocks[-1][0] <= N_PLANT - 2
+    assert [a <= 10 < b for a, b in blocks] != [a <= 200 < b for a, b in blocks]
+
+
+@PLANTS
+def test_generalized_eig_catches_a_planted_defect_banded(monkeypatch, plant):
+    real = spectral._tridiagonal_eigenvectors
+
+    def corrupted(*args):
+        vec = real(*args)
+        plant(vec)
+        return vec
+
+    monkeypatch.setattr(spectral, "_tridiagonal_eigenvectors", corrupted)
+    with pytest.raises(NumericalIntegrityError, match="lost M-orthonormality"):
+        generalized_eig(_pencil(N_PLANT))
+
+
+@PLANTS
+def test_generalized_eig_catches_a_planted_defect_dense(monkeypatch, plant):
+    real = scipy.linalg.eigh
+
+    def corrupted(*args, **kwargs):
+        lam, vec = real(*args, **kwargs)
+        plant(vec)
+        return lam, vec
+
+    ops = _wide_pencil(N_PLANT)
+    assert ops.bandwidth == 2
+    monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
+    with pytest.raises(NumericalIntegrityError, match="lost M-orthonormality"):
+        generalized_eig(ops)
+
+
+@PLANTS
+def test_cross_gram_catches_a_planted_defect(plant):
+    ops = _pencil(N_PLANT, "base41")
+    dec = generalized_eig(ops)
+    vec = dec.eigenvectors.copy(order="F")
+    plant(vec)
+    corrupted = types.SimpleNamespace(eigenvalues=dec.eigenvalues, eigenvectors=vec)
+    with pytest.raises(NumericalIntegrityError, match="not orthogonal"):
+        cross_gram(dec, corrupted, ops.M_band)
+
+
+# --------------------------------------------------------------- memory
+
+N_MEM = 600
+NXN = 8 * N_MEM * N_MEM  # bytes of one N x N array
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generalized_eig_holds_at_most_half_an_array_beyond_its_result():
+    ops = _pencil(N_MEM)
+    peak = _traced_peak(lambda: generalized_eig(ops))
+    # V plus two N x _BLOCK temporaries: 1.48 arrays at N = 4 _BLOCK + 88
+    assert peak < 1.5 * NXN
+
+
+def test_cross_gram_holds_only_m_v_and_w():
+    ops = _pencil(N_MEM)
+    alt = _pencil(N_MEM, "model2_41")
+    dec_base, dec_alt = generalized_eig(ops), generalized_eig(alt)
+    peak = _traced_peak(lambda: cross_gram(dec_base, dec_alt, ops.M_band))
+    # M V released before the check: 2.04 arrays; kept through it, 2.23
+    assert peak < 2.1 * NXN
+
+
+def _reachable_arrays(root):
+    """Every ndarray reachable from root through containers and instances."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_diagnose_keeps_no_eigenvectors_past_cross_gram(tmp_path, monkeypatch):
+    real_cross_gram, real_hs_curve = wmlab.cli.cross_gram, wmlab.cli.hs_curve
+    vectors, pairs, alive = [], [], []
+
+    def spy_cross_gram(dec_base, dec_alt, M_band):
+        vectors.extend(weakref.ref(d.eigenvectors) for d in (dec_base, dec_alt))
+        pairs.append(real_cross_gram(dec_base, dec_alt, M_band))
+        return pairs[-1]
+
+    def spy_hs_curve(*args):
+        alive.extend(ref() is not None for ref in vectors)
+        return real_hs_curve(*args)
+
+    monkeypatch.setattr(wmlab.cli, "cross_gram", spy_cross_gram)
+    monkeypatch.setattr(wmlab.cli, "hs_curve", spy_hs_curve)
+    config = tmp_path / "diagnose.json"
+    config.write_text(json.dumps({
+        "base_model": {"name": "base41", "beta": 1},
+        "alt_model": {"name": "model1_41", "beta": 1},
+        "N": N_MEM,
+        "truncations": [75, 150, 300, 600],
+        "cm_beta": 1.0,
+        "out": str(tmp_path / "out"),
+    }))
+    assert wmlab.cli.main(["diagnose", "--config", str(config)]) == 0
+    assert alive == [False, False]
+    (pair,) = pairs
+    square = [a for a in _reachable_arrays(pair) if a.shape == (N_MEM, N_MEM)]
+    assert len(square) == 1 and square[0] is pair.W

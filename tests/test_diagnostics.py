@@ -34,11 +34,7 @@ def _diag_pair(lam, lam_alt, W=None):
     lam = np.asarray(lam, dtype=np.float64)
     lam_alt = np.asarray(lam_alt, dtype=np.float64)
     W = np.eye(lam.shape[0]) if W is None else W
-    return OperatorPair(
-        base=SimpleNamespace(eigenvalues=lam),
-        alt=SimpleNamespace(eigenvalues=lam_alt),
-        W=W,
-    )
+    return OperatorPair(lam=lam, lam_alt=lam_alt, W=W)
 
 
 def _fem_pair(model_base, model_alt, N=120):
@@ -232,7 +228,7 @@ def test_cm_constants_are_nonnegative_even_at_extreme_dynamic_range():
 
 def _svd_cm_oracle(pair, beta, t):
     """(lo, hi) as squared extreme singular values of B[:t, :]."""
-    lam, lam_t = pair.base.eigenvalues, pair.alt.eigenvalues
+    lam, lam_t = pair.lam, pair.lam_alt
     B = lam[:, None] ** (-beta) * (pair.W * lam_t**beta)
     sv = scipy.linalg.svdvals(B[:t, :])
     return sv[-1] ** 2, sv[0] ** 2
@@ -255,8 +251,8 @@ def test_cm_constants_match_svd_oracle(fem_pair_200, beta, t):
 
 
 def _fresh(pair):
-    """The same decompositions and W in a pair with no stored spectra."""
-    return OperatorPair(base=pair.base, alt=pair.alt, W=pair.W)
+    """The same eigenvalues and W in a pair with no stored spectra."""
+    return OperatorPair(lam=pair.lam, lam_alt=pair.lam_alt, W=pair.W)
 
 
 def _forbid_gram(*args):

@@ -111,6 +111,13 @@ def test_whittle_variance_general_formula():
     npt.assert_allclose(whittle_variance(nu, kappa, d), expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("kappa", [3.5e-153, 1e200], ids=["underflows", "overflows"])
+def test_whittle_variance_out_of_float_range_is_a_domain_error(kappa):
+    # kappa^3 underflows to 0 (once a bare ZeroDivisionError) or overflows
+    with pytest.raises(DomainError, match="outside the float range"):
+        whittle_variance(1.5, kappa, 1)
+
+
 # ------------------------------------------------- FEM vs Matern check
 
 
