@@ -1,7 +1,10 @@
 """Command line interface.
 
 Every subcommand reads an optional JSON config (validated against a
-strict schema: unknown keys are rejected), applies a few flag overrides
+strict schema: unknown keys are rejected, and so are NaN and the
+infinities, which Python's json module reads but JSON does not allow;
+an integer field given as an integer-valued float such as 10.0 is
+stored as an int), applies a few flag overrides
 (--N, --seed, --out, --threads), runs the computation and writes its
 artifacts into the output directory:
 
@@ -34,12 +37,12 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -308,6 +311,138 @@ DEFAULTS = {
 }
 
 
+# ---------------------------------------------------------------------
+# config checking: the JSON Schema (draft 2020-12) keywords that SCHEMAS
+# uses, except that "number" and "integer" also reject NaN and the
+# infinities, which Python's json module reads but JSON does not allow
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: _is_number(v) and (isinstance(v, int) or math.isfinite(v)),
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum of"),
+    ("maximum", operator.gt, "greater than the maximum of"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+    ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"),
+)
+
+
+def _same(a, b):
+    """JSON equality: 1 equals 1.0, but true is not 1."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _too_short(value, least):
+    return f"{value!r} should be non-empty" if least == 1 else f"{value!r} is too short"
+
+
+def _check(schema, value, path=()):
+    """Check ``value`` against ``schema``, one of the schemas in SCHEMAS.
+
+    Returns (errors, value): the violations as (path, message) pairs, and
+    ``value`` with each integer-valued float where the schema asks for an
+    "integer" turned into an int.
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_IS_TYPE[t](value) for t in types):
+        if isinstance(value, float) and not math.isfinite(value):
+            return [(path, f"{value!r} is not a finite number")], value
+        return [(path, f"{value!r} is not of type {', '.join(map(repr, types))}")], value
+    errors = []
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if _is_number(value):
+        errors += [
+            (path, f"{value!r} is {text} {schema[key]!r}")
+            for key, fails, text in _BOUNDS
+            if key in schema and fails(value, schema[key])
+        ]
+        if "integer" in types:
+            value = int(value)
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        errors.append((path, _too_short(value, schema["minLength"])))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append((path, _too_short(value, schema["minItems"])))
+        if len(value) > schema.get("maxItems", len(value)):
+            errors.append((path, f"{value!r} is too long"))
+        # items may be lists, which a set cannot hold
+        if schema.get("uniqueItems") and any(
+            _same(a, b) for i, a in enumerate(value) for b in value[:i]
+        ):
+            errors.append((path, f"{value!r} has non-unique elements"))
+        if "items" in schema:
+            checked = [_check(schema["items"], v, (*path, i)) for i, v in enumerate(value)]
+            errors += [e for errs, _ in checked for e in errs]
+            value = [v for _, v in checked]
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        errors += [
+            (path, f"{key!r} is a required property")
+            for key in schema.get("required", ())
+            if key not in value
+        ]
+        extra = sorted(key for key in value if key not in props)
+        if extra and schema.get("additionalProperties") is False:
+            were = "was" if len(extra) == 1 else "were"
+            errors.append(
+                (path, f"Additional properties are not allowed "
+                       f"({', '.join(map(repr, extra))} {were} unexpected)")
+            )
+        checked = {
+            key: _check(props[key], v, (*path, key)) if key in props else ([], v)
+            for key, v in value.items()
+        }
+        errors += [e for errs, _ in checked.values() for e in errs]
+        value = {key: v for key, (_, v) in checked.items()}
+    if "oneOf" in schema:
+        errs, value = _one_of(schema["oneOf"], value, path)
+        errors += errs
+    return errors, value
+
+
+def _one_of(branches, value, path):
+    """Exactly one branch must hold. When none does, report the errors of
+    the branch whose required keys are all present and that knows most of
+    the given keys; when no branch has its required keys, name them."""
+    checked = [_check(branch, value, path) for branch in branches]
+    held = [result for result in checked if not result[0]]
+    if len(held) == 1:
+        return held[0]
+    if held:
+        return [(path, f"{value!r} is valid under more than one of the given schemas")], value
+    if not isinstance(value, dict):
+        return checked[0]
+    reach = [
+        (
+            set(branch.get("required", ())) <= value.keys(),
+            len(value.keys() & branch.get("properties", {}).keys()),
+        )
+        for branch in branches
+    ]
+    best = reach.index(max(reach))
+    if reach[best][0]:
+        return checked[best]
+    forms = " or ".join(str(branch.get("required", [])) for branch in branches)
+    return [(path, f"needs the keys {forms}")], value
+
+
 def load_config(command, config_path, overrides):
     """Read + validate the JSON config, apply flag overrides and defaults.
 
@@ -339,13 +474,11 @@ def load_config(command, config_path, overrides):
             raise ConfigError(f"flag --{key} is not applicable to '{command}'")
         user[key] = value
 
-    validator = jsonschema.Draft202012Validator(schema)
-    err = jsonschema.exceptions.best_match(validator.iter_errors(user))
-    if err is not None:
-        path = "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise ConfigError(f"config field '{path or '.'}': {err.message}")
+    errors, user = _check(schema, user)
+    if errors:
+        where, message = min(errors, key=lambda e: len(e[0]))
+        path = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in where)
+        raise ConfigError(f"config field '{path or '.'}': {message}")
 
     defaults = DEFAULTS[command]
     effective = dict(defaults)

@@ -1,7 +1,9 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
 import dataclasses
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +76,18 @@ def test_config_may_be_omitted_when_defaults_suffice(tmp_path):
     assert os.path.exists(os.path.join(out, "samples.csv"))
 
 
+_BASE41 = {"name": "base41", "beta": 1}
+
+# the keys that no default supplies, one dict per accepted form
+_REQUIRED_FORMS = {
+    "diagnose": [{"base_model": _BASE41, "alt_model": {**_BASE41, "name": "model2_41"}}],
+    "verdict": [
+        {"beta": 1, "beta_alt": 1, "a_relation": "equal"},
+        {"base_model": _BASE41, "alt_model": {**_BASE41, "name": "model2_41"}},
+    ],
+}
+
+
 def test_every_default_is_a_schema_property():
     assert set(wmlab.cli.DEFAULTS) == set(wmlab.cli.SCHEMAS) == set(wmlab.cli.COMMANDS)
     for command, defaults in wmlab.cli.DEFAULTS.items():
@@ -82,6 +96,248 @@ def test_every_default_is_a_schema_property():
         for key in defaults:
             assert any(key in b["properties"] for b in branches), (command, key)
         assert defaults["out"] == f"out/{command}"
+        for form in _REQUIRED_FORMS.get(command, [{}]):
+            errors, _ = wmlab.cli._check(schema, {**defaults, **form})
+            assert errors == [], (command, form)
+
+
+# every keyword wmlab.cli._check implements
+_CHECKED_KEYWORDS = {
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "minItems", "maxItems", "uniqueItems", "minLength", "items", "properties",
+    "required", "additionalProperties", "oneOf",
+}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+    for sub in schema.get("oneOf", []):
+        yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("command", sorted(wmlab.cli.SCHEMAS))
+def test_schemas_use_only_checked_keywords(command):
+    # a keyword the checker does not know would be ignored, not enforced
+    for schema in _subschemas(wmlab.cli.SCHEMAS[command]):
+        assert set(schema) <= _CHECKED_KEYWORDS, set(schema) - _CHECKED_KEYWORDS
+
+
+_EITHER = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+
+
+@pytest.mark.parametrize(
+    "schema, value, valid",
+    [
+        ({"type": "number"}, True, False),
+        ({"type": "integer"}, False, False),
+        ({"type": "integer"}, 10.0, True),
+        ({"type": "integer"}, 10.5, False),
+        ({"type": "integer"}, 10**400, True),
+        ({"type": "number"}, math.nan, False),
+        ({"type": "integer"}, -math.inf, False),
+        ({"enum": [1, 2, 3]}, 1.0, True),
+        ({"enum": [1, 2, 3]}, True, False),
+        ({"enum": [[1], {"a": 0}]}, [1.0], True),
+        ({"enum": [[1], {"a": 0}]}, {"a": False}, False),
+        ({"type": "array", "uniqueItems": True}, [1, 1.0], False),
+        ({"type": "array", "uniqueItems": True}, [1, True], True),
+        ({"type": "array", "uniqueItems": True}, [[1], [1.0]], False),
+        ({"type": "array", "uniqueItems": True}, [[1], [True]], True),
+        ({"type": "number", "maximum": 3}, 3.0, True),
+        ({"type": "number", "maximum": 3}, 3.5, False),
+        ({"type": "number", "exclusiveMaximum": 0.5}, 0.5, False),
+        ({"type": "number", "minimum": 0}, 0, True),
+        (_EITHER, 1.5, True),
+        (_EITHER, 1, False),  # valid under both branches
+        (_EITHER, "1", False),
+    ],
+)
+def test_checker_follows_draft_2020_12(schema, value, valid):
+    # bool is not a number, 10.0 is an integer, 1 equals 1.0 but true is
+    # not 1, and oneOf wants exactly one branch
+    errors, _ = wmlab.cli._check(schema, value)
+    assert (not errors) == valid, errors
+
+
+def _non_finite(value):
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(_non_finite, value))
+
+
+_CUSTOM_MODEL = {
+    "beta": 1.3,
+    "a": {"kind": "constant", "params": [1.0]},
+    "kappa2": {"kind": "polynomial", "params": [1.0, 2.0]},
+    "tau": 2.0,
+    "basis_order": 2,
+}
+
+_MUTANTS = [
+    0, 1, 2, 3, 4, 9, 10, 10.0, 2.5, 0.25, 0.5, 1.0, 1e-9, -1, -0.5, True, False, None,
+    "", "x", "csv", "bin", "equal", "model1", "base41", "constant", [], [1], [1, 1.0],
+    [True], [1.0, 2.0, 3.0, 4.0], ["model1", "model2"], [[1], [1.0]], {}, _BASE41,
+    {"kind": "constant", "params": [1.0]}, float("nan"), float("inf"), -float("inf"),
+]
+
+
+def _mutate(rng, value, keys):
+    """A copy of ``value`` with one random edit somewhere inside it."""
+    if isinstance(value, dict) and value and rng.random() < 0.6:
+        key = rng.choice(list(value))
+        return {**value, key: _mutate(rng, value[key], keys)}
+    if isinstance(value, list) and value and rng.random() < 0.6:
+        i = rng.randrange(len(value))
+        return [*value[:i], _mutate(rng, value[i], keys), *value[i + 1:]]
+    edit = rng.randrange(3)
+    if isinstance(value, dict) and edit == 0 and value:
+        key = rng.choice(list(value))
+        return {k: v for k, v in value.items() if k != key}
+    if isinstance(value, dict) and edit == 1:
+        return {**value, rng.choice(keys): rng.choice(_MUTANTS)}
+    if isinstance(value, list) and edit == 1 and value:
+        return [*value, rng.choice(value)]
+    return json.loads(json.dumps(rng.choice(_MUTANTS)))
+
+
+def test_checker_agrees_with_jsonschema(monkeypatch):
+    # jsonschema is a test-only oracle: accept/reject must match on every
+    # config without NaN or infinities, which only the checker rejects
+    jsonschema = pytest.importorskip("jsonschema")
+    import random
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_run", os.path.join(root, "perfbench", "run.py")
+    )
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    perfbench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench)
+
+    seeds = [
+        (command, {**defaults, **form})
+        for command, defaults in wmlab.cli.DEFAULTS.items()
+        for form in _REQUIRED_FORMS.get(command, [{}])
+    ]
+    seeds += [
+        (command, config)
+        for sizes in perfbench.WORKLOADS.values()
+        for invocations in sizes.values()
+        for command, config, _ in invocations
+    ]
+    seeds += [
+        ("sample", {"model": _CUSTOM_MODEL, "n_samples": 2}),
+        ("matern_check", {"model": {**_BASE41, "delta": 10.0}}),
+        ("verdict", {**_UNDECIDABLE, "d": 2, "a_ratio": 2.0, "kappa2_equal": None}),
+        ("verdict", {"base_model": _CUSTOM_MODEL, "alt_model": _BASE41, "d": 1}),
+    ]
+    keys = sorted(
+        {key for schema in wmlab.cli.SCHEMAS.values() for sub in _subschemas(schema)
+         for key in sub.get("properties", {})} | {"zz"}
+    )
+    validators = {
+        command: jsonschema.Draft202012Validator(schema)
+        for command, schema in wmlab.cli.SCHEMAS.items()
+    }
+    rng = random.Random(20)
+    corpus = list(seeds)
+    while len(corpus) < 3600:
+        command, config = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            config = _mutate(rng, config, keys)
+        corpus.append((command, config))
+    accepted = 0
+    for command, config in corpus:
+        errors, checked = wmlab.cli._check(wmlab.cli.SCHEMAS[command], config)
+        if _non_finite(config):
+            assert errors, (command, config)
+            continue
+        assert (not errors) == validators[command].is_valid(config), (command, config, errors)
+        if not errors:
+            accepted += 1
+            assert wmlab.cli._same(checked, config)
+    assert accepted >= 300  # about one config in nine holds
+
+
+_MODEL_PAIR = _REQUIRED_FORMS["diagnose"][0]
+_EXPLICIT_VERDICT = _REQUIRED_FORMS["verdict"][0]
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("diagnose", {**_MODEL_PAIR, "gamma": math.nan}, ".gamma"),
+        ("diagnose", {**_MODEL_PAIR, "c": math.inf}, ".c"),
+        ("diagnose", {**_MODEL_PAIR, "cm_beta": math.inf}, ".cm_beta"),
+        ("matern_check", {"offsets": [math.nan]}, ".offsets[0]"),
+        (
+            "sample",
+            {"model": {**_CUSTOM_MODEL, "kappa2": {"kind": "constant", "params": [math.nan]}}},
+            ".model.kappa2.params[0]",
+        ),
+        ("sample", {"model": {**_CUSTOM_MODEL, "tau": math.inf}}, ".model.tau"),
+        (
+            "verdict",
+            {**_EXPLICIT_VERDICT, "a_relation": "proportional", "a_ratio": math.inf},
+            ".a_ratio",
+        ),
+    ],
+    ids=["gamma", "c", "cm_beta", "offsets", "coefficient", "tau", "a_ratio"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload, field):
+    # Python's json reads NaN and Infinity; JSON has neither
+    out = tmp_path / "o"
+    assert _run(tmp_path, command, {**payload, "out": str(out)}) == 2
+    assert f"config field '{field}': " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("sample", {"N": 60.0, "n_samples": 2.0}, "n_samples"),
+        ("verdict", {**_EXPLICIT_VERDICT, "d": 1.0}, "d"),
+    ],
+)
+def test_integer_valued_floats_reach_the_runners_as_ints(tmp_path, command, payload, key):
+    out = tmp_path / "o"
+    assert _run(tmp_path, command, {**payload, "out": str(out)}) == 0
+    # the manifest echoes the config as the runner saw it
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert type(config[key]) is int and config[key] == payload[key]
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wmlab.cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        ["fig2", "--N", "40", "--config",
+         _write(tmp_path, "fig2.json", {"n_values": [5, 10, 20], "svg": False})],
+        ["verdict", "--config", _write(tmp_path, "verdict.json", _MODEL_PAIR)],
+        ["fig1_integral", "--config", _write(tmp_path, "bad.json", {"N": 5})],
+    ]
+    runs = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    blocked = (
+        "import json, sys; sys.modules['jsonschema'] = None; from wmlab.cli import main; "
+        "print([main(argv) for argv in json.loads(sys.argv[1])])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", blocked, json.dumps(runs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0, 2]"
+    assert "config field '.N': 5 is less than the minimum of 10" in out.stderr
+    fresh = "import sys, wmlab.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", fresh], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 # ------------------------------------------------------- happy paths
