@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -210,8 +211,6 @@ def test_checker_agrees_with_jsonschema(monkeypatch):
     # jsonschema is a test-only oracle: accept/reject must match on every
     # config without NaN or infinities, which only the checker rejects
     jsonschema = pytest.importorskip("jsonschema")
-    import random
-
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "_perfbench_run", os.path.join(root, "perfbench", "run.py")
