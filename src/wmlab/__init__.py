@@ -22,8 +22,8 @@ The package is organized around a small pipeline:
     efficiency curves for point and integral observation designs;
 ``diagnostics``
     cross-operator comparisons (Hilbert-Schmidt curves, norm-equivalence
-    constants, mean-difference sums) and the exponent/boundary decision
-    rules for equivalence and asymptotic optimality;
+    constants) and the exponent/boundary decision rules for equivalence
+    and asymptotic optimality;
 ``cli``
     the ``wmlab`` experiment runner.
 

@@ -136,7 +136,8 @@ _POSITIVE_NUMBER_ARRAY = {
 _BOUNDARY_VALUES = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
 
 _COMMON_PROPS = {
-    "N": {"type": "integer", "minimum": 10},
+    # LAPACK's dimension arguments are 32-bit ints
+    "N": {"type": "integer", "minimum": 10, "maximum": 2**31 - 1},
     "seed": {"type": "integer", "minimum": 0},
     "out": {"type": "string", "minLength": 1},
     "threads": {"type": "integer", "minimum": 1},

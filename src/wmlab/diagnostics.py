@@ -21,9 +21,6 @@ predictions:
 * ``cm_equivalence_constants``: extreme eigenvalues of
   L^(-b) L~^(2b) L^(-b), the discrete norm-equivalence constants of the
   two Cameron-Martin norms.
-* ``mean_difference_check``: partial sums of sum_j lambda_j^(2b) <dm, e_j>^2,
-  finite exactly when the mean difference lies in the common
-  Cameron-Martin space.
 * ``table1_verdict``: the decision rules for equivalence / isomorphic
   Cameron-Martin spaces / asymptotic optimality as a function of the
   exponent regime and how the coefficient pairs relate, evaluated from
@@ -68,8 +65,6 @@ __all__ = [
     "DiagnosticsReport",
     "hs_curve",
     "cm_equivalence_constants",
-    "MeanDifferenceReport",
-    "mean_difference_check",
     "VerdictInput",
     "Verdict",
     "table1_verdict",
@@ -118,7 +113,7 @@ def cross_gram(dec_base, dec_alt, M_band):
     MV = band_matmul(M_band, dec_alt.eigenvectors)
     W = scipy.linalg.blas.dgemm(1.0, dec_base.eigenvectors, MV, trans_a=1)
     del MV
-    err = _identity_defect(W, lambda a, b: W[:, a:b], upper=True)
+    err = _identity_defect(W, lambda a, b: W[:, a:b])
     if not err <= 1e-6:
         raise NumericalIntegrityError(
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"
@@ -314,50 +309,6 @@ def cm_equivalence_constants(pair, beta, truncation=None):
         ev = scipy.linalg.eigvalsh(_gram(pair, beta, t), lower=False, overwrite_a=True)
         shift = 0.0
     return max(float(ev[0] + shift), 0.0), float(ev[-1] + shift)
-
-
-@dataclass(frozen=True)
-class MeanDifferenceReport:
-    """Partial sums S_J = sum_{j<=J} lambda_j^(2b) <dm, e_j>_M^2."""
-
-    partial_sums: np.ndarray
-    total: float
-    tail_fraction: float
-    trend: str  # "converging" | "diverging" | "zero"
-
-
-def mean_difference_check(delta_m_weights, decomposition, beta):
-    """Does a mean difference (as a Galerkin weight vector) look like a
-    member of the Cameron-Martin space?
-
-    The coefficient <dm, e_j>_M is computed as row j of V^{-1} dm (no
-    mass matrix needed: V^{-1} = V' M by M-orthonormality). The sum is
-    always finite at a fixed discretization; the reported trend reads
-    its tail: if the last half of the spectrum contributes less than 10%
-    of the total the sum has visibly saturated ("converging").
-    """
-    if not beta > 0.25:
-        raise ParameterError(f"beta must exceed 1/4, got {beta}")
-    dm = np.asarray(delta_m_weights, dtype=np.float64).ravel()
-    V = decomposition.eigenvectors
-    if dm.shape[0] != V.shape[0]:
-        raise ParameterError(
-            f"weight vector length {dm.shape[0]} does not match pencil size {V.shape[0]}"
-        )
-    coeffs = np.linalg.solve(V, dm)
-    terms = decomposition.eigenvalues ** (2.0 * beta) * coeffs**2
-    partial = np.cumsum(terms)
-    total = float(partial[-1])
-    if total <= 0.0:
-        return MeanDifferenceReport(
-            partial_sums=partial, total=0.0, tail_fraction=0.0, trend="zero"
-        )
-    half = partial.shape[0] // 2
-    tail = float((total - partial[half - 1]) / total) if half >= 1 else 1.0
-    trend = "converging" if tail < 0.10 else "diverging"
-    return MeanDifferenceReport(
-        partial_sums=partial, total=total, tail_fraction=tail, trend=trend
-    )
 
 
 # -- decision rules -----------------------------------------------------

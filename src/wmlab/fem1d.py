@@ -491,16 +491,15 @@ def _mass_matrix(order, n_dof, constraint_mode):
     return _read_only(_assemble(basis, qpts, qwts, coeffs, [0], [0]))
 
 
-def assemble_aL(basis, a, kappa2, nquad=None):
+def assemble_aL(basis, a, kappa2):
     """Mass matrix and the form <a u', v'> + <kappa2 u, v>.
 
     The diffusion coefficient must be strictly positive at every
-    quadrature node; the reaction coefficient must be nonnegative
-    (zero is allowed, e.g. for a pure Laplacian).
+    quadrature node (order + 2 Gauss points per element); the reaction
+    coefficient must be nonnegative (zero is allowed, e.g. for a pure
+    Laplacian).
     """
-    if nquad is None:
-        nquad = basis.order + 2
-    qpts, qwts = _element_quadrature(basis, nquad)
+    qpts, qwts = _element_quadrature(basis, basis.order + 2)
     a_q = _field_at(a, qpts)
     k2_q = _field_at(kappa2, qpts)
     if np.min(a_q) <= 0.0:
@@ -596,20 +595,19 @@ def assemble_a3(basis, kappa2, a=None):
     return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a3")
 
 
-def integral_obs_matrix(basis, n_rows, nquad=None):
+def integral_obs_matrix(basis, n_rows):
     """Observation matrix against the sine system sqrt(2) sin(l pi s).
 
     Row l-1 holds the pairings of the l-th sine function with every
-    constrained basis function, l = 1..n_rows. The default per-element
-    quadrature grows with the highest frequency so that even the most
+    constrained basis function, l = 1..n_rows. The per-element Gauss
+    rule grows with the highest frequency so that even the most
     oscillatory row is resolved.
     """
     if not 1 <= n_rows <= basis.n_dof:
         raise ParameterError(
             f"n_rows must lie in [1, {basis.n_dof}], got {n_rows}"
         )
-    if nquad is None:
-        nquad = max(basis.order + 2, math.ceil(4.0 * n_rows * basis.cell_width))
+    nquad = max(basis.order + 2, math.ceil(4.0 * n_rows * basis.cell_width))
     qpts, qwts = _element_quadrature(basis, nquad)
     B, first = _element_ders(basis, qpts, 0)
     n_rows = int(n_rows)

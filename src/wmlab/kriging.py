@@ -74,7 +74,6 @@ __all__ = [
     "ObservationDesign",
     "point_locations",
     "correct_error_variance",
-    "misspecified_error_variance",
     "efficiency",
     "EfficiencyCurve",
     "efficiency_curve_integral",
@@ -121,14 +120,11 @@ class ObservationDesign:
                 )
 
 
-def point_locations(design, n=None):
-    """First n alternating observation points (all of them by default)."""
+def point_locations(design):
+    """The n_max alternating observation points of a point design."""
     if design.kind != "point":
         raise ParameterError("point_locations needs a point design")
-    n = design.n_max if n is None else int(n)
-    if not 1 <= n <= design.n_max:
-        raise ParameterError(f"n must lie in [1, {design.n_max}], got {n}")
-    i = np.arange(1, n + 1)
+    i = np.arange(1, design.n_max + 1)
     step = ((i + 1) // 2) * design.delta_o
     return np.where(i % 2 == 0, design.s0 + step, design.s0 - step)
 
@@ -274,15 +270,6 @@ def correct_error_variance(Sigma, n, target_row):
     from the first n functionals, all under the covariance Sigma (which
     the engine also takes as the second one: v_true does not read it)."""
     return float(_one_target(Sigma, Sigma, n, target_row)[0][0])
-
-
-def misspecified_error_variance(Sigma, Sigma_tilde, n, target_row):
-    """True error of the predictor whose weights come from Sigma_tilde.
-
-    Sigma is the true covariance, Sigma_tilde the one the predictor was
-    (wrongly) built from; ``target_row`` is 1-based.
-    """
-    return float(_one_target(Sigma, Sigma_tilde, n, target_row)[1][0])
 
 
 def efficiency(Sigma, Sigma_tilde, n, target_row):
@@ -458,15 +445,13 @@ def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_tar
     )
 
 
-def efficiency_curve_integral(true_model, missp_model, N, n_values=None, keep_per_target=False):
+def efficiency_curve_integral(true_model, missp_model, N, n_values, keep_per_target=False):
     """Worst-case loss over sine targets l = n+1..N versus n.
 
     Both covariances are discretized on the same N-dimensional basis;
     observation l pairs the field with sqrt(2) sin(l pi s). Requires
     max(n_values) <= N/2 so a substantial target range remains.
     """
-    if n_values is None:
-        n_values = (10, 20, 50, 100, 200, 300, 400, 500)
     n_values = _curve_n_values(true_model, missp_model, n_values)
     if max(n_values) > N // 2:
         raise ParameterError(
@@ -481,17 +466,13 @@ def efficiency_curve_integral(true_model, missp_model, N, n_values=None, keep_pe
     )
 
 
-def efficiency_curve_point(
-    true_model, missp_model, N, n_values=None, s0=0.5, delta_o=0.01
-):
+def efficiency_curve_point(true_model, missp_model, N, n_values, s0=0.5, delta_o=0.01):
     """Efficiency loss predicting z(s0) from alternating nearby points.
 
     The first n observation points of the alternating design are used
     for each n; the target functional is the field value at the center
     s0 itself.
     """
-    if n_values is None:
-        n_values = tuple(range(10, 100, 10))
     n_values = _curve_n_values(true_model, missp_model, n_values)
     design = ObservationDesign(
         kind="point", n_max=max(n_values), s0=float(s0), delta_o=float(delta_o)

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import CoefficientError, DomainError, ParameterError
 
 __all__ = [
-    "erf",
     "CoefficientField",
     "eval_coefficient",
     "eval_coefficient_derivative",
@@ -35,9 +34,7 @@ __all__ = [
     "builtin_model",
     "BUILTIN_MODEL_NAMES",
     "FIELD_KINDS",
-    "field_to_dict",
     "field_from_dict",
-    "model_to_dict",
     "model_from_dict",
 ]
 
@@ -45,25 +42,12 @@ _TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi)
 _ONE_INSIDE = math.nextafter(1.0, 0.0)
 
 
-def erf(x):
-    """Gauss error function of a real scalar (``math.erf``).
-
-    The result is clamped into the open interval (-1, 1), which the exact
-    function never leaves.
-    """
-    x = float(x)
-    if x != x:  # NaN
-        raise DomainError("erf: argument is NaN")
-    r = math.erf(x)
-    if r >= 1.0:
-        r = _ONE_INSIDE
-    elif r <= -1.0:
-        r = -_ONE_INSIDE
-    return r
-
-
 def _erf_arr(x):
-    """``erf`` elementwise on an array: one NaN check, one clamp."""
+    """Gauss error function (``math.erf``) elementwise on an array.
+
+    One NaN check, and one clamp into the open interval (-1, 1), which the
+    exact function never leaves.
+    """
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise DomainError("erf: argument is NaN")
@@ -348,11 +332,7 @@ def builtin_model(name, beta, delta=10.0):
     return ModelSpec(beta=float(beta), a=one, kappa2=k2, tau=tau, basis_order=beta)
 
 
-# -- JSON round-tripping ----------------------------------------------
-
-
-def field_to_dict(field):
-    return {"kind": field.kind, "params": [float(p) for p in field.params]}
+# -- JSON model specs ----------------------------------------------------
 
 
 def field_from_dict(d):
@@ -362,16 +342,6 @@ def field_from_dict(d):
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed coefficient field spec: {d!r}") from exc
     return CoefficientField(kind, params)
-
-
-def model_to_dict(model):
-    return {
-        "beta": float(model.beta),
-        "a": field_to_dict(model.a),
-        "kappa2": field_to_dict(model.kappa2),
-        "tau": float(model.tau),
-        "basis_order": int(model.basis_order),
-    }
 
 
 def model_from_dict(d):

@@ -86,9 +86,10 @@ class SpectralDecomposition:
 # generalized_eig on builtin piecewise-linear pencils, 2-core Xeon VM,
 # 2 BLAS threads: 0.25 s at N = 1200 and 0.69-0.92 s at N = 2000, where
 # the same steps with dsbgvd's vectors took 0.41-0.74 s and 2.2-3.1 s;
-# 3.3-3.5 s at N = 4000, where the dense eigh took 15.0 s: 0.3 s for
-# the eigenvalues, 0.9 s for the vectors, 0.4 s for the Rayleigh
-# quotients and 1.7 s for the M-orthonormality check. The last two run
+# 2.2-2.6 s at N = 4000, where the dense eigh took 15.0 s: 0.3 s for
+# the eigenvalues, 0.8-0.9 s for the vectors, 0.3 s for the Rayleigh
+# quotients and 0.9 s for the M-orthonormality check, which reads only
+# the upper triangle of V'MV (1.4 s over all of it). The last two run
 # over column blocks (_identity_defect), so the call holds no N x N
 # array besides the vectors; formed over all columns at once they took
 # 0.6 s and 1.2 s and held two more. Wider pencils stay dense: at
@@ -289,20 +290,21 @@ def _column_blocks(n):
     return [(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK)]
 
 
-def _identity_defect(X, Y_columns, upper=False):
-    """max |X' Y - I| over the entries of X' Y, formed by column blocks.
+def _identity_defect(X, Y_columns):
+    """max |X' Y - I| over the upper triangle of X' Y, by column blocks.
 
-    ``Y_columns(a, b)`` returns columns a:b of Y. With ``upper`` only the
-    upper triangle of X' Y is read, as for a symmetric X' X. The block
-    maxima are combined by np.max, so a NaN anywhere gives a NaN defect.
+    ``Y_columns(a, b)`` returns columns a:b of Y. Both callers check a
+    Gram matrix that is symmetric in exact arithmetic (V' M V and W' W),
+    so block a:b forms only X[:, :b]' Y[:, a:b]: half the flops of the
+    full X' Y. The block maxima are combined by np.max, so a NaN anywhere
+    in the upper triangle gives a NaN defect.
     """
     maxima = []
     for a, b in _column_blocks(X.shape[1]):
-        gram = scipy.linalg.blas.dgemm(1.0, X[:, :b] if upper else X, Y_columns(a, b), trans_a=1)
+        gram = scipy.linalg.blas.dgemm(1.0, X[:, :b], Y_columns(a, b), trans_a=1)
         square = gram[a:b]
         square[np.diag_indices_from(square)] -= 1.0
-        if upper:
-            square[np.tril_indices_from(square, -1)] = 0.0
+        square[np.tril_indices_from(square, -1)] = 0.0
         maxima.append(np.max(np.abs(gram, out=gram)))
         # freed before the next block's columns of Y are formed
         del gram, square

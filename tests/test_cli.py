@@ -298,6 +298,23 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload
 
 
 @pytest.mark.parametrize(
+    "payload, flags, shown",
+    [({}, ("--N", "100000000000"), "100000000000"), ({"N": 1e300}, (), "1e+300")],
+    ids=["flag", "config"],
+)
+def test_n_beyond_the_lapack_integer_is_a_config_error(
+    tmp_path, capsys, monkeypatch, payload, flags, shown
+):
+    # LAPACK's dimension arguments are 32-bit ints; the runner must not start
+    monkeypatch.setitem(wmlab.cli.COMMANDS, "sample", lambda *_: pytest.fail("sample ran"))
+    out = tmp_path / "o"
+    assert _run(tmp_path, "sample", {**payload, "out": str(out)}, *flags) == 2
+    err = capsys.readouterr().err
+    assert f"config field '.N': {shown} is greater than the maximum of 2147483647" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, payload, key",
     [
         ("sample", {"N": 60.0, "n_samples": 2.0}, "n_samples"),

@@ -15,7 +15,6 @@ from wmlab.diagnostics import (
     cm_equivalence_constants,
     cross_gram,
     hs_curve,
-    mean_difference_check,
     t_operator,
     table1_verdict,
     verdict_input_from_models,
@@ -353,28 +352,6 @@ def test_cross_gram_rejects_an_off_diagonal_defect():
     corrupted = SimpleNamespace(eigenvalues=dec.eigenvalues, eigenvectors=vec)
     with pytest.raises(NumericalIntegrityError, match="not orthogonal"):
         cross_gram(dec, corrupted, ops.M_band)
-
-
-# ------------------------------------------------------- mean difference
-
-
-def test_mean_difference_trends():
-    lam = np.arange(1.0, 41.0) ** 2
-    dec = SimpleNamespace(eigenvalues=lam, eigenvectors=np.eye(40))
-    one_mode = np.zeros(40)
-    one_mode[0] = 1.0
-    assert mean_difference_check(one_mode, dec, beta=1.0).trend == "converging"
-    flat = np.ones(40)  # coefficients flat, terms grow like j^4
-    assert mean_difference_check(flat, dec, beta=1.0).trend == "diverging"
-    assert mean_difference_check(np.zeros(40), dec, beta=1.0).trend == "zero"
-
-
-def test_mean_difference_validation():
-    dec = SimpleNamespace(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.eye(2))
-    with pytest.raises(ParameterError):
-        mean_difference_check(np.ones(3), dec, beta=1.0)
-    with pytest.raises(ParameterError):
-        mean_difference_check(np.ones(2), dec, beta=0.1)
 
 
 # ------------------------------------------------------- verdict engine

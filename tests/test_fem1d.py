@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmlab import fem1d
 from wmlab.errors import (
     CoefficientError,
     ConstraintError,
@@ -118,10 +119,14 @@ def test_quadrature_independence_for_polynomial_coefficients(order):
     basis = build_basis(24, order, DIRICHLET)
     a = CoefficientField("polynomial", (1.0, 0.5, 0.25, 0.1))
     k2 = CoefficientField("polynomial", (2.0, -1.0, 0.0, 1.0))
-    lo = assemble_aL(basis, a, k2, nquad=order + 2)
-    hi = assemble_aL(basis, a, k2, nquad=2 * (order + 2))
-    assert np.max(np.abs(lo.K - hi.K)) < 1e-10
-    assert np.max(np.abs(lo.M - hi.M)) < 1e-10
+    lo = assemble_aL(basis, a, k2)
+    # the same forms with twice the order + 2 Gauss points of assemble_aL
+    qpts, qwts = fem1d._element_quadrature(basis, 2 * (order + 2))
+    coeffs = np.stack([fem1d._field_at(a, qpts), fem1d._field_at(k2, qpts)])
+    hi_K = dense(fem1d._assemble(basis, qpts, qwts, coeffs, [1, 0], [1, 0]))
+    hi_M = dense(fem1d._assemble(basis, qpts, qwts, np.ones((1,) + qpts.shape), [0], [0]))
+    assert np.max(np.abs(lo.K - hi_K)) < 1e-10
+    assert np.max(np.abs(lo.M - hi_M)) < 1e-10
 
 
 def test_assemble_rejects_bad_coefficients():

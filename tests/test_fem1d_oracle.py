@@ -282,13 +282,19 @@ def test_a3_matches_scalar_oracle():
     assert_close_to_scale(assemble_a3(basis, KAPPA2).K, constrain(basis, raw))
 
 
-def test_sine_rows_across_row_blocks_match_scalar_oracle():
+def test_sine_rows_across_row_blocks_match_scalar_oracle(monkeypatch):
     n_rows = 2 * _SINE_BLOCK + 7  # two full row blocks and a partial one
     basis = build_basis(n_rows, 2, DIRICHLET)
-    nquad = 6
-    qpts, qwts = _element_quadrature(basis, nquad)
+    rules = []  # the Gauss rule integral_obs_matrix picks, for the oracle
+
+    def recorded(*args):
+        rules.append(_element_quadrature(*args))
+        return rules[-1]
+
+    monkeypatch.setattr(fem1d, "_element_quadrature", recorded)
+    Phi = integral_obs_matrix(basis, n_rows)
+    ((qpts, qwts),) = rules
     raw = sine_rows(basis.knots, 2, basis.n_raw, qpts, qwts, n_rows)
-    Phi = integral_obs_matrix(basis, n_rows, nquad=nquad)
     assert_close_to_scale(Phi, raw @ dense_transform(basis))
 
 

@@ -15,7 +15,6 @@ from wmlab.kriging import (
     efficiency,
     efficiency_curve_integral,
     efficiency_curve_point,
-    misspecified_error_variance,
     point_locations,
     write_curves_csv,
 )
@@ -41,8 +40,8 @@ def test_schur_complement_hand_value():
 
 def test_misspecified_variance_hand_value():
     # misspecified weights [1/4,1/4]; v~ = 4/3 + (w~-w)' S (w~-w) = 11/8
-    v = misspecified_error_variance(SIGMA, SIGMA_T, 2, 3)
-    npt.assert_allclose(v, 11.0 / 8.0, rtol=1e-14)
+    _, v_miss, _, _ = kriging._one_target(SIGMA, SIGMA_T, 2, 3)
+    npt.assert_allclose(v_miss[0], 11.0 / 8.0, rtol=1e-14)
 
 
 def test_efficiency_hand_value():
@@ -133,8 +132,8 @@ def test_property_schur_monotone_in_observations(n, seed):
 
 
 def test_point_locations_alternate_around_center():
-    design = ObservationDesign(kind="point", n_max=20, s0=0.5, delta_o=0.01)
-    locs = point_locations(design, 5)
+    design = ObservationDesign(kind="point", n_max=5, s0=0.5, delta_o=0.01)
+    locs = point_locations(design)
     # odd entries sit below the center, even ones above, spacing growing
     npt.assert_allclose(locs, [0.49, 0.51, 0.48, 0.52, 0.47], rtol=1e-12)
 
@@ -153,10 +152,9 @@ def _point_locations_loop(design, n):
     [(0.5, 0.01, 98), (0.3, 0.007, 81), (0.5, 1.0 / 3.0, 1), (0.71, 0.0123, 2), (0.5, 0.1, 8)],
 )
 def test_point_locations_match_scalar_loop_bit_for_bit(s0, delta_o, n_max):
-    design = ObservationDesign(kind="point", n_max=n_max, s0=s0, delta_o=delta_o)
     for n in sorted({1, (n_max + 1) // 2, n_max}):
-        assert np.array_equal(point_locations(design, n), _point_locations_loop(design, n))
-    assert np.array_equal(point_locations(design), _point_locations_loop(design, n_max))
+        design = ObservationDesign(kind="point", n_max=n, s0=s0, delta_o=delta_o)
+        assert np.array_equal(point_locations(design), _point_locations_loop(design, n))
 
 
 def test_point_design_must_stay_inside_domain():

@@ -29,7 +29,6 @@ ALLOWED = {
     ("spectral.py", "balakrishnan_fractional_inverse"): (
         "criterion 4's subject, an independent dense route that no command calls"
     ),
-    ("diagnostics.py", "mean_difference_check"): "not on any command's path",
 }
 
 NUMPY_PRODUCTS = ("matmul", "dot", "linalg")
