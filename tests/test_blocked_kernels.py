@@ -4,9 +4,9 @@
 their identity defects over blocks of ``spectral._BLOCK`` columns. The
 oracle is the full-array code they replace: one band product over all
 columns for each of K V and M V, and the upper triangle of one N x N
-Gram matrix for each check. The blocked results must equal it bit for bit (eigenpairs) or to
-roundoff (defects), every block must be checked, and the working memory
-must stay bounded.
+Gram matrix for each check. The blocked results must equal it bit for
+bit (eigenpairs) or to roundoff (defects), every block must be checked,
+and the working memory must stay bounded.
 """
 
 import gc
