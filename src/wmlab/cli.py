@@ -49,8 +49,8 @@ from . import __version__
 from .diagnostics import (
     VerdictInput,
     cm_equivalence_constants,
-    cross_gram,
     hs_curve,
+    operator_pair,
     table1_verdict,
     verdict_input_from_models,
 )
@@ -789,9 +789,9 @@ def run_diagnose(cfg, outdir):
     basis = build_basis(int(N), 1, DIRICHLET)
     ops_base = assemble_aL(basis, base.a, base.kappa2)
     ops_alt = assemble_aL(basis, alt.a, alt.kappa2)
-    # no eigenvector matrix outlives cross_gram: the pair keeps the
-    # eigenvalues and W
-    pair = cross_gram(generalized_eig(ops_base), generalized_eig(ops_alt), ops_base.M_band)
+    # the alt pencil enters through its bands; its eigenvectors are
+    # computed only for an exponent with 2b not a positive integer
+    pair = operator_pair(generalized_eig(ops_base), ops_alt)
     report = hs_curve(pair, cfg["gamma"], cfg["c"], truncations)
     payload = report.to_dict()
     if "cm_beta" in cfg:

@@ -1,14 +1,12 @@
 """Numerical diagnostics for comparing two elliptic operators.
 
 Given the Galerkin pencils (K, M) and (K~, M) of two second-order
-operators discretized on the same basis, the M-orthonormal eigenvector
-matrices V, V~ define the cross Gram matrix W = V' M V~, an orthogonal
-change of basis between the two discrete eigensystems. ``cross_gram``
-keeps W and the two spectra in an ``OperatorPair`` and drops the
-eigenvectors, which nothing below reads. From them one builds discrete
-counterparts of the operator-theoretic objects that govern equivalence
-of the induced Gaussian measures and asymptotic optimality of kriging
-predictions:
+operators discretized on the same basis, with M-orthonormal eigenvector
+matrices V, V~, the cross Gram matrix W = V' M V~ is an orthogonal
+change of basis between the two discrete eigensystems. From them one
+builds discrete counterparts of the operator-theoretic objects that
+govern equivalence of the induced Gaussian measures and asymptotic
+optimality of kriging predictions:
 
 * ``t_operator``: the defect T = L^(-g) L~^(2g) L^(-g) - c^(2g) I in
   the eigenbasis of the first operator. The induced measures (for
@@ -28,20 +26,27 @@ predictions:
   read one boundary condition on kappa2_alt - c*kappa2_base, c = a_alt/a_base:
   flat endpoint slopes from 9/4 on, vanishing higher traces too above 13/4.
 
-T + c^(2g) I and the Cameron-Martin matrices are Gram products B B'
-of a scaled cross Gram matrix B = Lam^(-b) W Lam~^(b) (b = g for T),
-each formed by one symmetric rank-k update (``_gram``); their spectra
+T + c^(2g) I and the Cameron-Martin matrices are leading blocks of
+Lam^(-b) W Lam~^(2b) W' Lam^(-b) (b = g for T), each formed as a Gram
+product Y'Y by one symmetric rank-k update (``_gram``); their spectra
 come from symmetric eigensolves, and no routine here runs an SVD.
-At matched exponents (b = g) they are one matrix shifted by
-s = c^(2g): ``hs_curve`` keeps each block's spectrum of T on the pair,
-and ``cm_equivalence_constants`` reads its constants off that spectrum
-plus s instead of forming and eigensolving the Gram block again.
+``operator_pair`` builds a pair from the base eigenpairs and the alt
+pencil alone. When 2b = m is a positive integer the block needs no alt
+eigenvectors: V~ Lam~^m V~' = A^m M^-1 with A = M^-1 K~, so
+W Lam~^(2b) W' = V' M A^m V, and Y comes from V by banded products and
+solves with K~ and M. Any other exponent takes the W route, which runs
+the alt eigensolve and ``cross_gram`` once, on first use. At matched
+exponents (b = g) the blocks are one matrix shifted by s = c^(2g):
+``hs_curve`` keeps each block's spectrum of T on the pair, and
+``cm_equivalence_constants`` reads its constants off that spectrum plus
+s instead of forming and eigensolving the Gram block again.
 
 The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -51,15 +56,27 @@ import scipy.linalg
 
 from .errors import (
     DataError,
+    DomainError,
     NumericalIntegrityError,
     ParameterError,
 )
-from .fem1d import band_matmul
+from .fem1d import AssembledOperators, band_matmul
 from .matio import write_csv
-from .spectral import _identity_defect
+from .model_config import _is_integer
+from .spectral import (
+    SpectralDecomposition,
+    _column_blocks,
+    _dsbgvd_eigenvalues,
+    _identity_defect,
+    _require_positive,
+    _triangular_band_matmul,
+    _triangular_band_solve,
+    generalized_eig,
+)
 
 __all__ = [
     "OperatorPair",
+    "operator_pair",
     "cross_gram",
     "t_operator",
     "DiagnosticsReport",
@@ -80,9 +97,11 @@ def _json_dict(fields):
 @dataclass(frozen=True)
 class OperatorPair:
     """The ascending eigenvalues of two pencils on a common mass matrix,
-    plus their cross Gram matrix W = V_base' M V_alt (orthogonal up to
-    roundoff). The eigenvectors are not kept: every diagnostic reads only
-    ``lam``, ``lam_alt`` and W.
+    and what the Gram blocks need besides: either the cross Gram matrix
+    W = V_base' M V_alt (orthogonal up to roundoff), as ``cross_gram``
+    and synthetic pairs give it, or the base eigenvectors ``V`` and the
+    alt pencil ``ops_alt``, as ``operator_pair`` gives them. The alt
+    eigenvectors are never kept.
 
     A pair is immutable once built: its arrays are never changed in
     place, so spectra computed from them stay valid for the pair's
@@ -93,14 +112,45 @@ class OperatorPair:
 
     lam: np.ndarray
     lam_alt: np.ndarray
-    W: np.ndarray
+    W: Optional[np.ndarray] = None
+    V: Optional[np.ndarray] = None
+    ops_alt: Optional[AssembledOperators] = None
     _defect_spectra: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @functools.cached_property
+    def _w_route(self):
+        """(lam_alt, W) for the W route: the pair's own, or else those of
+        one alt eigensolve and ``cross_gram``, run on first use. The alt
+        eigenvalues are then its Rayleigh quotients, as ``cross_gram``
+        pairs have them."""
+        if self.W is not None:
+            return self.lam_alt, self.W
+        dec_base = SpectralDecomposition(eigenvalues=self.lam, eigenvectors=self.V)
+        pair = cross_gram(dec_base, generalized_eig(self.ops_alt), self.ops_alt.M_band)
+        return pair.lam_alt, pair.W
+
+
+def operator_pair(dec_base, ops_alt):
+    """The pair of the base eigenpairs and the alt pencil (K~, M), held as
+    lower bands on the base's mass matrix.
+
+    ``lam_alt`` comes from LAPACK dsbgvd without vectors. Gram blocks with
+    2b a positive integer read only V and the bands; the alt eigenvectors
+    are computed only if another exponent needs W. Raises
+    AssemblyIntegrityError if the alt pencil has a nonpositive eigenvalue.
+    """
+    lam_alt = _dsbgvd_eigenvalues(ops_alt.K_band, ops_alt.M_band)
+    _require_positive(lam_alt)
+    return OperatorPair(
+        lam=dec_base.eigenvalues, lam_alt=lam_alt, V=dec_base.eigenvectors, ops_alt=ops_alt
+    )
+
 
 def cross_gram(dec_base, dec_alt, M_band):
-    """Build the operator pair and validate orthogonality of W.
+    """Build the operator pair of two eigendecompositions, with W, and
+    validate orthogonality of W.
 
     ``M_band`` is the common mass matrix as a lower band
     (``AssembledOperators.M_band``), applied as a band product. Both
@@ -122,16 +172,73 @@ def cross_gram(dec_base, dec_alt, M_band):
 
 
 def _gram(pair, b, t):
-    """Upper triangle of B_t B_t' for B_t = (Lam^(-b) W Lam~^(b))[:t, :].
+    """Upper triangle of the leading t x t block of
+    Lam^(-b) W Lam~^(2b) W' Lam^(-b), as Y'Y by one dsyrk.
 
-    One dsyrk; the lower triangle is left zero. B_t B_t' is the leading
-    t x t block of Lam^(-b) W Lam~^(2b) W' Lam^(-b), symmetric and
-    positive semidefinite by construction. B is scaled before the
-    product, so its entries stay O(1) where Lam^(-2b) alone spans many
-    decades.
+    The lower triangle is left zero. Y'Y is symmetric and positive
+    semidefinite by construction, and Y is scaled as it is formed, so
+    its entries stay O(1) where Lam^(-2b) alone spans many decades.
+
+    The route follows the exponent. When 2b = m is a positive integer
+    and the pair holds V and the alt pencil, Y = R A^k V_t Lam_t^(-b)
+    with A = M^-1 K~, k = floor(m/2) and R = L_M' (m even) or L_K~'
+    (m odd), where M = L_M L_M' and K~ = L_K~ L_K~'. Then
+    Y'Y = Lam_t^(-b) V_t' M A^m V_t Lam_t^(-b), which is the block, since
+    M V~ Lam~^m V~' M = M A^m. L_M' A is L_M^-1 K~, so m = 2 is one band
+    product, one banded triangular solve and one dsyrk. Each application
+    of A is followed by a scaling by Lam_t^-1. Otherwise (the W route)
+    Y = B_t' with B_t = (Lam^(-b) W Lam~^(b))[:t, :].
+
+    DomainError, naming b and N, if an entry of the block or the sum of
+    their squares is not finite in double precision; ``hs_curve`` sums
+    the squares of T's eigenvalues. It is checked before any eigensolve
+    reads the block.
     """
-    B = np.multiply(pair.lam[:t, None] ** (-b), pair.W[:t] * pair.lam_alt**b, order="F")
-    return scipy.linalg.blas.dsyrk(1.0, B)
+    n = len(pair.lam)
+    m = 2.0 * b
+    pencil = pair.V is not None and m >= 1.0 and _is_integer(m)
+    if not pencil:
+        lam_alt, W = pair._w_route
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pencil:
+            G = _pencil_gram(pair, int(round(m)), t)
+        else:
+            B = np.multiply(pair.lam[:t, None] ** (-b), W[:t] * lam_alt**b, order="F")
+            G = scipy.linalg.blas.dsyrk(1.0, B)
+        # not finite if an entry is, or if the squares that the block's
+        # Frobenius norm and its spectrum's sum of squares add up overflow
+        square_sum = np.einsum("ij,ij->", G, G)
+    if not np.isfinite(square_sum):
+        raise DomainError(
+            f"the Gram block of exponent {float(b)} overflows double precision at "
+            f"N = {n}: an entry or the sum of their squares is not finite"
+        )
+    return G
+
+
+def _pencil_gram(pair, m, t):
+    """Y'Y for Y = R A^k V_t Lam_t^(-m/2), formed by blocks of columns of
+    V_t into one N x t array (see ``_gram``)."""
+    k, odd = divmod(m, 2)
+    K_band, M_band = pair.ops_alt.K_band, pair.ops_alt.M_band
+    L_M = scipy.linalg.cholesky_banded(M_band, lower=True)
+    L_K = scipy.linalg.cholesky_banded(K_band, lower=True) if odd else None
+    inv = 1.0 / pair.lam[:t]
+    Y = np.empty((pair.V.shape[0], t), order="F")
+    for a, b in _column_blocks(t):
+        X = pair.V[:, a:b] * np.sqrt(inv[a:b]) if odd else pair.V[:, a:b]
+        # the last A of an even m is fused with L_M' into L_M^-1 K~
+        for _ in range(k - 1 + odd):
+            X = scipy.linalg.cho_solve_banded(
+                (L_M, True), band_matmul(K_band, X), check_finite=False
+            )
+            X *= inv[a:b]
+        if odd:
+            Y[:, a:b] = _triangular_band_matmul(L_K, X, transpose=True)
+        else:
+            Y[:, a:b] = _triangular_band_solve(L_M, band_matmul(K_band, X), trans="N")
+            Y[:, a:b] *= inv[a:b]
+    return scipy.linalg.blas.dsyrk(1.0, Y, trans=1)
 
 
 def t_operator(pair, gamma, c, truncation=None):
@@ -139,15 +246,14 @@ def t_operator(pair, gamma, c, truncation=None):
 
     Expressed in the eigenbasis of the base operator; gamma is the
     fractional comparison order and c the candidate proportionality
-    constant between the operators. Formed as the Gram matrix B B' of
-    B = Lam^(-g) W Lam~^(g) minus c^(2g) I, so it is exactly symmetric.
-    With ``truncation`` t only the leading t x t block is formed, from
-    the first t rows of B.
+    constant between the operators. Formed as the Gram product Y'Y of
+    ``_gram`` minus c^(2g) I, so it is exactly symmetric. With
+    ``truncation`` t only the leading t x t block is formed.
     """
     if not c > 0.0:
         raise ParameterError(f"c must be positive, got {c}")
     gamma = float(gamma)
-    n = pair.W.shape[0]
+    n = len(pair.lam)
     t = n if truncation is None else int(truncation)
     if not 1 <= t <= n:
         raise ParameterError(f"truncation must lie in [1, {n}], got {t}")
@@ -216,7 +322,7 @@ def hs_curve(pair, gamma, c, truncations):
     beta = gamma.
     """
     truncs = tuple(int(t) for t in truncations)
-    n = pair.W.shape[0]
+    n = len(pair.lam)
     if len(truncs) < 2:
         raise ParameterError("need at least two truncations to classify growth")
     if min(truncs) < 2:
@@ -272,10 +378,10 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     truncation grows is the discrete signature of isomorphic spaces;
     drift toward 0 or infinity signals failure.
 
-    The leading t x t block is formed as the Gram product B_t B_t' of
-    the first t rows of B = Lam^(-b) W Lam~^(b), and its extreme
-    eigenvalues come from a symmetric eigensolve. B is scaled before the
-    product, so no entry carries the dynamic range of Lam^(-2b). Both
+    The leading t x t block is formed as the Gram product Y'Y of
+    ``_gram``, and its extreme eigenvalues come from a symmetric
+    eigensolve. Y is scaled as it is formed, so no entry carries the
+    dynamic range of Lam^(-2b). Both
     constants are accurate to a few units of roundoff relative to the
     larger one, so a lower constant far below that level reads as noise.
     The Gram matrix is positive semidefinite, and a lower constant that
@@ -296,7 +402,7 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     """
     if not beta > 0.25:
         raise ParameterError(f"beta must exceed 1/4, got {beta}")
-    n = pair.W.shape[0]
+    n = len(pair.lam)
     t = n if truncation is None else int(truncation)
     if not 2 <= t <= n:
         raise ParameterError(f"truncation must lie in [2, {n}], got {t}")

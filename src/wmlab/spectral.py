@@ -264,10 +264,7 @@ def generalized_eig(ops):
             )
         except scipy.linalg.LinAlgError as exc:
             raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
-    if lam[0] <= 0.0:
-        raise AssemblyIntegrityError(
-            f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
-        )
+    _require_positive(lam)
     err = _identity_defect(vec, lambda a, b: band_matmul(ops.M_band, vec[:, a:b]))
     # written so that a NaN defect fails too
     if not err <= 1e-8:
@@ -275,6 +272,15 @@ def generalized_eig(ops):
             f"eigenvectors lost M-orthonormality: max deviation {err:.3e}"
         )
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
+
+
+def _require_positive(lam):
+    """AssemblyIntegrityError unless the lowest of the ascending pencil
+    eigenvalues ``lam`` is positive."""
+    if lam[0] <= 0.0:
+        raise AssemblyIntegrityError(
+            f"pencil has nonpositive eigenvalue {lam[0]:.6g}; form matrix is not positive definite"
+        )
 
 
 # Passes over the columns of an N x N matrix that yield one number per

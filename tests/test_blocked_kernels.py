@@ -1,7 +1,8 @@
 """Column-blocked Rayleigh quotients and orthonormality checks.
 
 ``generalized_eig`` and ``cross_gram`` form their per-column numbers and
-their identity defects over blocks of ``spectral._BLOCK`` columns. The
+their identity defects over blocks of ``spectral._BLOCK`` columns, and
+``diagnose`` forms its Gram blocks from V by such blocks. The
 oracle is the full-array code they replace: one band product over all
 columns for each of K V and M V, and the upper triangle of one N x N
 Gram matrix for each check. The blocked results must equal it bit for
@@ -9,11 +10,9 @@ bit (eigenpairs) or to roundoff (defects), every block must be checked,
 and the working memory must stay bounded.
 """
 
-import gc
 import json
 import tracemalloc
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -208,37 +207,10 @@ def test_cross_gram_holds_only_m_v_and_w():
     assert peak < 2.1 * NXN
 
 
-def _reachable_arrays(root):
-    """Every ndarray reachable from root through containers and instances."""
-    seen, stack, found = set(), [root], []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            found.append(obj)
-            if obj.base is not None:
-                stack.append(obj.base)
-        stack.extend(gc.get_referents(obj))
-    return found
-
-
-def test_diagnose_keeps_no_eigenvectors_past_cross_gram(tmp_path, monkeypatch):
-    real_cross_gram, real_hs_curve = wmlab.cli.cross_gram, wmlab.cli.hs_curve
-    vectors, pairs, alive = [], [], []
-
-    def spy_cross_gram(dec_base, dec_alt, M_band):
-        vectors.extend(weakref.ref(d.eigenvectors) for d in (dec_base, dec_alt))
-        pairs.append(real_cross_gram(dec_base, dec_alt, M_band))
-        return pairs[-1]
-
-    def spy_hs_curve(*args):
-        alive.extend(ref() is not None for ref in vectors)
-        return real_hs_curve(*args)
-
-    monkeypatch.setattr(wmlab.cli, "cross_gram", spy_cross_gram)
-    monkeypatch.setattr(wmlab.cli, "hs_curve", spy_hs_curve)
+def test_diagnose_holds_three_arrays_at_integer_exponents(tmp_path):
+    # at gamma = cm_beta = 1 the Gram blocks come from V and the alt bands:
+    # V, Y and the block, 3.10 N x N measured; 4.08 with the alt
+    # eigenvectors, M V~ and W of the cross Gram route
     config = tmp_path / "diagnose.json"
     config.write_text(json.dumps({
         "base_model": {"name": "base41", "beta": 1},
@@ -248,8 +220,7 @@ def test_diagnose_keeps_no_eigenvectors_past_cross_gram(tmp_path, monkeypatch):
         "cm_beta": 1.0,
         "out": str(tmp_path / "out"),
     }))
-    assert wmlab.cli.main(["diagnose", "--config", str(config)]) == 0
-    assert alive == [False, False]
-    (pair,) = pairs
-    square = [a for a in _reachable_arrays(pair) if a.shape == (N_MEM, N_MEM)]
-    assert len(square) == 1 and square[0] is pair.W
+    args = ["diagnose", "--config", str(config)]
+    assert wmlab.cli.main(args) == 0  # first-use allocations out of the count
+    peak = _traced_peak(lambda: wmlab.cli.main(args))
+    assert peak < 3.5 * NXN

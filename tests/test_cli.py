@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +504,50 @@ def test_diagnose_eigensolves_each_block_once_at_matched_exponents(
     assert _run(tmp_path, "diagnose", payload) == 0
     assert calls.count("eigvalsh") == solves
     assert calls.count("_gram") == grams
+
+
+@pytest.mark.parametrize("gamma, solves, cross_grams", [(1.0, 1, 0), (0.25, 2, 1)])
+def test_diagnose_runs_the_alt_eigensolve_only_off_integer_exponents(
+    tmp_path, monkeypatch, gamma, solves, cross_grams
+):
+    # 2 gamma = 2 cm_beta = 2 reads the alt pencil through its bands;
+    # gamma = 0.25 takes the W route, which needs the alt eigenvectors
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    eig = counted("generalized_eig", wmlab.cli.generalized_eig)
+    monkeypatch.setattr(wmlab.cli, "generalized_eig", eig)
+    monkeypatch.setattr(wmlab.diagnostics, "generalized_eig", eig)
+    monkeypatch.setattr(
+        wmlab.diagnostics, "cross_gram", counted("cross_gram", wmlab.diagnostics.cross_gram)
+    )
+    payload = _diagnose_payload(tmp_path, [25, 50, 100], gamma=gamma, cm_beta=1.0)
+    assert _run(tmp_path, "diagnose", payload) == 0
+    assert calls.count("generalized_eig") == solves
+    assert calls.count("cross_gram") == cross_grams
+
+
+@pytest.mark.parametrize(
+    "extra, exponent",
+    [({"gamma": 60}, "exponent 60.0"), ({"gamma": -200}, "exponent -200.0"),
+     ({"cm_beta": 200}, "exponent 200.0")],
+)
+def test_diagnose_overflowing_exponent_is_a_domain_error(tmp_path, capsys, extra, exponent):
+    payload = _diagnose_payload(tmp_path, [25, 50, 100], **extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, "diagnose", payload) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "DomainError" in err and exponent in err and "N = 100" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_verdict_model_pair_branch(tmp_path):

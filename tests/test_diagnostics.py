@@ -15,16 +15,19 @@ from wmlab.diagnostics import (
     cm_equivalence_constants,
     cross_gram,
     hs_curve,
+    operator_pair,
     t_operator,
     table1_verdict,
     verdict_input_from_models,
 )
 from wmlab.errors import (
+    AssemblyIntegrityError,
     DataError,
+    DomainError,
     NumericalIntegrityError,
     ParameterError,
 )
-from wmlab.fem1d import DIRICHLET, assemble_aL, build_basis
+from wmlab.fem1d import DIRICHLET, AssembledOperators, assemble_aL, build_basis
 from wmlab.model_config import builtin_model
 from wmlab.spectral import generalized_eig
 
@@ -352,6 +355,39 @@ def test_cross_gram_rejects_an_off_diagonal_defect():
     corrupted = SimpleNamespace(eigenvalues=dec.eigenvalues, eigenvectors=vec)
     with pytest.raises(NumericalIntegrityError, match="not orthogonal"):
         cross_gram(dec, corrupted, ops.M_band)
+
+
+# -------------------------------------------------------- operator_pair
+
+
+def _pencil_and_w_pairs(N=100):
+    basis = build_basis(N, 1, DIRICHLET)
+    base, alt = builtin_model("base41", 1), builtin_model("model2_41", 1)
+    ops_b = assemble_aL(basis, base.a, base.kappa2)
+    ops_a = assemble_aL(basis, alt.a, alt.kappa2)
+    dec = generalized_eig(ops_b)
+    return operator_pair(dec, ops_a), cross_gram(dec, generalized_eig(ops_a), ops_b.M_band)
+
+
+@pytest.mark.parametrize("route", ["pencil", "W"])
+def test_overflowing_exponents_raise_domain_error(route):
+    # under the suite's warning filter an overflow warning would fail first
+    pair = _pencil_and_w_pairs()[route == "W"]
+    with pytest.raises(DomainError, match=r"exponent 60\.0 .*N = 100"):
+        hs_curve(pair, 60, 1.0, (25, 50, 100))
+    with pytest.raises(DomainError, match=r"exponent -200\.0 .*N = 100"):
+        hs_curve(pair, -200, 1.0, (25, 50))
+    with pytest.raises(DomainError, match=r"exponent 200\.0 .*N = 100"):
+        cm_equivalence_constants(pair, 200, truncation=50)
+    assert pair._defect_spectra == {}
+
+
+def test_operator_pair_rejects_a_nonpositive_alt_spectrum():
+    model = builtin_model("base41", 1)
+    ops = assemble_aL(build_basis(40, 1, DIRICHLET), model.a, model.kappa2)
+    flipped = AssembledOperators(M_band=ops.M_band, K_band=-ops.K_band, form_order="a_L")
+    with pytest.raises(AssemblyIntegrityError, match="nonpositive eigenvalue"):
+        operator_pair(generalized_eig(ops), flipped)
 
 
 # ------------------------------------------------------- verdict engine
