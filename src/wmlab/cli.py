@@ -512,9 +512,12 @@ def _make_outdir(outdir):
 
 
 def _write_json(path, payload):
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON does not allow
+        raise NumericalIntegrityError(f"{path}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -739,12 +742,11 @@ def run_figure(command, cfg, outdir):
     for i in sorted(range(len(cells)), key=lambda i: cells[i][3]):
         curves[i] = _figure_curve(fig, cfg, *cells[i][:2])
 
-    per_target = cfg.get("per_target", False)
     rows = []
     series = []
     for i, (_, _, label, beta, delta, name) in enumerate(cells):
         curve = curves[i]
-        rows.extend(curve_rows(command, label, beta, delta, curve, per_target=per_target))
+        rows.extend(curve_rows(command, label, beta, delta, curve))
         series.append((name, list(curve.n_values), list(curve.e_max)))
     csv_path = os.path.join(outdir, f"{command}.csv")
     write_curves_csv(csv_path, rows)

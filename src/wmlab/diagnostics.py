@@ -171,9 +171,9 @@ def cross_gram(dec_base, dec_alt, M_band):
     return OperatorPair(lam=dec_base.eigenvalues, lam_alt=dec_alt.eigenvalues, W=W)
 
 
-def _gram(pair, b, t):
-    """Upper triangle of the leading t x t block of
-    Lam^(-b) W Lam~^(2b) W' Lam^(-b), as Y'Y by one dsyrk.
+def _gram(pair, b, t, c=None):
+    """Upper triangle of the leading t x t block of Lam^(-b) W Lam~^(2b)
+    W' Lam^(-b) as Y'Y by one dsyrk, less c^(2b) I if c is given (T).
 
     The lower triangle is left zero. Y'Y is symmetric and positive
     semidefinite by construction, and Y is scaled as it is formed, so
@@ -189,10 +189,10 @@ def _gram(pair, b, t):
     of A is followed by a scaling by Lam_t^-1. Otherwise (the W route)
     Y = B_t' with B_t = (Lam^(-b) W Lam~^(b))[:t, :].
 
-    DomainError, naming b and N, if an entry of the block or the sum of
-    their squares is not finite in double precision; ``hs_curve`` sums
-    the squares of T's eigenvalues. It is checked before any eigensolve
-    reads the block.
+    DomainError, naming b, c and N, if an entry of the block (of T when
+    c is given) or the sum of their squares is not finite in double
+    precision; ``hs_curve`` sums the squares of T's eigenvalues. It is
+    checked before any eigensolve reads the block.
     """
     n = len(pair.lam)
     m = 2.0 * b
@@ -205,13 +205,16 @@ def _gram(pair, b, t):
         else:
             B = np.multiply(pair.lam[:t, None] ** (-b), W[:t] * lam_alt**b, order="F")
             G = scipy.linalg.blas.dsyrk(1.0, B)
+        # a float64 power: an overflowing shift is inf, not an OverflowError
+        G[np.diag_indices_from(G)] -= 0.0 if c is None else np.float64(c) ** m
         # not finite if an entry is, or if the squares that the block's
         # Frobenius norm and its spectrum's sum of squares add up overflow
         square_sum = np.einsum("ij,ij->", G, G)
     if not np.isfinite(square_sum):
+        shift = "" if c is None else f" minus c^(2b) I with c = {float(c)}"
         raise DomainError(
-            f"the Gram block of exponent {float(b)} overflows double precision at "
-            f"N = {n}: an entry or the sum of their squares is not finite"
+            f"the Gram block of exponent {float(b)}{shift} overflows double precision "
+            f"at N = {n}: an entry or the sum of their squares is not finite"
         )
     return G
 
@@ -246,8 +249,8 @@ def t_operator(pair, gamma, c, truncation=None):
 
     Expressed in the eigenbasis of the base operator; gamma is the
     fractional comparison order and c the candidate proportionality
-    constant between the operators. Formed as the Gram product Y'Y of
-    ``_gram`` minus c^(2g) I, so it is exactly symmetric. With
+    constant between the operators. Formed by ``_gram`` as the Gram
+    product Y'Y minus c^(2g) I, so it is exactly symmetric. With
     ``truncation`` t only the leading t x t block is formed.
     """
     if not c > 0.0:
@@ -257,8 +260,7 @@ def t_operator(pair, gamma, c, truncation=None):
     t = n if truncation is None else int(truncation)
     if not 1 <= t <= n:
         raise ParameterError(f"truncation must lie in [1, {n}], got {t}")
-    T = _gram(pair, gamma, t)
-    T[np.diag_indices_from(T)] -= c ** (2.0 * gamma)
+    T = _gram(pair, gamma, t, c)
     # mirror the upper triangle one row at a time, with no t x t temporary
     for i in range(1, t):
         T[i, :i] = T[:i, i]
@@ -267,7 +269,8 @@ def t_operator(pair, gamma, c, truncation=None):
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Norms of leading blocks of the defect matrix over truncations.
+    """Norms of leading blocks of the defect matrix over truncations. Its
+    CSV and JSON forms repeat ``opnorm`` under the name ``smax``.
 
     ``classification`` is a coarse reading of the growth pattern:
 
@@ -288,7 +291,6 @@ class DiagnosticsReport:
     frobenius: Tuple[float, ...]
     opnorm: Tuple[float, ...]
     smin: Tuple[float, ...]
-    smax: Tuple[float, ...]
     tail_ratio: Tuple[float, ...]
     classification: str
 
@@ -300,12 +302,12 @@ class DiagnosticsReport:
                 "frobenius": self.frobenius,
                 "opnorm": self.opnorm,
                 "smin": self.smin,
-                "smax": self.smax,
+                "smax": self.opnorm,
             },
         )
 
     def to_dict(self):
-        return dataclasses.asdict(self, dict_factory=_json_dict)
+        return {**dataclasses.asdict(self, dict_factory=_json_dict), "smax": list(self.opnorm)}
 
 
 def hs_curve(pair, gamma, c, truncations):
@@ -333,24 +335,20 @@ def hs_curve(pair, gamma, c, truncations):
         raise ParameterError(f"largest truncation {truncs[-1]} exceeds pencil size {n}")
 
     T = t_operator(pair, gamma, c, truncs[-1])
-    shift = c ** (2.0 * float(gamma))
-    fro, opn, smin, smax, tail = [], [], [], [], []
+    fro, opn, smin, tail = [], [], [], []
     for t in truncs:
         # T is exactly symmetric (t_operator mirrors one triangle), so its
         # singular values are its absolute eigenvalues, found without an SVD
         ev = scipy.linalg.eigvalsh(T[:t, :t])
-        pair._defect_spectra[float(gamma), t] = (ev, shift)
+        pair._defect_spectra[float(gamma), t] = (ev, c ** (2.0 * float(gamma)))  # finite, as T is
         sv = np.sort(np.abs(ev))[::-1]
         fro.append(float(np.sqrt(np.sum(sv * sv))))
         opn.append(float(sv[0]))
         smin.append(float(sv[-1]))
-        smax.append(float(sv[0]))
         k = min(int(math.ceil(0.9 * t)) - 1, t - 1)
         tail.append(float(sv[k] / sv[0]) if sv[0] > 0.0 else 0.0)
 
-    if fro[-1] < 1e-12:
-        classification = "HS_stable"
-    elif abs(fro[-1] - fro[-2]) < 0.01 * fro[-1]:
+    if fro[-1] < 1e-12 or abs(fro[-1] - fro[-2]) < 0.01 * fro[-1]:
         classification = "HS_stable"
     elif all(r >= 0.10 for r in tail):
         classification = "non_compact"
@@ -364,7 +362,6 @@ def hs_curve(pair, gamma, c, truncations):
         frobenius=tuple(fro),
         opnorm=tuple(opn),
         smin=tuple(smin),
-        smax=tuple(smax),
         tail_ratio=tuple(tail),
         classification=classification,
     )

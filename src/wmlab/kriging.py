@@ -521,13 +521,13 @@ def _row_sort_key(row):
     )
 
 
-def curve_rows(experiment, model_label, beta, delta, curve, per_target=False):
+def curve_rows(experiment, model_label, beta, delta, curve):
     """Flatten an EfficiencyCurve into CSV-ready row dicts.
 
     Integral curves get one summary row per n (target "max") carrying
     the worst target's variances and e_max; point curves one row per n
-    with the single target "z(s0)". With per_target=True each retained
-    target adds its own row (efficiency of that target, e_max of its n).
+    with the single target "z(s0)". A curve that kept per-target data adds
+    a row per target (efficiency of that target, e_max of its n).
     """
     fixed = (experiment, model_label, beta, delta, curve.design)
 
@@ -539,7 +539,7 @@ def curve_rows(experiment, model_label, beta, delta, curve, per_target=False):
         label = "max" if curve.design == "integral" else curve.target[i]
         e_max = curve.e_max[i]
         rows.append(row(n, label, curve.true_var[i], curve.missp_var[i], e_max, e_max))
-        if per_target and curve.per_target is not None:
+        if curve.per_target is not None:
             targets, eff, v_true, v_miss = curve.per_target[n]
             for t, e, vt, vm in zip(targets, eff, v_true, v_miss):
                 rows.append(row(n, int(t), float(vt), float(vm), float(e), e_max))

@@ -444,6 +444,11 @@ def test_diagnose_artifacts(tmp_path):
     assert set(report["cm_constants_by_truncation"]) == {"30", "60", "120"}
     for name in ("diagnose.csv", "eigenvalues_base.csv", "eigenvalues_alt.csv"):
         assert os.path.exists(os.path.join(out, name))
+    # smax repeats opnorm byte for byte, in the CSV as in the JSON
+    rows = [line.split(",") for line in Path(out, "diagnose.csv").read_text().splitlines()]
+    assert rows[0][2] == "opnorm" and rows[0][4] == "smax"
+    assert [row[4] for row in rows[1:]] == [row[2] for row in rows[1:]]
+    assert report["smax"] == report["opnorm"]
 
 
 def test_diagnose_truncations_beyond_dofs_rejected(tmp_path, capsys):
@@ -534,18 +539,20 @@ def test_diagnose_runs_the_alt_eigensolve_only_off_integer_exponents(
 
 
 @pytest.mark.parametrize(
-    "extra, exponent",
+    "extra, named",
     [({"gamma": 60}, "exponent 60.0"), ({"gamma": -200}, "exponent -200.0"),
-     ({"cm_beta": 200}, "exponent 200.0")],
+     ({"cm_beta": 200}, "exponent 200.0"),
+     # the shift c^(2 gamma) overflows, or the squares of T's diagonal do
+     ({"c": 1e200}, "c = 1e+200"), ({"c": 1e100}, "c = 1e+100")],
 )
-def test_diagnose_overflowing_exponent_is_a_domain_error(tmp_path, capsys, extra, exponent):
+def test_diagnose_overflowing_exponent_is_a_domain_error(tmp_path, capsys, extra, named):
     payload = _diagnose_payload(tmp_path, [25, 50, 100], **extra)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _run(tmp_path, "diagnose", payload) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert "DomainError" in err and exponent in err and "N = 100" in err
+    assert "DomainError" in err and named in err and "N = 100" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -711,6 +718,20 @@ def test_matern_check_out_of_float_range_is_a_domain_error(tmp_path, capsys, mod
     assert _run(tmp_path, "matern_check", payload) == 2
     err = capsys.readouterr().err
     assert "DomainError" in err and "outside the float range" in err
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_json_value_exits_three_and_writes_no_file(
+    tmp_path, capsys, monkeypatch, value
+):
+    # JSON has no NaN or infinities; Python's default would write them
+    monkeypatch.setattr(wmlab.cli, "cm_equivalence_constants", lambda pair, b, t: (0.0, value))
+    assert _run(tmp_path, "diagnose", _diagnose_payload(tmp_path, [25, 50], cm_beta=1.0)) == 3
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "NumericalIntegrityError"
+    json_path = tmp_path / "o" / "diagnose.json"
+    assert str(json_path) in blob["message"]
+    assert not json_path.exists()
 
 
 # -------------------------------------------------------- determinism

@@ -1,6 +1,7 @@
 """Operator-pair diagnostics and the structural verdict rules."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,12 +122,12 @@ def test_compact_like_branch_for_slowly_decaying_diagonal():
 
 
 def _svd_hs_oracle(T, truncations):
-    """(frobenius, opnorm, smin, smax, tail_ratio) rows from full SVDs."""
+    """(frobenius, opnorm, smin, tail_ratio) rows from full SVDs."""
     rows = []
     for t in truncations:
         sv = scipy.linalg.svdvals(T[:t, :t])
         k = min(int(math.ceil(0.9 * t)) - 1, t - 1)
-        rows.append((np.sqrt(np.sum(sv * sv)), sv[0], sv[-1], sv[0], sv[k] / sv[0]))
+        rows.append((np.sqrt(np.sum(sv * sv)), sv[0], sv[-1], sv[k] / sv[0]))
     return np.array(rows)
 
 
@@ -137,13 +138,13 @@ def test_hs_curve_matches_svd_oracle(alt, gamma, c):
     truncs = (10, 30, 60, 120)
     rep = hs_curve(pair, gamma, c, truncs)
     oracle = _svd_hs_oracle(t_operator(pair, gamma, c), truncs)
-    got = np.array([rep.frobenius, rep.opnorm, rep.smin, rep.smax, rep.tail_ratio]).T
-    for col in (0, 1, 3, 4):
+    got = np.array([rep.frobenius, rep.opnorm, rep.smin, rep.tail_ratio]).T
+    for col in (0, 1, 3):
         npt.assert_allclose(got[:, col], oracle[:, col], rtol=1e-12, atol=0.0)
     # the smallest singular value is accurate only to roundoff relative
     # to the largest, for the SVD as for the eigensolve
     npt.assert_allclose(got[:, 2], oracle[:, 2], rtol=0.0, atol=1e-12 * np.max(oracle[:, 1]))
-    fro, tail = oracle[:, 0], oracle[:, 4]
+    fro, tail = oracle[:, 0], oracle[:, 3]
     saturated = fro[-1] < 1e-12 or abs(fro[-1] - fro[-2]) < 0.01 * fro[-1]
     tail_flat = all(r >= 0.10 for r in tail)
     expected = "HS_stable" if saturated else "non_compact" if tail_flat else "compact_like"
@@ -161,7 +162,7 @@ def test_hs_curve_forms_only_the_leading_block(monkeypatch, gamma, c):
     sizes = []
     real = wmlab.diagnostics._gram
     monkeypatch.setattr(wmlab.diagnostics, "_gram",
-                        lambda p, b, t: sizes.append(t) or real(p, b, t))
+                        lambda p, b, t, c=None: sizes.append(t) or real(p, b, t, c))
     rep = hs_curve(pair, gamma, c, truncs)
     assert sizes == [truncs[-1]]
     for i, t in enumerate(truncs):
@@ -379,6 +380,13 @@ def test_overflowing_exponents_raise_domain_error(route):
         hs_curve(pair, -200, 1.0, (25, 50))
     with pytest.raises(DomainError, match=r"exponent 200\.0 .*N = 100"):
         cm_equivalence_constants(pair, 200, truncation=50)
+    # the shift c^2 overflows (1e200), or the squares of T's diagonal do
+    for c in (1e200, 1e100):
+        named = rf"exponent 1\.0 .*c = {re.escape(repr(c))} .*N = 100"
+        with pytest.raises(DomainError, match=named):
+            t_operator(pair, 1.0, c, 50)
+        with pytest.raises(DomainError, match=named):
+            hs_curve(pair, 1.0, c, (25, 50))
     assert pair._defect_spectra == {}
 
 

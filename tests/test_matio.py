@@ -141,7 +141,7 @@ def _curves(path):
         flagged=(True,),
         cond=(1e13,),
     )
-    rows = curve_rows("fig2", "model2", 1.0, None, integral, per_target=True)
+    rows = curve_rows("fig2", "model2", 1.0, None, integral)
     rows += curve_rows("fig1_point", "model1", 1.0, 10.0, point)
     write_curves_csv(path, rows)
 
@@ -154,7 +154,6 @@ def _diagnose(path):
         frobenius=(0.5, 1e-17),
         opnorm=(0.25, 3.0),
         smin=(0.0, 5e-324),
-        smax=(0.25, 3.0),
         tail_ratio=(1.0, 0.5),
         classification="HS_stable",
     ).write_csv(path)
