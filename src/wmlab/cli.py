@@ -315,10 +315,19 @@ DEFAULTS = {
 # ---------------------------------------------------------------------
 # config checking: the JSON Schema (draft 2020-12) keywords that SCHEMAS
 # uses, except that "number" and "integer" also reject NaN and the
-# infinities, which Python's json module reads but JSON does not allow
+# infinities, which Python's json module reads but JSON does not allow,
+# and "number" an integer literal outside the float range
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """Does the number ``value`` convert to a finite float?"""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 _IS_TYPE = {
@@ -327,7 +336,7 @@ _IS_TYPE = {
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
-    "number": lambda v: _is_number(v) and (isinstance(v, int) or math.isfinite(v)),
+    "number": lambda v: _is_number(v) and _is_finite(v),
     "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
 }
 
@@ -362,7 +371,7 @@ def _check(schema, value, path=()):
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and not any(_IS_TYPE[t](value) for t in types):
-        if isinstance(value, float) and not math.isfinite(value):
+        if _is_number(value) and not _is_finite(value):
             return [(path, f"{value!r} is not a finite number")], value
         return [(path, f"{value!r} is not of type {', '.join(map(repr, types))}")], value
     errors = []
@@ -460,6 +469,8 @@ def load_config(command, config_path, overrides):
             raise ConfigError(
                 f"config is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer literal too long for int()
+            raise ConfigError(f"config cannot be read: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -804,9 +815,11 @@ def run_diagnose(cfg, outdir):
         payload["cm_beta"] = cfg["cm_beta"]
         payload["cm_constants_by_truncation"] = by_trunc
 
+    # the JSON first: a value it cannot hold (NaN, an infinity) fails
+    # before any file is written, and the output directory is removed
+    json_path = _write_json(os.path.join(outdir, "diagnose.json"), payload)
     csv_path = os.path.join(outdir, "diagnose.csv")
     report.write_csv(csv_path)
-    json_path = _write_json(os.path.join(outdir, "diagnose.json"), payload)
     eig_base_path = os.path.join(outdir, "eigenvalues_base.csv")
     eig_alt_path = os.path.join(outdir, "eigenvalues_alt.csv")
     write_eigenvalues_csv(eig_base_path, pair.lam)

@@ -28,8 +28,9 @@ optimality of kriging predictions:
 
 T + c^(2g) I and the Cameron-Martin matrices are leading blocks of
 Lam^(-b) W Lam~^(2b) W' Lam^(-b) (b = g for T), each formed as a Gram
-product Y'Y by one symmetric rank-k update (``_gram``); their spectra
-come from symmetric eigensolves, and no routine here runs an SVD.
+product Y'Y over the N x t factor Y in place, one block of columns at a
+time (``_gram``); their spectra come from symmetric eigensolves, the
+largest of ``hs_curve``'s in place too, and no routine here runs an SVD.
 ``operator_pair`` builds a pair from the base eigenpairs and the alt
 pencil alone. When 2b = m is a positive integer the block needs no alt
 eigenvectors: V~ Lam~^m V~' = A^m M^-1 with A = M^-1 K~, so
@@ -173,11 +174,14 @@ def cross_gram(dec_base, dec_alt, M_band):
 
 def _gram(pair, b, t, c=None):
     """Upper triangle of the leading t x t block of Lam^(-b) W Lam~^(2b)
-    W' Lam^(-b) as Y'Y by one dsyrk, less c^(2b) I if c is given (T).
+    W' Lam^(-b) as Y'Y, less c^(2b) I if c is given (T).
 
     The lower triangle is left zero. Y'Y is symmetric and positive
     semidefinite by construction, and Y is scaled as it is formed, so
-    its entries stay O(1) where Lam^(-2b) alone spans many decades.
+    its entries stay O(1) where Lam^(-2b) alone spans many decades. The
+    block is formed over Y in place (``_gram_in_place``) and returned as
+    the view of Y's first t rows, so the call holds one N x t array and
+    one block of Y'Y at a time, not Y and the t x t block both.
 
     The route follows the exponent. When 2b = m is a positive integer
     and the pair holds V and the alt pencil, Y = R A^k V_t Lam_t^(-b)
@@ -185,9 +189,9 @@ def _gram(pair, b, t, c=None):
     (m odd), where M = L_M L_M' and K~ = L_K~ L_K~'. Then
     Y'Y = Lam_t^(-b) V_t' M A^m V_t Lam_t^(-b), which is the block, since
     M V~ Lam~^m V~' M = M A^m. L_M' A is L_M^-1 K~, so m = 2 is one band
-    product, one banded triangular solve and one dsyrk. Each application
-    of A is followed by a scaling by Lam_t^-1. Otherwise (the W route)
-    Y = B_t' with B_t = (Lam^(-b) W Lam~^(b))[:t, :].
+    product and one banded triangular solve per block of columns. Each
+    application of A is followed by a scaling by Lam_t^-1. Otherwise (the
+    W route) Y = B_t' with B_t = (Lam^(-b) W Lam~^(b))[:t, :].
 
     DomainError, naming b, c and N, if an entry of the block (of T when
     c is given) or the sum of their squares is not finite in double
@@ -201,10 +205,12 @@ def _gram(pair, b, t, c=None):
         lam_alt, W = pair._w_route
     with np.errstate(over="ignore", invalid="ignore"):
         if pencil:
-            G = _pencil_gram(pair, int(round(m)), t)
+            Y = _pencil_factor(pair, int(round(m)), t)
         else:
-            B = np.multiply(pair.lam[:t, None] ** (-b), W[:t] * lam_alt**b, order="F")
-            G = scipy.linalg.blas.dsyrk(1.0, B)
+            # the entries of B' = (W[:t] Lam~^b)' Lam_t^(-b), product by product
+            Y = np.multiply(W[:t].T, (lam_alt**b)[:, None], order="F")
+            Y *= pair.lam[:t] ** (-b)
+        G = _gram_in_place(Y)
         # a float64 power: an overflowing shift is inf, not an OverflowError
         G[np.diag_indices_from(G)] -= 0.0 if c is None else np.float64(c) ** m
         # not finite if an entry is, or if the squares that the block's
@@ -219,9 +225,28 @@ def _gram(pair, b, t, c=None):
     return G
 
 
-def _pencil_gram(pair, m, t):
-    """Y'Y for Y = R A^k V_t Lam_t^(-m/2), formed by blocks of columns of
-    V_t into one N x t array (see ``_gram``)."""
+def _gram_in_place(Y):
+    """Overwrite the N x t factor Y (Fortran order, t <= N) with Y'Y and
+    return Y[:t], its upper triangle; the rest of Y is zero.
+
+    Column blocks (a, b) are formed from the last to the first, each as
+    Y[:, :b]' Y[:, a:b] by one dgemm into a block temporary: a block
+    reads only columns below b, which no earlier step has overwritten.
+    """
+    for a, b in reversed(_column_blocks(Y.shape[1])):
+        block = scipy.linalg.blas.dgemm(1.0, Y[:, :b], Y[:, a:b], trans_a=1)
+        square = block[a:b]
+        square[np.tril_indices_from(square, -1)] = 0.0
+        Y[:b, a:b] = block
+        Y[b:, a:b] = 0.0
+        # freed before the next block's product is formed
+        del block, square
+    return Y[: Y.shape[1]]
+
+
+def _pencil_factor(pair, m, t):
+    """The N x t factor Y = R A^k V_t Lam_t^(-m/2) of ``_gram``'s pencil
+    route, formed by blocks of columns of V_t into one Fortran array."""
     k, odd = divmod(m, 2)
     K_band, M_band = pair.ops_alt.K_band, pair.ops_alt.M_band
     L_M = scipy.linalg.cholesky_banded(M_band, lower=True)
@@ -241,7 +266,7 @@ def _pencil_gram(pair, m, t):
         else:
             Y[:, a:b] = _triangular_band_solve(L_M, band_matmul(K_band, X), trans="N")
             Y[:, a:b] *= inv[a:b]
-    return scipy.linalg.blas.dsyrk(1.0, Y, trans=1)
+    return Y
 
 
 def t_operator(pair, gamma, c, truncation=None):
@@ -251,7 +276,8 @@ def t_operator(pair, gamma, c, truncation=None):
     fractional comparison order and c the candidate proportionality
     constant between the operators. Formed by ``_gram`` as the Gram
     product Y'Y minus c^(2g) I, so it is exactly symmetric. With
-    ``truncation`` t only the leading t x t block is formed.
+    ``truncation`` t only the leading t x t block is formed; it is the
+    view of the first t rows of the N x t array that held Y.
     """
     if not c > 0.0:
         raise ParameterError(f"c must be positive, got {c}")
@@ -319,9 +345,10 @@ def hs_curve(pair, gamma, c, truncations):
     (non_compact); everything else is compact_like.
 
     Only the leading block of T that the largest truncation needs is
-    formed. Each block's ascending eigenvalues are kept on the pair, keyed
-    by (gamma, truncation), for ``cm_equivalence_constants`` at
-    beta = gamma.
+    formed, and the eigensolve of that largest block overwrites it
+    instead of copying it. Each block's ascending eigenvalues are kept on
+    the pair, keyed by (gamma, truncation), for
+    ``cm_equivalence_constants`` at beta = gamma.
     """
     truncs = tuple(int(t) for t in truncations)
     n = len(pair.lam)
@@ -338,8 +365,10 @@ def hs_curve(pair, gamma, c, truncations):
     fro, opn, smin, tail = [], [], [], []
     for t in truncs:
         # T is exactly symmetric (t_operator mirrors one triangle), so its
-        # singular values are its absolute eigenvalues, found without an SVD
-        ev = scipy.linalg.eigvalsh(T[:t, :t])
+        # singular values are its absolute eigenvalues, found without an
+        # SVD; nothing reads T after the largest block, which LAPACK
+        # overwrites instead of copying
+        ev = scipy.linalg.eigvalsh(T[:t, :t], overwrite_a=t == truncs[-1])
         pair._defect_spectra[float(gamma), t] = (ev, c ** (2.0 * float(gamma)))  # finite, as T is
         sv = np.sort(np.abs(ev))[::-1]
         fro.append(float(np.sqrt(np.sum(sv * sv))))

@@ -68,7 +68,7 @@ from .fem1d import (
 )
 from .matio import write_csv
 from .model_config import _is_integer
-from .spectral import direct_factor, generalized_eig, spectral_factor
+from .spectral import _spectral_factor, direct_factor, generalized_eig
 
 __all__ = [
     "ObservationDesign",
@@ -344,7 +344,9 @@ def _model_factor(model, basis):
     ops, direct = _model_operators(model, basis)
     if direct is not None:
         return direct_factor(ops, direct, model.tau)
-    return spectral_factor(generalized_eig(ops), model.beta, model.tau)
+    dec = generalized_eig(ops)
+    # the eigenvectors are this call's own, so F is formed over them
+    return _spectral_factor(dec.eigenvalues, dec.eigenvectors, model.beta, model.tau)
 
 
 def _sigma_for_model(model, basis, Phi):

@@ -186,7 +186,7 @@ def _tridiagonal_eigenvectors(K_band, M_band, lam):
     column per eigenvalue in ``lam`` (ascending), by inverse iteration.
 
     For each lambda_j, K - sigma M with sigma = lambda_j (1 + 1e-14), just
-    above lambda_j so that it is never exactly singular, is factored once
+    above lambda_j so that it is rarely exactly singular, is factored once
     by LAPACK dgttrf (LU with partial pivoting), and two steps
     x <- (K - sigma M)^-1 M x are taken from a fixed start vector.
     The vector is then M-orthogonalized against its predecessors within
@@ -210,8 +210,15 @@ def _tridiagonal_eigenvectors(K_band, M_band, lam):
     for j in range(n):
         sigma = lam[j] * (1.0 + 1e-14)
         sub = k1 - sigma * m1
-        lu = gttrf(sub, k0 - sigma * m0, sub.copy(),
-                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)[:5]
+        *lu, info = gttrf(sub, k0 - sigma * m0, sub.copy(),
+                          overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info:
+            # sigma is an eigenvalue to working precision and U has an
+            # exact zero pivot: a pivot of roundoff size instead, as
+            # LAPACK's dlagts perturbs small pivots, makes each solve
+            # return the null direction, growing it by about 1/eps
+            d = lu[1]
+            d[d == 0.0] = np.finfo(float).eps * np.max(np.abs(d))
         x = gttrs(*lu, start)[0]
         x = gttrs(*lu, band_matmul(M_band, x), overwrite_b=1)[0]
         if first[j] < j:
@@ -343,6 +350,18 @@ def covariance_weights(factor):
 def spectral_factor(decomposition, beta, tau):
     """Spectral-route square root F = tau V diag(lambda^(-beta)), dense.
 
+    F is formed in a copy of the eigenvectors, with the sign rule of
+    ``_spectral_factor``; the decomposition is not changed.
+    """
+    return _spectral_factor(
+        decomposition.eigenvalues, np.copy(decomposition.eigenvectors, order="K"), beta, tau
+    )
+
+
+def _spectral_factor(lam, V, beta, tau):
+    """The factor of ``spectral_factor`` formed over V in place, for a
+    caller that owns the eigenvectors V: they become F.
+
     LAPACK picks each eigenvector's sign freely, so a roundoff change in
     the pencil could flip modes and change every draw. Column v_j gets
     the sign with <v_j, (1, 2, ..., n)> >= 0; a largest-entry rule would
@@ -353,9 +372,9 @@ def spectral_factor(decomposition, beta, tau):
         raise ParameterError(f"beta must exceed 1/4, got {beta}")
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    V = decomposition.eigenvectors
     sign = np.where(np.arange(1, V.shape[0] + 1) @ V < 0.0, -1.0, 1.0)
-    F = V * (sign * tau * decomposition.eigenvalues ** (-beta))
+    F = V
+    F *= sign * tau * lam ** (-beta)
 
     def tdot(X):
         if np.ndim(X) == 1:

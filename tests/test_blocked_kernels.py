@@ -19,8 +19,8 @@ import pytest
 import scipy.linalg
 
 import wmlab.cli
-from wmlab import spectral
-from wmlab.diagnostics import cross_gram
+from wmlab import diagnostics, spectral
+from wmlab.diagnostics import cross_gram, operator_pair
 from wmlab.errors import NumericalIntegrityError
 from wmlab.fem1d import DIRICHLET, assemble_a2, assemble_aL, band_matmul, build_basis
 from wmlab.model_config import CoefficientField, builtin_model
@@ -176,6 +176,44 @@ def test_cross_gram_catches_a_planted_defect(plant):
         cross_gram(dec, corrupted, ops.M_band)
 
 
+# -------------------------------------------------------- in-place Gram
+
+N_GRAM = 300  # blocks [0, 128), [128, 256) and the partial [256, 300)
+
+
+@pytest.fixture(scope="module")
+def gram_pairs():
+    """base41 against model2_41 as the pencil pair (V and the alt bands)
+    and as the W pair of the alt eigensolve."""
+    base, alt = _pencil(N_GRAM, "base41"), _pencil(N_GRAM, "model2_41")
+    dec = generalized_eig(base)
+    return operator_pair(dec, alt), cross_gram(dec, generalized_eig(alt), base.M_band)
+
+
+@pytest.mark.parametrize("t", [200, N_GRAM])
+@pytest.mark.parametrize("route, b", [("pencil", 0.5), ("pencil", 1.0), ("pencil", 1.5), ("W", 0.25)])
+def test_gram_in_place_matches_one_dsyrk(gram_pairs, route, b, t):
+    # the oracle is the Gram block as one dsyrk of the factor formed beside it
+    pencil_pair, w_pair = gram_pairs
+    if route == "pencil":
+        pair = pencil_pair
+        reference = scipy.linalg.blas.dsyrk(
+            1.0, diagnostics._pencil_factor(pair, int(2 * b), t), trans=1
+        )
+    else:
+        pair = w_pair
+        B = np.multiply(pair.lam[:t, None] ** (-b), pair.W[:t] * pair.lam_alt**b, order="F")
+        reference = scipy.linalg.blas.dsyrk(1.0, B)
+    before = [None if x is None else x.copy() for x in (pair.V, pair.W)]
+    G = diagnostics._gram(pair, b, t)
+    assert G.shape == (t, t)
+    upper = np.triu_indices(t)
+    assert np.max(np.abs(G[upper] - reference[upper])) <= 1e-14 * np.max(np.abs(reference))
+    assert not np.any(np.tril(G, -1))
+    for kept, now in zip(before, (pair.V, pair.W)):
+        assert (kept is None and now is None) or np.array_equal(kept, now)
+
+
 # --------------------------------------------------------------- memory
 
 N_MEM = 600
@@ -207,10 +245,11 @@ def test_cross_gram_holds_only_m_v_and_w():
     assert peak < 2.1 * NXN
 
 
-def test_diagnose_holds_three_arrays_at_integer_exponents(tmp_path):
-    # at gamma = cm_beta = 1 the Gram blocks come from V and the alt bands:
-    # V, Y and the block, 3.10 N x N measured; 4.08 with the alt
-    # eigenvectors, M V~ and W of the cross Gram route
+def test_diagnose_holds_two_arrays_at_integer_exponents(tmp_path):
+    # at gamma = cm_beta = 1 the Gram blocks come from V and the alt bands,
+    # and the block is formed over Y in place: V, Y and a block of columns,
+    # 2.51 N x N measured; 3.10 with the block beside Y, 4.08 with the
+    # alt eigenvectors, M V~ and W of the cross Gram route
     config = tmp_path / "diagnose.json"
     config.write_text(json.dumps({
         "base_model": {"name": "base41", "beta": 1},
@@ -223,4 +262,27 @@ def test_diagnose_holds_three_arrays_at_integer_exponents(tmp_path):
     args = ["diagnose", "--config", str(config)]
     assert wmlab.cli.main(args) == 0  # first-use allocations out of the count
     peak = _traced_peak(lambda: wmlab.cli.main(args))
-    assert peak < 3.5 * NXN
+    assert peak < 2.75 * NXN
+
+
+def test_fractional_sample_holds_no_array_beside_its_eigenvectors(tmp_path):
+    # beta = 1.3 takes the spectral route; F is formed over the sample's
+    # own eigenvectors, so the peak is the eigensolve's: 1.50 N x N
+    # measured, 2.05 with F formed beside V
+    config = tmp_path / "sample.json"
+    config.write_text(json.dumps({
+        "model": {
+            "beta": 1.3,
+            "a": {"kind": "constant", "params": [1.0]},
+            "kappa2": {"kind": "constant", "params": [25.0]},
+            "tau": 1.0,
+        },
+        "N": N_MEM,
+        "n_samples": 10,
+        "format": "bin",
+        "out": str(tmp_path / "out"),
+    }))
+    args = ["sample", "--config", str(config)]
+    assert wmlab.cli.main(args) == 0  # first-use allocations out of the count
+    peak = _traced_peak(lambda: wmlab.cli.main(args))
+    assert peak < 1.6 * NXN

@@ -298,6 +298,45 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload
     assert not out.exists()
 
 
+_BEYOND_FLOAT = 10**401  # an integer literal that no float holds
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("diagnose", {"gamma": _BEYOND_FLOAT}, ".gamma"),
+        ("diagnose", {"c": _BEYOND_FLOAT}, ".c"),
+        ("diagnose", {"cm_beta": _BEYOND_FLOAT}, ".cm_beta"),
+        (
+            "sample",
+            {"model": {**_CUSTOM_MODEL, "a": {"kind": "constant", "params": [_BEYOND_FLOAT]}}},
+            ".model.a.params[0]",
+        ),
+    ],
+    ids=["gamma", "c", "cm_beta", "coefficient"],
+)
+def test_integers_beyond_the_float_range_are_config_errors(
+    tmp_path, capsys, command, payload, field
+):
+    # a number must convert to a finite float, not end in an OverflowError
+    if command == "diagnose":
+        payload = {**_MODEL_PAIR, "N": 100, "truncations": [25, 50, 100], **payload}
+    out = tmp_path / "o"
+    assert _run(tmp_path, command, {**payload, "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': {_BEYOND_FLOAT} is not a finite number" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integer_literal_too_long_to_read_is_a_config_error(tmp_path, capsys):
+    # Python's int() refuses a literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"N": 100, "c": 1' + "0" * 5000 + "}")
+    assert main(["diagnose", "--config", str(path)]) == 2
+    assert "config error: config cannot be read: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "payload, flags, shown",
     [({}, ("--N", "100000000000"), "100000000000"), ({"N": 1e300}, (), "1e+300")],
@@ -731,7 +770,8 @@ def test_non_finite_json_value_exits_three_and_writes_no_file(
     assert blob["error"] == "NumericalIntegrityError"
     json_path = tmp_path / "o" / "diagnose.json"
     assert str(json_path) in blob["message"]
-    assert not json_path.exists()
+    # the JSON is written first, so no file is left and the directory goes
+    assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------- determinism

@@ -19,7 +19,7 @@ PACKAGE = os.path.dirname(os.path.abspath(wmlab.__file__))
 MODULES = ("kriging.py", "diagnostics.py", "spectral.py")
 
 ALLOWED = {
-    ("spectral.py", "spectral_factor"): (
+    ("spectral.py", "_spectral_factor"): (
         "the sign rule and the per-draw dot are matrix-vector products; keeping "
         "numpy's keeps the bits of fractional-beta draws"
     ),

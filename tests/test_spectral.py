@@ -228,6 +228,21 @@ def test_spectral_draws_ignore_eigenvector_signs():
     npt.assert_array_equal(a, b)
 
 
+def test_model_factor_scales_its_own_eigenvectors_with_the_same_draws():
+    # kriging._model_factor forms F over the eigenvectors it computed;
+    # the public spectral_factor scales a copy and leaves its input alone
+    from wmlab.kriging import _model_factor
+
+    model = dataclasses.replace(builtin_model("model1_41", 1), beta=1.3)
+    basis = build_basis(200, 1, DIRICHLET)
+    dec = generalized_eig(assemble_aL(basis, model.a, model.kappa2))
+    lam, vec = dec.eigenvalues.copy(), dec.eigenvectors.copy()
+    public = sample_field(spectral_factor(dec, 1.3, model.tau), seed=3, n_samples=4)
+    assert np.array_equal(dec.eigenvalues, lam) and np.array_equal(dec.eigenvectors, vec)
+    owned = sample_field(_model_factor(model, basis), seed=3, n_samples=4)
+    assert np.array_equal(owned, public)
+
+
 @pytest.mark.parametrize("beta", [1, 1.5])
 def test_sample_covariance_converges_to_model(beta):
     # the model covariance comes from the pencil's eigenpairs, the draws
