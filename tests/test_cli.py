@@ -287,45 +287,28 @@ _EXPLICIT_VERDICT = _REQUIRED_FORMS["verdict"][0]
             {**_EXPLICIT_VERDICT, "a_relation": "proportional", "a_ratio": math.inf},
             ".a_ratio",
         ),
-    ],
-    ids=["gamma", "c", "cm_beta", "offsets", "coefficient", "tau", "a_ratio"],
-)
-def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload, field):
-    # Python's json reads NaN and Infinity; JSON has neither
-    out = tmp_path / "o"
-    assert _run(tmp_path, command, {**payload, "out": str(out)}) == 2
-    assert f"config field '{field}': " in capsys.readouterr().err
-    assert not out.exists()
-
-
-_BEYOND_FLOAT = 10**401  # an integer literal that no float holds
-
-
-@pytest.mark.parametrize(
-    "command, payload, field",
-    [
-        ("diagnose", {"gamma": _BEYOND_FLOAT}, ".gamma"),
-        ("diagnose", {"c": _BEYOND_FLOAT}, ".c"),
-        ("diagnose", {"cm_beta": _BEYOND_FLOAT}, ".cm_beta"),
+        # integer literals that no float holds
+        ("diagnose", {**_MODEL_PAIR, "gamma": 10**401}, ".gamma"),
+        ("diagnose", {**_MODEL_PAIR, "c": 10**401}, ".c"),
+        ("diagnose", {**_MODEL_PAIR, "cm_beta": 10**401}, ".cm_beta"),
         (
             "sample",
-            {"model": {**_CUSTOM_MODEL, "a": {"kind": "constant", "params": [_BEYOND_FLOAT]}}},
+            {"model": {**_CUSTOM_MODEL, "a": {"kind": "constant", "params": [10**401]}}},
             ".model.a.params[0]",
         ),
     ],
-    ids=["gamma", "c", "cm_beta", "coefficient"],
+    ids=[
+        "gamma", "c", "cm_beta", "offsets", "coefficient", "tau", "a_ratio",
+        "gamma_int", "c_int", "cm_beta_int", "coefficient_int",
+    ],
 )
-def test_integers_beyond_the_float_range_are_config_errors(
-    tmp_path, capsys, command, payload, field
-):
-    # a number must convert to a finite float, not end in an OverflowError
-    if command == "diagnose":
-        payload = {**_MODEL_PAIR, "N": 100, "truncations": [25, 50, 100], **payload}
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload, field):
+    # Python's json reads NaN and Infinity, and integers of any size;
+    # JSON has no NaN or infinities, and a number must fit a double
     out = tmp_path / "o"
     assert _run(tmp_path, command, {**payload, "out": str(out)}) == 2
     err = capsys.readouterr().err
-    assert f"config field '{field}': {_BEYOND_FLOAT} is not a finite number" in err
-    assert "Traceback" not in err
+    assert f"config field '{field}': " in err and " is not a finite number" in err
     assert not out.exists()
 
 
