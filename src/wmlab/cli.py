@@ -316,7 +316,7 @@ DEFAULTS = {
 # config checking: the JSON Schema (draft 2020-12) keywords that SCHEMAS
 # uses, except that "number" and "integer" also reject NaN and the
 # infinities, which Python's json module reads but JSON does not allow,
-# and "number" an integer literal outside the float range
+# and an integer literal outside the float range
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -337,7 +337,7 @@ _IS_TYPE = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
     "number": lambda v: _is_number(v) and _is_finite(v),
-    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "integer": lambda v: _is_number(v) and _is_finite(v) and (isinstance(v, int) or v.is_integer()),
 }
 
 _BOUNDS = (

@@ -35,7 +35,9 @@ largest of ``hs_curve``'s in place too, and no routine here runs an SVD.
 pencil alone. When 2b = m is a positive integer the block needs no alt
 eigenvectors: V~ Lam~^m V~' = A^m M^-1 with A = M^-1 K~, so
 W Lam~^(2b) W' = V' M A^m V, and Y comes from V by banded products and
-solves with K~ and M. Any other exponent takes the W route, which runs
+solves with K~ and M, through the alt pencil's unit-lower LDL' factors
+(``fem1d._BandLDL``, built once per pencil and, for M, once per basis),
+whose solves never divide. Any other exponent takes the W route, which runs
 the alt eigensolve and ``cross_gram`` once, on first use. At matched
 exponents (b = g) the blocks are one matrix shifted by s = c^(2g):
 ``hs_curve`` keeps each block's spectrum of T on the pair, and
@@ -70,8 +72,6 @@ from .spectral import (
     _dsbgvd_eigenvalues,
     _identity_defect,
     _require_positive,
-    _triangular_band_matmul,
-    _triangular_band_solve,
     generalized_eig,
 )
 
@@ -189,7 +189,8 @@ def _gram(pair, b, t, c=None):
     (m odd), where M = L_M L_M' and K~ = L_K~ L_K~'. Then
     Y'Y = Lam_t^(-b) V_t' M A^m V_t Lam_t^(-b), which is the block, since
     M V~ Lam~^m V~' M = M A^m. L_M' A is L_M^-1 K~, so m = 2 is one band
-    product and one banded triangular solve per block of columns. Each
+    product and one unit-diagonal banded solve and scaling per block of
+    columns (``_pencil_factor``). Each
     application of A is followed by a scaling by Lam_t^-1. Otherwise (the
     W route) Y = B_t' with B_t = (Lam^(-b) W Lam~^(b))[:t, :].
 
@@ -246,25 +247,25 @@ def _gram_in_place(Y):
 
 def _pencil_factor(pair, m, t):
     """The N x t factor Y = R A^k V_t Lam_t^(-m/2) of ``_gram``'s pencil
-    route, formed by blocks of columns of V_t into one Fortran array."""
+    route, formed by blocks of columns of V_t into one Fortran array.
+    M and K~ are applied through the alt pencil's LDL' factors
+    (``fem1d._BandLDL``); every solve works on a block that a band
+    product or a scaling made, never on V."""
     k, odd = divmod(m, 2)
-    K_band, M_band = pair.ops_alt.K_band, pair.ops_alt.M_band
-    L_M = scipy.linalg.cholesky_banded(M_band, lower=True)
-    L_K = scipy.linalg.cholesky_banded(K_band, lower=True) if odd else None
+    ops = pair.ops_alt
+    M = ops.M_factor
     inv = 1.0 / pair.lam[:t]
     Y = np.empty((pair.V.shape[0], t), order="F")
     for a, b in _column_blocks(t):
         X = pair.V[:, a:b] * np.sqrt(inv[a:b]) if odd else pair.V[:, a:b]
         # the last A of an even m is fused with L_M' into L_M^-1 K~
         for _ in range(k - 1 + odd):
-            X = scipy.linalg.cho_solve_banded(
-                (L_M, True), band_matmul(K_band, X), check_finite=False
-            )
+            X = M.solve(band_matmul(ops.K_band, X))
             X *= inv[a:b]
         if odd:
-            Y[:, a:b] = _triangular_band_matmul(L_K, X, transpose=True)
+            Y[:, a:b] = ops.K_factor.half_matmul(X, trans=True)
         else:
-            Y[:, a:b] = _triangular_band_solve(L_M, band_matmul(K_band, X), trans="N")
+            Y[:, a:b] = M.half_solve(band_matmul(ops.K_band, X))
             Y[:, a:b] *= inv[a:b]
     return Y
 

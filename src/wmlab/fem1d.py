@@ -51,7 +51,9 @@ that is not finite or not symmetric to 1e-12 of its scale
 (AssemblyIntegrityError).
 ``dense`` expands a band into the full matrix; only the dense
 eigensolver (pencils wider than tridiagonal) and the tests need it.
-``band_matmul`` multiplies by a band.
+``band_matmul`` multiplies by a band. Solves with a band and its square
+root go through ``_BandLDL``, its one factorization: A = U D U' with U
+unit lower triangular, built once per matrix.
 """
 
 import functools
@@ -60,10 +62,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AssemblyIntegrityError,
     CoefficientError,
+    ConditioningError,
     ConstraintError,
     DomainError,
     ParameterError,
@@ -275,6 +279,90 @@ def band_matmul(band, X):
     return out
 
 
+class _BandLDL:
+    """Unit-lower LDL' factor of a symmetric positive definite matrix A
+    held as a lower band: A = U D U' with U unit lower triangular of the
+    same bandwidth, taken from the banded Cholesky factor L = U D^(1/2)
+    (LAPACK pbtrf, in O(n p^2)). ConditioningError, naming the matrix by
+    ``name``, if A is not positive definite.
+
+    Solves run LAPACK dtbtrs on U with diag "U": a unit-diagonal
+    recurrence multiplies and adds but never divides, where dpbtrs and a
+    non-unit dtbtrs divide at every row. D enters as a scaling by stored
+    reciprocals:
+
+        A^-1 X = U^-T D^-1 U^-1 X,  L^-1 X = D^(-1/2) U^-1 X,  L^-T X = U^-T D^(-1/2) X,
+
+    except that A^-1 X of a tridiagonal A is one LAPACK dpttrs on U and
+    D (see ``solve``). L X and L' X are band products. Every method works
+    on X, of shape (n,) or (n, m), in place and returns the result, which
+    is X itself when X is contiguous (a block in Fortran order); LAPACK
+    writes over any array it is given, read-only ones included, so
+    callers pass only arrays they own.
+    """
+
+    def __init__(self, band, name):
+        try:
+            L = scipy.linalg.cholesky_banded(band, lower=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise ConditioningError(f"{name} is not positive definite: {exc}") from exc
+        self.band = band
+        self.L = L
+        # Fortran order, which dtbtrs reads without a copy
+        self.U = np.array(L / L[0], order="F")
+        self.inv_root_d = 1.0 / L[0]
+        self.inv_d = self.inv_root_d * self.inv_root_d
+        # D and the subdiagonal of U of a tridiagonal A, for dpttrs
+        self.tridiagonal = (L[0] * L[0], self.U[1, :-1].copy()) if L.shape[0] == 2 else None
+
+    def _unit_solve(self, X, trans):
+        return scipy.linalg.lapack.dtbtrs(
+            self.U, X, uplo="L", trans=trans, diag="U", overwrite_b=1
+        )[0]
+
+    @staticmethod
+    def _scale(X, d):
+        X *= d[(slice(None),) + (None,) * (X.ndim - 1)]
+        return X
+
+    def solve(self, X):
+        """A^-1 X. A tridiagonal A is solved by LAPACK dpttrs on the same
+        U and D, which runs both recurrences of a column in two tight loops
+        where OpenBLAS's dtbsv makes a call per row; its division by D
+        stays off the recurrence's chain. N = 2000, 91 columns, 2-core
+        Xeon VM: 1.6 ms, against 2.5 ms for the unit-diagonal solves and
+        3.8-4.0 ms for dpbtrs."""
+        if self.tridiagonal is not None:
+            return scipy.linalg.lapack.dpttrs(*self.tridiagonal, X, overwrite_b=1)[0]
+        X = self._scale(self._unit_solve(X, "N"), self.inv_d)
+        return self._unit_solve(X, "T")
+
+    def half_solve(self, X, trans=False):
+        """L^-1 X, or L^-T X with ``trans``."""
+        if trans:
+            return self._unit_solve(self._scale(X, self.inv_root_d), "T")
+        return self._scale(self._unit_solve(X, "N"), self.inv_root_d)
+
+    def half_matmul(self, X, trans=False):
+        """L X, or L' X with ``trans``: the off-diagonal terms are summed
+        from X into one temporary before X is scaled by diag(L)."""
+        L, n = self.L, self.L.shape[1]
+        if L.shape[0] == 1:
+            return self._scale(X, L[0])
+        col = (slice(None),) + (None,) * (X.ndim - 1)
+        if trans:
+            off = L[1, : n - 1][col] * X[1:]
+            for k in range(2, L.shape[0]):
+                off[: n - k] += L[k, : n - k][col] * X[k:]
+            self._scale(X, L[0])[:-1] += off
+        else:
+            off = L[1, : n - 1][col] * X[:-1]
+            for k in range(2, L.shape[0]):
+                off[k - 1 :] += L[k, : n - k][col] * X[:-k]
+            self._scale(X, L[0])[1:] += off
+        return X
+
+
 def build_basis(N, order, constraint=DIRICHLET):
     """Constrained spline basis with exactly N degrees of freedom.
 
@@ -388,6 +476,18 @@ class AssembledOperators:
         2 + p only, constrained index p; mirrored at the right end)."""
         return self.K_band.shape[0] - 1
 
+    @functools.cached_property
+    def K_factor(self):
+        """The ``_BandLDL`` factor of K, built on first use."""
+        return _BandLDL(self.K_band, f"form matrix {self.form_order}")
+
+    @functools.cached_property
+    def M_factor(self):
+        """The ``_BandLDL`` factor of M, built on first use. Pencils that
+        the assembly functions build share their basis's mass band and its
+        one factor (``_mass_matrix``) instead."""
+        return _BandLDL(self.M_band, "mass matrix")
+
     @property
     def M(self):
         """Read-only dense M, built on each access: for the tests."""
@@ -477,18 +577,29 @@ def _mass_band(basis):
 
     M depends on the basis only through the fields ``build_basis`` takes,
     so it is built once per (order, n_dof, constraint mode) and shared
-    between callers.
+    between callers, with its factor (``_mass_matrix``).
     """
-    return _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode)
+    return _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode).band
 
 
 @functools.lru_cache(maxsize=1)
 def _mass_matrix(order, n_dof, constraint_mode):
+    """The ``_BandLDL`` factor of the mass matrix, whose ``band`` is M."""
     basis = build_basis(n_dof, order, constraint_mode)
     # order + 1 Gauss points integrate the degree-2p spline products exactly
     qpts, qwts = _element_quadrature(basis, order + 1)
     coeffs = np.ones((1,) + qpts.shape)
-    return _read_only(_assemble(basis, qpts, qwts, coeffs, [0], [0]))
+    return _BandLDL(_read_only(_assemble(basis, qpts, qwts, coeffs, [0], [0])), "mass matrix")
+
+
+def _operators(basis, K, form_order):
+    """AssembledOperators of K on the basis, holding the basis's shared
+    mass band and, as its ``M_factor``, that band's one factor."""
+    mass = _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode)
+    ops = AssembledOperators(M_band=mass.band, K_band=K, form_order=form_order)
+    # set the cached property: the frozen dataclass keeps it in __dict__
+    ops.__dict__["M_factor"] = mass
+    return ops
 
 
 def assemble_aL(basis, a, kappa2):
@@ -512,7 +623,7 @@ def assemble_aL(basis, a, kappa2):
         )
     coeffs = np.stack([a_q, k2_q])
     K = _assemble(basis, qpts, qwts, coeffs, [1, 0], [1, 0])
-    return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a_L")
+    return _operators(basis, K, "a_L")
 
 
 def _require_unit_diffusion(a, form):
@@ -547,7 +658,7 @@ def assemble_a2(basis, kappa2, a=None):
     d1 = [0, 1, 0, 1, 2]
     d2 = [0, 1, 1, 0, 2]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a2")
+    return _operators(basis, K, "a2")
 
 
 def assemble_a3(basis, kappa2, a=None):
@@ -592,7 +703,7 @@ def assemble_a3(basis, kappa2, a=None):
     d1 = [0, 0, 1, 1, 2, 0, 2, 3, 0, 3, 1, 3]
     d2 = [0, 1, 0, 1, 0, 2, 2, 0, 3, 1, 3, 3]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return AssembledOperators(M_band=_mass_band(basis), K_band=K, form_order="a3")
+    return _operators(basis, K, "a3")
 
 
 def integral_obs_matrix(basis, n_rows):

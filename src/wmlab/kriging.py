@@ -113,8 +113,13 @@ class ObservationDesign:
                 raise DomainError(f"s0 must lie in (0, 1), got {self.s0}")
             if not 0.0 < self.delta_o < 0.5:
                 raise ParameterError(f"delta_o must lie in (0, 1/2), got {self.delta_o}")
-            locs = point_locations(self)
-            if np.any(locs <= 0.0) or np.any(locs >= 1.0):
+            # the outermost points, s0 - ceil(n_max/2) delta_o and
+            # s0 + floor(n_max/2) delta_o, by arithmetic: an n_max too large
+            # for point_locations' arrays fails here, before any is built
+            if not (
+                self.s0 - (self.n_max + 1) // 2 * self.delta_o > 0.0
+                and self.s0 + self.n_max // 2 * self.delta_o < 1.0
+            ):
                 raise DomainError(
                     "point design exceeds the interval: reduce n_max or delta_o"
                 )

@@ -13,8 +13,12 @@ F = tau (K^-1 M)^floor((s-1)/2) R with R = L_K^-T for odd s and
 R = K^-1 L_M for even s (M = L_M L_M'; the Galerkin load of white noise
 has covariance M). beta in {1, 2, 3} on its power form is s = 2,
 F = tau K^-1 L_M; half-integer beta on a_L is odd s. K and M are held
-as (p+1, N) lower bands (see :mod:`wmlab.fem1d`) and factored as stored
-by banded Cholesky, so F X costs O(N p s) per column. The spectral route,
+as (p+1, N) lower bands (see :mod:`wmlab.fem1d`), each factored once as
+stored into unit-lower LDL' factors, A = U D U' and L = U D^(1/2):
+K^-1 X = U^-T D^-1 U^-1 X and L_K^-T X = U^-T D^(-1/2) X are unit-diagonal
+banded solves, which never divide (a tridiagonal K^-1 X is one LAPACK
+dpttrs on U and D), and L_M X is a band product, so F X costs O(N p s)
+per column. The spectral route,
 left to genuinely fractional beta, diagonalizes the (K, M) pencil,
 F = tau V Lambda^(-beta).
 A tridiagonal pencil (piecewise-linear basis), of any order, is
@@ -400,11 +404,12 @@ def direct_factor(ops, beta, tau):
 
         F = tau (K^-1 M)^floor((s-1)/2) R,  R = L_K^-T (odd s), K^-1 L_M (even s).
 
-    beta = q (s = 2) is the power forms' F = tau K^-1 L_M. The (p+1, N)
-    lower bands of K and M are LAPACK's ``pbtrf`` layout, so each is
-    factored as stored by banded Cholesky in O(N p^2), and F X costs
-    O(N p s) per column. ConditioningError if K or M is not positive
-    definite.
+    beta = q (s = 2) is the power forms' F = tau K^-1 L_M. K and M are
+    applied through their unit-lower LDL' factors ``ops.K_factor`` and
+    ``ops.M_factor`` (``fem1d._BandLDL``), so F X costs O(N p s) per
+    column and its solves never divide. ``dot`` and ``tdot`` copy X once
+    into a Fortran array of their own and work on it in place.
+    ConditioningError if K or M is not positive definite.
     """
     q = _FORM_ORDER[ops.form_order]
     s = 2.0 * beta / q
@@ -415,61 +420,26 @@ def direct_factor(ops, beta, tau):
         )
     if not tau > 0.0:
         raise ParameterError(f"tau must be positive, got {tau}")
-    factors = []
-    for band, name in ((ops.K_band, f"form matrix {ops.form_order}"), (ops.M_band, "mass matrix")):
-        try:
-            factors.append(scipy.linalg.cholesky_banded(band, lower=True))
-        except scipy.linalg.LinAlgError as exc:
-            raise ConditioningError(f"{name} is not positive definite: {exc}") from exc
-    L_K, L_M = factors
-    solve = functools.partial(scipy.linalg.cho_solve_banded, (L_K, True))
+    K, M = ops.K_factor, ops.M_factor
     s = int(round(s))
-    if s % 2:
-        root = functools.partial(_triangular_band_solve, L_K, trans="T")
-        root_t = functools.partial(_triangular_band_solve, L_K, trans="N")
-    else:
-        def root(X):
-            return solve(_triangular_band_matmul(L_M, X, transpose=False))
-
-        def root_t(X):
-            return _triangular_band_matmul(L_M, solve(X), transpose=True)
 
     def dot(X):
-        X = root(X)
+        X = np.array(X, dtype=np.float64, order="F")
+        X = K.half_solve(X, trans=True) if s % 2 else K.solve(M.half_matmul(X))
         for _ in range((s - 1) // 2):
-            X = solve(band_matmul(ops.M_band, X))
-        return tau * X
+            X = K.solve(band_matmul(ops.M_band, X))
+        X *= tau
+        return X
 
     def tdot(X):
+        X = np.array(X, dtype=np.float64, order="F")
         for _ in range((s - 1) // 2):
-            X = band_matmul(ops.M_band, solve(X))
-        return tau * root_t(X)
+            X = band_matmul(ops.M_band, K.solve(X))
+        X = K.half_solve(X) if s % 2 else M.half_matmul(K.solve(X), trans=True)
+        X *= tau
+        return X
 
-    return CovarianceFactor(n=L_K.shape[1], dot=dot, tdot=tdot)
-
-
-def _triangular_band_solve(band, X, trans):
-    """L^-1 X (``trans`` "N") or L^-T X ("T") by LAPACK dtbtrs, for lower
-    triangular L held as a lower band with a nonzero diagonal."""
-    out, info = scipy.linalg.lapack.dtbtrs(band, X, uplo="L", trans=trans)
-    if info != 0:
-        raise ConditioningError(f"triangular band solve failed (dtbtrs info {info})")
-    return out
-
-
-def _triangular_band_matmul(band, X, transpose):
-    """L X, or L' X with ``transpose``, for lower triangular L held as a
-    lower band (``band[k, j] = L[j + k, j]``); X is (n,) or (n, m)."""
-    n = band.shape[1]
-    col = (slice(None),) + (None,) * (X.ndim - 1)
-    out = band[0][col] * X
-    for k in range(1, band.shape[0]):
-        d = band[k, : n - k][col]
-        if transpose:
-            out[:-k] += d * X[k:]
-        else:
-            out[k:] += d * X[:-k]
-    return out
+    return CovarianceFactor(n=ops.K_band.shape[1], dot=dot, tdot=tdot)
 
 
 def balakrishnan_fractional_inverse(A, theta, levels=40):

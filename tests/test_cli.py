@@ -138,7 +138,7 @@ _EITHER = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
         ({"type": "integer"}, False, False),
         ({"type": "integer"}, 10.0, True),
         ({"type": "integer"}, 10.5, False),
-        ({"type": "integer"}, 10**400, True),
+        ({"type": "integer"}, 10**400, False),  # no float holds it
         ({"type": "number"}, math.nan, False),
         ({"type": "integer"}, -math.inf, False),
         ({"enum": [1, 2, 3]}, 1.0, True),
@@ -296,10 +296,12 @@ _EXPLICIT_VERDICT = _REQUIRED_FORMS["verdict"][0]
             {"model": {**_CUSTOM_MODEL, "a": {"kind": "constant", "params": [10**401]}}},
             ".model.a.params[0]",
         ),
+        # an "integer" field too
+        ("verdict", {**_EXPLICIT_VERDICT, "d": 10**401}, ".d"),
     ],
     ids=[
         "gamma", "c", "cm_beta", "offsets", "coefficient", "tau", "a_ratio",
-        "gamma_int", "c_int", "cm_beta_int", "coefficient_int",
+        "gamma_int", "c_int", "cm_beta_int", "coefficient_int", "d_int",
     ],
 )
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload, field):
@@ -334,6 +336,18 @@ def test_n_beyond_the_lapack_integer_is_a_config_error(
     assert _run(tmp_path, "sample", {**payload, "out": str(out)}, *flags) == 2
     err = capsys.readouterr().err
     assert f"config field '.N': {shown} is greater than the maximum of 2147483647" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [1e20, 1e300])
+def test_point_design_too_large_for_any_array_exits_two(tmp_path, capsys, n):
+    # numpy refuses arrays of these sizes at once; the design's extent is
+    # checked by arithmetic before any array of n points is built
+    out = tmp_path / "o"
+    payload = {"n_values": [10, n], "N": 100, "svg": False, "out": str(out)}
+    assert _run(tmp_path, "fig1_point", payload) == 2
+    err = capsys.readouterr().err
+    assert "DomainError: point design exceeds the interval" in err
     assert not out.exists()
 
 

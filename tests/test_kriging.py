@@ -166,6 +166,31 @@ def test_point_design_must_stay_inside_domain():
         ObservationDesign(kind="point", n_max=100, s0=0.5, delta_o=0.01)
 
 
+def test_point_design_extent_check_matches_its_points():
+    # the design is checked by arithmetic on its two outermost points; the
+    # oracle checks every point, as the check did before
+    from wmlab.errors import DomainError
+
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 60))
+        s0 = float(rng.choice([0.5, 0.25, 0.9, rng.uniform(0.01, 0.99)]))
+        delta_o = float(rng.choice([0.01, 0.02, 1 / 3, rng.uniform(1e-3, 0.1)]))
+        i = np.arange(1, n + 1)
+        step = ((i + 1) // 2) * delta_o
+        locs = np.where(i % 2 == 0, s0 + step, s0 - step)
+        inside = not (np.any(locs <= 0.0) or np.any(locs >= 1.0))
+        try:
+            ObservationDesign(kind="point", n_max=n, s0=s0, delta_o=delta_o)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == inside, (n, s0, delta_o)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
 # ------------------------------------------------------------ curves
 
 
