@@ -36,8 +36,8 @@ pencil alone. When 2b = m is a positive integer the block needs no alt
 eigenvectors: V~ Lam~^m V~' = A^m M^-1 with A = M^-1 K~, so
 W Lam~^(2b) W' = V' M A^m V, and Y comes from V by banded products and
 solves with K~ and M, through the alt pencil's unit-lower LDL' factors
-(``fem1d._BandLDL``, built once per pencil and, for M, once per basis),
-whose solves never divide. Any other exponent takes the W route, which runs
+(``fem1d._BandLDL``, built once per pencil and, for M, once per basis).
+Any other exponent takes the W route, which runs
 the alt eigensolve and ``cross_gram`` once, on first use. At matched
 exponents (b = g) the blocks are one matrix shifted by s = c^(2g):
 ``hs_curve`` keeps each block's spectrum of T on the pair, and

@@ -331,7 +331,7 @@ class _BandLDL:
         where OpenBLAS's dtbsv makes a call per row; its division by D
         stays off the recurrence's chain. N = 2000, 91 columns, 2-core
         Xeon VM: 1.6 ms, against 2.5 ms for the unit-diagonal solves and
-        3.8-4.0 ms for dpbtrs."""
+        3.8-4.1 ms for dpbtrs."""
         if self.tridiagonal is not None:
             return scipy.linalg.lapack.dpttrs(*self.tridiagonal, X, overwrite_b=1)[0]
         X = self._scale(self._unit_solve(X, "N"), self.inv_d)
@@ -347,8 +347,6 @@ class _BandLDL:
         """L X, or L' X with ``trans``: the off-diagonal terms are summed
         from X into one temporary before X is scaled by diag(L)."""
         L, n = self.L, self.L.shape[1]
-        if L.shape[0] == 1:
-            return self._scale(X, L[0])
         col = (slice(None),) + (None,) * (X.ndim - 1)
         if trans:
             off = L[1, : n - 1][col] * X[1:]

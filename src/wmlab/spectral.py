@@ -50,7 +50,6 @@ from scipy.linalg import cython_lapack
 
 from .errors import (
     AssemblyIntegrityError,
-    ConditioningError,
     NumericalIntegrityError,
     ParameterError,
 )
@@ -407,7 +406,7 @@ def direct_factor(ops, beta, tau):
     beta = q (s = 2) is the power forms' F = tau K^-1 L_M. K and M are
     applied through their unit-lower LDL' factors ``ops.K_factor`` and
     ``ops.M_factor`` (``fem1d._BandLDL``), so F X costs O(N p s) per
-    column and its solves never divide. ``dot`` and ``tdot`` copy X once
+    column. ``dot`` and ``tdot`` copy X once
     into a Fortran array of their own and work on it in place.
     ConditioningError if K or M is not positive definite.
     """
