@@ -35,6 +35,7 @@ long as they are empty.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import operator
@@ -81,7 +82,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------
-# schemas and defaults
+# schemas; a key's default is the "default" annotation beside its type
 
 _FIELD_SCHEMA = {
     "type": "object",
@@ -120,106 +121,117 @@ _MODEL_REF_SCHEMA = {
     ]
 }
 
+_BASE41_REF = {**_MODEL_REF_SCHEMA, "default": {"name": "base41", "beta": 1}}
+
 _POSITIVE_INT_ARRAY = {
     "type": "array",
     "items": {"type": "integer", "minimum": 1},
     "minItems": 1,
 }
 
-_POSITIVE_NUMBER_ARRAY = {
-    "type": "array",
-    "items": {"type": "number", "exclusiveMinimum": 0},
-    "minItems": 1,
-}
-
 # (value at 0, value at 1, derivative at 0, derivative at 1)
 _BOUNDARY_VALUES = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
 
-_COMMON_PROPS = {
-    # LAPACK's dimension arguments are 32-bit ints
-    "N": {"type": "integer", "minimum": 10, "maximum": 2**31 - 1},
-    "seed": {"type": "integer", "minimum": 0},
-    "out": {"type": "string", "minLength": 1},
-    "threads": {"type": "integer", "minimum": 1},
-    "svg": {"type": "boolean"},
-}
 
-_MODELS_PROP = {
-    "type": "array",
-    "items": {"enum": ["model1", "model2"]},
-    "minItems": 1,
-    "uniqueItems": True,
-}
+def _out(command):
+    return {"type": "string", "minLength": 1, "default": f"out/{command}"}
 
 
-def _schema(extra_props, required=()):
-    props = dict(_COMMON_PROPS)
-    props.update(extra_props)
+def _schema(command, required=(), svg=False, N=1000, **props):
+    """The schema of ``command``: the five common keys, then ``props``."""
     return {
         "type": "object",
-        "properties": props,
+        "properties": {
+            # LAPACK's dimension arguments are 32-bit ints
+            "N": {"type": "integer", "minimum": 10, "maximum": 2**31 - 1, "default": N},
+            "seed": {"type": "integer", "minimum": 0, "default": 0},
+            "out": _out(command),
+            "threads": {"type": "integer", "minimum": 1, "default": 1},
+            "svg": {"type": "boolean", "default": svg},
+            **props,
+        },
         "required": list(required),
         "additionalProperties": False,
     }
 
 
-_FIG_N_VALUES_DEFAULT = [10, 20, 50, 100, 200, 300, 400, 500]
+# the keys that the figure commands share
+_FIGURE_PROPS = {
+    "deltas": {
+        "type": "array",
+        "items": {"type": "number", "exclusiveMinimum": 0},
+        "minItems": 1,
+        "default": [1.0, 10.0, 100.0],
+    },
+    "models": {
+        "type": "array",
+        "items": {"enum": ["model1", "model2"]},
+        "minItems": 1,
+        "uniqueItems": True,
+        "default": ["model1", "model2"],
+    },
+    "n_values": {**_POSITIVE_INT_ARRAY, "default": [10, 20, 50, 100, 200, 300, 400, 500]},
+    "per_target": {"type": "boolean", "default": False},
+}
+
+
+def _figure(command, keys, **props):
+    """A figure command's schema: the ``keys`` of _FIGURE_PROPS, then ``props``."""
+    return _schema(command, svg=True, **{key: _FIGURE_PROPS[key] for key in keys}, **props)
+
+
+_BOOL_OR_NULL = {"type": ["boolean", "null"]}
+
+_VERDICT_COMMON = {
+    "out": _out("verdict"),
+    "d": {"type": "integer", "minimum": 1, "default": 1},
+}
 
 SCHEMAS = {
-    "fig1_integral": _schema(
-        {
-            "deltas": _POSITIVE_NUMBER_ARRAY,
-            "models": _MODELS_PROP,
-            "n_values": _POSITIVE_INT_ARRAY,
-            "per_target": {"type": "boolean"},
-        }
+    "fig1_integral": _figure("fig1_integral", ("deltas", "models", "n_values", "per_target")),
+    "fig1_point": _figure(
+        "fig1_point",
+        ("deltas", "models"),
+        n_values={**_POSITIVE_INT_ARRAY, "default": list(range(10, 100, 10))},
+        s0={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.5},
+        delta_o={
+            "type": "number",
+            "exclusiveMinimum": 0,
+            "exclusiveMaximum": 0.5,
+            "default": 0.01,
+        },
     ),
-    "fig1_point": _schema(
-        {
-            "deltas": _POSITIVE_NUMBER_ARRAY,
-            "models": _MODELS_PROP,
-            "n_values": _POSITIVE_INT_ARRAY,
-            "s0": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "delta_o": {
-                "type": "number",
-                "exclusiveMinimum": 0,
-                "exclusiveMaximum": 0.5,
-            },
-        }
-    ),
-    "fig2": _schema(
-        {
-            "betas": {
-                "type": "array",
-                "items": {"enum": [1, 2, 3]},
-                "minItems": 1,
-                "uniqueItems": True,
-            },
-            "models": _MODELS_PROP,
-            "n_values": _POSITIVE_INT_ARRAY,
-            "per_target": {"type": "boolean"},
-        }
+    "fig2": _figure(
+        "fig2",
+        ("models", "n_values", "per_target"),
+        betas={
+            "type": "array",
+            "items": {"enum": [1, 2, 3]},
+            "minItems": 1,
+            "uniqueItems": True,
+            "default": [1, 2, 3],
+        },
     ),
     "matern_check": _schema(
-        {
-            "model": _MODEL_REF_SCHEMA,
-            "offsets": {
-                "type": "array",
-                "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
-                "minItems": 1,
-            },
-        }
+        "matern_check",
+        model=_BASE41_REF,
+        offsets={
+            "type": "array",
+            "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
+            "minItems": 1,
+            "default": [0.0, 0.005, 0.01, 0.02, 0.05, 0.1],
+        },
     ),
     "diagnose": _schema(
-        {
-            "base_model": _MODEL_REF_SCHEMA,
-            "alt_model": _MODEL_REF_SCHEMA,
-            "gamma": {"type": "number"},
-            "c": {"type": "number", "exclusiveMinimum": 0},
-            "truncations": _POSITIVE_INT_ARRAY,
-            "cm_beta": {"type": "number", "exclusiveMinimum": 0.25},
-        },
+        "diagnose",
         required=("base_model", "alt_model"),
+        N=800,
+        base_model=_MODEL_REF_SCHEMA,
+        alt_model=_MODEL_REF_SCHEMA,
+        gamma={"type": "number", "default": 1.0},
+        c={"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        truncations={**_POSITIVE_INT_ARRAY, "default": [100, 200, 400, 800]},
+        cm_beta={"type": "number", "exclusiveMinimum": 0.25},
     ),
     "verdict": {
         "type": "object",
@@ -227,17 +239,16 @@ SCHEMAS = {
             {
                 "type": "object",
                 "properties": {
-                    "out": _COMMON_PROPS["out"],
-                    "d": {"type": "integer", "minimum": 1},
+                    **_VERDICT_COMMON,
                     "beta": {"type": "number"},
                     "beta_alt": {"type": "number"},
                     "a_relation": {"enum": ["equal", "proportional", "different"]},
                     "a_ratio": {"type": "number", "exclusiveMinimum": 0},
                     "kappa2_boundary_base": _BOUNDARY_VALUES,
                     "kappa2_boundary_alt": _BOUNDARY_VALUES,
-                    "mean_diff_in_cm": {"type": ["boolean", "null"]},
-                    "kappa2_equal": {"type": ["boolean", "null"]},
-                    "higher_traces_zero": {"type": ["boolean", "null"]},
+                    "mean_diff_in_cm": _BOOL_OR_NULL,
+                    "kappa2_equal": _BOOL_OR_NULL,
+                    "higher_traces_zero": _BOOL_OR_NULL,
                 },
                 "required": ["beta", "beta_alt", "a_relation"],
                 "additionalProperties": False,
@@ -245,12 +256,11 @@ SCHEMAS = {
             {
                 "type": "object",
                 "properties": {
-                    "out": _COMMON_PROPS["out"],
-                    "d": {"type": "integer", "minimum": 1},
+                    **_VERDICT_COMMON,
                     "base_model": _MODEL_REF_SCHEMA,
                     "alt_model": _MODEL_REF_SCHEMA,
-                    "mean_diff_in_cm": {"type": ["boolean", "null"]},
-                    "higher_traces_zero": {"type": ["boolean", "null"]},
+                    "mean_diff_in_cm": _BOOL_OR_NULL,
+                    "higher_traces_zero": _BOOL_OR_NULL,
                 },
                 "required": ["base_model", "alt_model"],
                 "additionalProperties": False,
@@ -258,57 +268,26 @@ SCHEMAS = {
         ],
     },
     "sample": _schema(
-        {
-            "model": _MODEL_REF_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "format": {"enum": ["csv", "bin"]},
-        }
+        "sample",
+        model=_BASE41_REF,
+        # the WMLABMAT header stores the column count as a uint32
+        n_samples={"type": "integer", "minimum": 1, "maximum": 2**32 - 1, "default": 10},
+        format={"enum": ["csv", "bin"], "default": "csv"},
     ),
 }
 
 
-def _defaults(command, svg=False, N=1000, **extra):
-    return {"N": N, "seed": 0, "out": f"out/{command}", "threads": 1, "svg": svg, **extra}
+def _properties(schema):
+    """The properties of ``schema``, collected over its oneOf branches."""
+    props = dict(schema.get("properties", {}))
+    for branch in schema.get("oneOf", ()):
+        props.update(branch.get("properties", {}))
+    return props
 
 
 DEFAULTS = {
-    "fig1_integral": _defaults(
-        "fig1_integral",
-        svg=True,
-        deltas=[1.0, 10.0, 100.0],
-        models=["model1", "model2"],
-        n_values=_FIG_N_VALUES_DEFAULT,
-        per_target=False,
-    ),
-    "fig1_point": _defaults(
-        "fig1_point",
-        svg=True,
-        deltas=[1.0, 10.0, 100.0],
-        models=["model1", "model2"],
-        n_values=list(range(10, 100, 10)),
-        s0=0.5,
-        delta_o=0.01,
-    ),
-    "fig2": _defaults(
-        "fig2",
-        svg=True,
-        betas=[1, 2, 3],
-        models=["model1", "model2"],
-        n_values=_FIG_N_VALUES_DEFAULT,
-        per_target=False,
-    ),
-    "matern_check": _defaults(
-        "matern_check",
-        model={"name": "base41", "beta": 1},
-        offsets=[0.0, 0.005, 0.01, 0.02, 0.05, 0.1],
-    ),
-    "diagnose": _defaults(
-        "diagnose", N=800, gamma=1.0, c=1.0, truncations=[100, 200, 400, 800]
-    ),
-    "verdict": {"out": "out/verdict", "d": 1},
-    "sample": _defaults(
-        "sample", model={"name": "base41", "beta": 1}, n_samples=10, format="csv"
-    ),
+    command: {key: p["default"] for key, p in _properties(schema).items() if "default" in p}
+    for command, schema in SCHEMAS.items()
 }
 
 
@@ -337,7 +316,9 @@ _IS_TYPE = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
     "number": lambda v: _is_number(v) and _is_finite(v),
-    "integer": lambda v: _is_number(v) and _is_finite(v) and (isinstance(v, int) or v.is_integer()),
+    "integer": lambda v: (
+        _is_number(v) and _is_finite(v) and (isinstance(v, int) or v.is_integer())
+    ),
 }
 
 _BOUNDS = (
@@ -478,11 +459,7 @@ def load_config(command, config_path, overrides):
     for key, value in overrides.items():
         if value is None:
             continue
-        allowed = set(schema.get("properties", {}))
-        if not allowed:  # oneOf-style schema (verdict)
-            for branch in schema.get("oneOf", []):
-                allowed |= set(branch.get("properties", {}))
-        if key not in allowed:
+        if key not in _properties(schema):
             raise ConfigError(f"flag --{key} is not applicable to '{command}'")
         user[key] = value
 
@@ -504,7 +481,7 @@ def load_config(command, config_path, overrides):
 
 def _resolve_model(ref):
     if "name" in ref:
-        return builtin_model(ref["name"], ref["beta"], ref.get("delta", 10.0))
+        return builtin_model(**ref)
     return model_from_dict(ref)
 
 
@@ -544,12 +521,18 @@ _SVG_COLORS = (
 )
 
 
-def write_svg_log_curves(path, title, series, xlabel="n", ylabel="value"):
-    """Minimal hand-rolled SVG: polylines on a log10 y axis.
+def _svg_text(x, y, body, size, fill="#222222", anchor=None, transform=None):
+    """One ``<text>`` element; ``x`` and ``y`` are written as given."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}" fill="{fill}"{transform}>{body}</text>'
+    )
 
-    ``series`` is a list of (label, xs, ys); nonpositive ys are skipped
-    (they cannot appear on a log axis). Purely deterministic output.
-    """
+
+def _svg_log_chart(title, series, xlabel, ylabel):
+    """The lines of write_svg_log_curves' chart, up to its closing tag."""
     W, H = 840, 520
     ml, mr, mt, mb = 80, 200, 48, 56
     pw, ph = W - ml - mr, H - mt - mb
@@ -559,21 +542,14 @@ def write_svg_log_curves(path, title, series, xlabel="n", ylabel="value"):
         for x, y in zip(xs, ys)
         if y > 0.0
     ]
-    out = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">',
-        f'<rect width="{W}" height="{H}" fill="#ffffff"/>',
-        f'<text x="{ml}" y="26" font-family="sans-serif" font-size="16" '
-        f'fill="#222222">{title}</text>',
-    ]
+        f'viewBox="0 0 {W} {H}">'
+    )
+    yield f'<rect width="{W}" height="{H}" fill="#ffffff"/>'
+    yield _svg_text(ml, 26, title, 16)
     if not pts:
-        out.append(
-            f'<text x="{ml}" y="{mt + 40}" font-family="sans-serif" '
-            f'font-size="13" fill="#666666">no positive values to plot</text>'
-        )
-        out.append("</svg>")
-        with open(path, "w") as fh:
-            fh.write("\n".join(out) + "\n")
+        yield _svg_text(ml, mt + 40, "no positive values to plot", 13, "#666666")
         return
     xmin = min(p[0] for p in pts)
     xmax = max(p[0] for p in pts)
@@ -590,79 +566,64 @@ def write_svg_log_curves(path, title, series, xlabel="n", ylabel="value"):
     def sy(y):
         return mt + ph * (hi - math.log10(y)) / (hi - lo)
 
-    out.append(
+    yield (
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#444444"/>'
     )
     for dec in range(lo, hi + 1):
         y = mt + ph * (hi - dec) / (hi - lo)
-        out.append(
+        yield (
             f'<line x1="{ml}" y1="{y:.2f}" x2="{ml + pw}" y2="{y:.2f}" '
             f'stroke="#dddddd"/>'
         )
-        out.append(
-            f'<text x="{ml - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#222222">1e{dec}</text>'
-        )
+        yield _svg_text(ml - 8, f"{y + 4:.2f}", f"1e{dec}", 11, anchor="end")
     xticks = sorted({x for _, xs, _ in series for x in xs})
     if len(xticks) > 10:
         idx = np.linspace(0, len(xticks) - 1, 8).round().astype(int)
         xticks = [xticks[i] for i in sorted(set(idx))]
     for x in xticks:
-        out.append(
+        yield (
             f'<line x1="{sx(x):.2f}" y1="{mt + ph}" x2="{sx(x):.2f}" '
             f'y2="{mt + ph + 5}" stroke="#444444"/>'
         )
         label = str(int(x)) if float(x).is_integer() else f"{x:g}"
-        out.append(
-            f'<text x="{sx(x):.2f}" y="{mt + ph + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#222222">{label}</text>'
-        )
-    out.append(
-        f'<text x="{ml + pw / 2:.2f}" y="{H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#222222">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="20" y="{mt + ph / 2:.2f}" font-family="sans-serif" '
-        f'font-size="12" fill="#222222" '
-        f'transform="rotate(-90 20 {mt + ph / 2:.2f})">{ylabel}</text>'
-    )
+        yield _svg_text(f"{sx(x):.2f}", mt + ph + 20, label, 11, anchor="middle")
+    yield _svg_text(f"{ml + pw / 2:.2f}", H - 12, xlabel, 12, anchor="middle")
+    mid = f"{mt + ph / 2:.2f}"
+    yield _svg_text(20, mid, ylabel, 12, transform=f"rotate(-90 20 {mid})")
     for k, (label, xs, ys) in enumerate(series):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        seg = []
-        segments = []
-        for x, y in zip(xs, ys):
-            if y > 0.0:
-                seg.append(f"{sx(float(x)):.2f},{sy(float(y)):.2f}")
-            else:
-                if len(seg) >= 2:
-                    segments.append(seg)
-                seg = []
-        if len(seg) >= 2:
-            segments.append(seg)
-        for seg in segments:
-            out.append(
-                f'<polyline points="{" ".join(seg)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.8"/>'
-            )
-        for x, y in zip(xs, ys):
-            if y > 0.0:
-                out.append(
-                    f'<circle cx="{sx(float(x)):.2f}" cy="{sy(float(y)):.2f}" '
-                    f'r="2.6" fill="{color}"/>'
+        # the runs of positive values, each as its formatted points
+        runs = [
+            [(f"{sx(float(x)):.2f}", f"{sy(float(y)):.2f}") for x, y in run]
+            for positive, run in itertools.groupby(zip(xs, ys), key=lambda p: p[1] > 0.0)
+            if positive
+        ]
+        for run in runs:
+            if len(run) >= 2:
+                yield (
+                    f'<polyline points="{" ".join(f"{cx},{cy}" for cx, cy in run)}" '
+                    f'fill="none" stroke="{color}" stroke-width="1.8"/>'
                 )
+        for cx, cy in itertools.chain.from_iterable(runs):
+            yield f'<circle cx="{cx}" cy="{cy}" r="2.6" fill="{color}"/>'
         ly = mt + 16 + 18 * k
-        out.append(
+        yield (
             f'<line x1="{ml + pw + 14}" y1="{ly - 4}" x2="{ml + pw + 38}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
         )
-        out.append(
-            f'<text x="{ml + pw + 44}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12" fill="#222222">{label}</text>'
-        )
-    out.append("</svg>")
+        yield _svg_text(ml + pw + 44, ly, label, 12)
+
+
+def write_svg_log_curves(path, title, series, xlabel="n", ylabel="value"):
+    """Minimal hand-rolled SVG: polylines on a log10 y axis.
+
+    ``series`` is a list of (label, xs, ys); nonpositive ys are skipped
+    (they cannot appear on a log axis). Purely deterministic output.
+    """
+    lines = [*_svg_log_chart(title, series, xlabel, ylabel), "</svg>"]
     with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------

@@ -478,12 +478,17 @@ def efficiency_curve_point(true_model, missp_model, N, n_values, s0=0.5, delta_o
 
     The first n observation points of the alternating design are used
     for each n; the target functional is the field value at the center
-    s0 itself.
+    s0 itself. Requires max(n_values) < N.
     """
     n_values = _curve_n_values(true_model, missp_model, n_values)
     design = ObservationDesign(
         kind="point", n_max=max(n_values), s0=float(s0), delta_o=float(delta_o)
     )
+    if max(n_values) >= N:
+        raise ParameterError(
+            f"max(n_values)={max(n_values)} must be below N={N}: n observations and "
+            "the target are n + 1 functionals of an N-dimensional field"
+        )
     basis, Phi, Sigma = _true_stage(true_model, int(N), design)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
     t = Sigma.shape[0] - 1  # target row: the center evaluation

@@ -50,6 +50,7 @@ from scipy.linalg import cython_lapack
 
 from .errors import (
     AssemblyIntegrityError,
+    DomainError,
     NumericalIntegrityError,
     ParameterError,
 )
@@ -494,7 +495,8 @@ def sample_field(factor, seed, n_samples):
     z_i comes from a counter-based generator keyed by (seed, i) and each
     draw is its own product F z_i, so each draw is bit-reproducible on its
     own: results do not depend on how many samples are drawn, in which
-    order, or from which thread.
+    order, or from which thread. Draws that are all zero raise DomainError:
+    F z is zero for every z only when F underflowed to zero.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -505,4 +507,9 @@ def sample_field(factor, seed, n_samples):
     for i in range(int(n_samples)):
         bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
         out[:, i] = factor.dot(np.random.Generator(bitgen).standard_normal(factor.n))
+    if not out.any():
+        raise DomainError(
+            "every drawn weight is zero: the covariance factor underflowed; "
+            "reduce beta or the scale of the model"
+        )
     return out

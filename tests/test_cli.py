@@ -123,9 +123,17 @@ def _subschemas(schema):
 
 @pytest.mark.parametrize("command", sorted(wmlab.cli.SCHEMAS))
 def test_schemas_use_only_checked_keywords(command):
-    # a keyword the checker does not know would be ignored, not enforced
-    for schema in _subschemas(wmlab.cli.SCHEMAS[command]):
-        assert set(schema) <= _CHECKED_KEYWORDS, set(schema) - _CHECKED_KEYWORDS
+    # a keyword the checker does not know would be ignored, not enforced;
+    # "default" is an annotation, which neither the checker nor jsonschema
+    # enforces
+    def unchecked(schema):
+        keys = {key for sub in _subschemas(schema) for key in sub}
+        return keys - _CHECKED_KEYWORDS - {"default"}
+
+    schema = wmlab.cli.SCHEMAS[command]
+    assert unchecked(schema) == set()
+    # a validation keyword the checker lacks still fails, beside "default" too
+    assert unchecked({**schema, "items": {"multipleOf": 2, "default": 2}}) == {"multipleOf"}
 
 
 _EITHER = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
@@ -352,6 +360,48 @@ def test_point_design_too_large_for_any_array_exits_two(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize(
+    "payload",
+    [
+        {"N": 200, "delta_o": 1e-25, "n_values": [1e20]},
+        {"N": 100, "delta_o": 0.003, "n_values": [150]},
+        {"N": 100, "delta_o": 0.004, "n_values": [100]},
+    ],
+    ids=["n_1e20", "n_above_N", "n_equal_N"],
+)
+def test_point_design_with_more_observations_than_dofs_exits_two(tmp_path, capsys, payload):
+    # n observations and the target are n + 1 functionals of an
+    # N-dimensional field, so n must stay below N
+    out = tmp_path / "o"
+    assert _run(tmp_path, "fig1_point", {**payload, "svg": False, "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert "ParameterError: max(n_values)=" in err and f"must be below N={payload['N']}" in err
+    assert not out.exists()
+
+
+def test_sample_whose_every_draw_underflowed_exits_two(tmp_path, capsys):
+    model = {**_CUSTOM_MODEL, "beta": 400.5, "tau": 1.0}
+    del model["basis_order"]
+    out = tmp_path / "o"
+    assert _run(tmp_path, "sample", {"N": 40, "model": model, "out": str(out)}) == 2
+    assert "DomainError: every drawn weight is zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_samples, shown", [(1e20, "1e+20"), (2**32, "4294967296")])
+def test_n_samples_beyond_the_matrix_header_is_a_config_error(
+    tmp_path, capsys, monkeypatch, n_samples, shown
+):
+    # the WMLABMAT header stores the column count as a uint32; the runner
+    # must not start
+    monkeypatch.setitem(wmlab.cli.COMMANDS, "sample", lambda *_: pytest.fail("sample ran"))
+    out = tmp_path / "o"
+    assert _run(tmp_path, "sample", {"n_samples": n_samples, "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert f"config field '.n_samples': {shown} is greater than the maximum of 4294967295" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, payload, key",
     [
         ("sample", {"N": 60.0, "n_samples": 2.0}, "n_samples"),
@@ -391,6 +441,20 @@ def test_cli_runs_without_jsonschema(tmp_path):
         [sys.executable, "-c", fresh], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "payload, code", [(_MODEL_PAIR, 0), ({"d": 0}, 2)], ids=["valid", "bad_config"]
+)
+def test_python_m_wmlab_returns_mains_exit_code(tmp_path, payload, code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wmlab.cli.__file__)))
+    cfg = _write(tmp_path, "v.json", payload)
+    run = subprocess.run(
+        [sys.executable, "-m", "wmlab", "verdict", "--config", cfg, "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert run.returncode == code, run.stderr
+    assert (tmp_path / "o" / "verdict.json").exists() == (code == 0)
 
 
 # ------------------------------------------------------- happy paths
