@@ -29,8 +29,9 @@ optimality of kriging predictions:
 T + c^(2g) I and the Cameron-Martin matrices are leading blocks of
 Lam^(-b) W Lam~^(2b) W' Lam^(-b) (b = g for T), each formed as a Gram
 product Y'Y over the N x t factor Y in place, one block of columns at a
-time (``_gram``); their spectra come from symmetric eigensolves, the
-largest of ``hs_curve``'s in place too, and no routine here runs an SVD.
+time (``_gram``); their spectra come from LAPACK dsyevr in the block's own
+storage (``_block_eigenvalues``), with no copy of any block, and no
+routine here runs an SVD.
 ``operator_pair`` builds a pair from the base eigenpairs and the alt
 pencil alone. When 2b = m is a positive integer the block needs no alt
 eigenvectors: V~ Lam~^m V~' = A^m M^-1 with A = M^-1 K~, so
@@ -48,6 +49,7 @@ The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
 """
 
+import ctypes
 import dataclasses
 import functools
 import math
@@ -67,10 +69,14 @@ from .fem1d import AssembledOperators, band_matmul
 from .matio import write_csv
 from .model_config import _is_integer
 from .spectral import (
+    _LAPACK_DOUBLE,
     SpectralDecomposition,
+    _block_buffer,
     _column_blocks,
     _dsbgvd_eigenvalues,
+    _fortran_block,
     _identity_defect,
+    _lapack_routine,
     _require_positive,
     generalized_eig,
 )
@@ -231,18 +237,21 @@ def _gram_in_place(Y):
     return Y[:t], its upper triangle; the rest of Y is zero.
 
     Column blocks (a, b) are formed from the last to the first, each as
-    Y[:, :b]' Y[:, a:b] by one dgemm into a block temporary: a block
-    reads only columns below b, which no earlier step has overwritten.
+    Y[:, :b]' Y[:, a:b] by one dgemm into the same buffer of t x
+    min(t, _BLOCK) entries: a block reads only columns below b, which no
+    earlier step has overwritten.
     """
+    G = Y[: Y.shape[1]]
+    buffer = _block_buffer(G)
     for a, b in reversed(_column_blocks(Y.shape[1])):
-        block = scipy.linalg.blas.dgemm(1.0, Y[:, :b], Y[:, a:b], trans_a=1)
+        block = scipy.linalg.blas.dgemm(
+            1.0, Y[:, :b], Y[:, a:b], trans_a=1, c=_fortran_block(buffer, b, b - a), overwrite_c=1
+        )
         square = block[a:b]
         square[np.tril_indices_from(square, -1)] = 0.0
         Y[:b, a:b] = block
         Y[b:, a:b] = 0.0
-        # freed before the next block's product is formed
-        del block, square
-    return Y[: Y.shape[1]]
+    return G
 
 
 def _pencil_factor(pair, m, t):
@@ -250,23 +259,33 @@ def _pencil_factor(pair, m, t):
     route, formed by blocks of columns of V_t into one Fortran array.
     M and K~ are applied through the alt pencil's LDL' factors
     (``fem1d._BandLDL``); every solve works on a block that a band
-    product or a scaling made, never on V."""
+    product or a scaling made, never on V.
+
+    The scaling of V (odd m) and the last band product (even m) are
+    written straight into Y's column block, and every band product sums
+    its off-diagonal terms in one scratch block, so m = 1 and m = 2 hold
+    no array beside Y but that block; each further application of A
+    makes one more block while it lasts.
+    """
     k, odd = divmod(m, 2)
     ops = pair.ops_alt
     M = ops.M_factor
     inv = 1.0 / pair.lam[:t]
     Y = np.empty((pair.V.shape[0], t), order="F")
+    scratch = _block_buffer(Y)
     for a, b in _column_blocks(t):
-        X = pair.V[:, a:b] * np.sqrt(inv[a:b]) if odd else pair.V[:, a:b]
+        Yb, term = Y[:, a:b], scratch[:, : b - a]
+        X = np.multiply(pair.V[:, a:b], np.sqrt(inv[a:b]), out=Yb) if odd else pair.V[:, a:b]
         # the last A of an even m is fused with L_M' into L_M^-1 K~
         for _ in range(k - 1 + odd):
-            X = M.solve(band_matmul(ops.K_band, X))
+            X = M.solve(band_matmul(ops.K_band, X, scratch=term))
             X *= inv[a:b]
         if odd:
-            Y[:, a:b] = ops.K_factor.half_matmul(X, trans=True)
+            Yb[...] = ops.K_factor.half_matmul(X, trans=True)
         else:
-            Y[:, a:b] = M.half_solve(band_matmul(ops.K_band, X))
-            Y[:, a:b] *= inv[a:b]
+            # the solve and the scaling work on the contiguous block in place
+            M.half_solve(band_matmul(ops.K_band, X, Yb, term))
+            Yb *= inv[a:b]
     return Y
 
 
@@ -292,6 +311,64 @@ def t_operator(pair, gamma, c, truncation=None):
     for i in range(1, t):
         T[i, :i] = T[:i, i]
     return T
+
+
+# dsyevr(jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
+#        ldz, isuppz, work, lwork, iwork, liwork, info) as
+# scipy.linalg.cython_lapack declares it
+_DSYEVR_SIGNATURE = (
+    "void (char *, char *, char *, int *, {d} *, int *, {d} *, {d} *, int *, int *, "
+    "{d} *, int *, {d} *, {d} *, int *, int *, {d} *, int *, int *, int *, int *)"
+).format(d=_LAPACK_DOUBLE)
+
+
+def _block_eigenvalues(A, t, uplo="L", restore=False):
+    """Ascending eigenvalues of the symmetric leading block A[:t, :t],
+    from LAPACK dsyevr without vectors on its ``uplo`` triangle, in A's
+    own storage.
+
+    A has unit row stride (it holds rows of a Fortran array), and dsyevr
+    takes A's column stride as its leading dimension, so the block is
+    not copied. The workspace is the optimal one that dsyevr's query
+    returns, as ``scipy.linalg.eigvalsh`` takes it, so the eigenvalues
+    are bit for bit those of eigvalsh on a contiguous copy. dsyevr
+    overwrites the block's diagonal and ``uplo`` triangle and leaves the
+    other triangle alone; with ``restore`` (uplo "L") the diagonal is put
+    back from a copy and the lower triangle from the upper one, so A is
+    unchanged. NumericalIntegrityError if dsyevr fails.
+    """
+    lda, rem = divmod(A.strides[1], A.itemsize)
+    if not (A.dtype == np.float64 and A.strides[0] == A.itemsize and rem == 0
+            and 1 <= t <= min(A.shape) and t <= lda):
+        raise ValueError(f"dsyevr needs a float64 block of {t} x {t} with unit row stride")
+    block = A[:t, :t]
+    diagonal = np.diagonal(block).copy() if restore else None
+    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(t, lower=int(uplo == "L"))
+    work = np.empty(int(lwork))
+    iwork = np.empty(liwork, dtype=np.intc)
+    ev = np.empty(t)
+    unused = np.empty(1)  # z and isuppz, not referenced without vectors
+    found, info = ctypes.c_int(0), ctypes.c_int(0)
+
+    def ref(value, ctype=ctypes.c_int):
+        return ctypes.byref(ctype(value))
+
+    _lapack_routine("dsyevr", _DSYEVR_SIGNATURE)(
+        b"N", b"A", uplo.encode(), ref(t), block.ctypes.data, ref(lda),
+        ref(0.0, ctypes.c_double), ref(1.0, ctypes.c_double), ref(1), ref(t),
+        ref(0.0, ctypes.c_double), ctypes.byref(found), ev.ctypes.data, unused.ctypes.data,
+        ref(1), unused.ctypes.data, work.ctypes.data, ref(work.size), iwork.ctypes.data,
+        ref(iwork.size), ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise NumericalIntegrityError(
+            f"eigensolve of a {t} x {t} leading block failed (dsyevr info {info.value})"
+        )
+    if restore:
+        block[np.diag_indices(t)] = diagonal
+        for j in range(t - 1):
+            block[j + 1 :, j] = block[j, j + 1 :]
+    return ev
 
 
 @dataclass(frozen=True)
@@ -346,10 +423,12 @@ def hs_curve(pair, gamma, c, truncations):
     (non_compact); everything else is compact_like.
 
     Only the leading block of T that the largest truncation needs is
-    formed, and the eigensolve of that largest block overwrites it
-    instead of copying it. Each block's ascending eigenvalues are kept on
-    the pair, keyed by (gamma, truncation), for
-    ``cm_equivalence_constants`` at beta = gamma.
+    formed. Every truncation's block is eigensolved in T's storage
+    (``_block_eigenvalues``): each smaller one is restored afterwards for
+    the next, and the largest is left overwritten, so no block is
+    copied. Each block's ascending eigenvalues are kept on the pair,
+    keyed by (gamma, truncation), for ``cm_equivalence_constants`` at
+    beta = gamma.
     """
     truncs = tuple(int(t) for t in truncations)
     n = len(pair.lam)
@@ -367,9 +446,9 @@ def hs_curve(pair, gamma, c, truncations):
     for t in truncs:
         # T is exactly symmetric (t_operator mirrors one triangle), so its
         # singular values are its absolute eigenvalues, found without an
-        # SVD; nothing reads T after the largest block, which LAPACK
-        # overwrites instead of copying
-        ev = scipy.linalg.eigvalsh(T[:t, :t], overwrite_a=t == truncs[-1])
+        # SVD; nothing reads T after the largest block, which is left
+        # overwritten
+        ev = _block_eigenvalues(T, t, restore=t != truncs[-1])
         pair._defect_spectra[float(gamma), t] = (ev, c ** (2.0 * float(gamma)))  # finite, as T is
         sv = np.sort(np.abs(ev))[::-1]
         fro.append(float(np.sqrt(np.sum(sv * sv))))
@@ -407,8 +486,8 @@ def cm_equivalence_constants(pair, beta, truncation=None):
 
     The leading t x t block is formed as the Gram product Y'Y of
     ``_gram``, and its extreme eigenvalues come from a symmetric
-    eigensolve. Y is scaled as it is formed, so no entry carries the
-    dynamic range of Lam^(-2b). Both
+    eigensolve of its upper triangle in place. Y is scaled as it is
+    formed, so no entry carries the dynamic range of Lam^(-2b). Both
     constants are accurate to a few units of roundoff relative to the
     larger one, so a lower constant far below that level reads as noise.
     The Gram matrix is positive semidefinite, and a lower constant that
@@ -439,7 +518,7 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     if stored is not None and stored[0][-1] >= 0.0:
         ev, shift = stored
     else:
-        ev = scipy.linalg.eigvalsh(_gram(pair, beta, t), lower=False, overwrite_a=True)
+        ev = _block_eigenvalues(_gram(pair, beta, t), t, uplo="U")
         shift = 0.0
     return max(float(ev[0] + shift), 0.0), float(ev[-1] + shift)
 

@@ -262,20 +262,23 @@ def _read_only(A):
     return A
 
 
-def band_matmul(band, X):
+def band_matmul(band, X, out=None, scratch=None):
     """A @ X for the symmetric matrix A held as a lower band, X of shape
     (n,) or (n, m).
 
     Costs O(n p) per column of X instead of the O(n^2) of a dense
-    product.
+    product. The product is written into ``out`` and each off-diagonal
+    term into ``scratch`` if they are given (arrays of X's shape, neither
+    overlapping X), else into new arrays; the bits are the same.
     """
     n = band.shape[1]
     col = (slice(None),) + (None,) * (X.ndim - 1)
-    out = band[0][col] * X
+    out = np.multiply(band[0][col], X, out=out)
     for k in range(1, band.shape[0]):
         d = band[k, : n - k][col]
-        out[k:] += d * X[:-k]
-        out[:-k] += d * X[k:]
+        term = None if scratch is None else scratch[: n - k]
+        out[k:] += np.multiply(d, X[:-k], out=term)
+        out[:-k] += np.multiply(d, X[k:], out=term)
     return out
 
 

@@ -473,12 +473,43 @@ def efficiency_curve_integral(true_model, missp_model, N, n_values, keep_per_tar
     )
 
 
+def _require_unisolvent(locations, Phi, N):
+    """ParameterError unless the point evaluations Phi (one row per
+    location) are linearly independent on the spline basis.
+
+    By the Schoenberg-Whitney theorem they are exactly when the sorted
+    points are distinct and each can be given a basis function of its
+    own, with indices increasing along the points, that is nonzero there.
+    Since the functions nonzero at a point are consecutive and move right
+    with it, taking the lowest free one at each point finds such a choice
+    whenever one exists. Otherwise the observations' covariance is
+    singular, as when a cell of the mesh holds more points than the
+    functions that overlap it.
+    """
+    order = np.argsort(locations)
+    if np.any(np.diff(locations[order]) <= 0.0):
+        raise ParameterError("point design has coinciding points: widen delta_o")
+    last = -1
+    for row in order:
+        support = np.flatnonzero(Phi[row])
+        free = support[support > last]
+        if free.size == 0:
+            raise ParameterError(
+                f"point design is too dense for N={N}: its {len(locations)} points do "
+                "not determine independent values on the basis (Schoenberg-Whitney), "
+                "so their covariance is singular; widen delta_o, reduce "
+                "max(n_values) or raise N"
+            )
+        last = free[0]
+
+
 def efficiency_curve_point(true_model, missp_model, N, n_values, s0=0.5, delta_o=0.01):
     """Efficiency loss predicting z(s0) from alternating nearby points.
 
     The first n observation points of the alternating design are used
     for each n; the target functional is the field value at the center
-    s0 itself. Requires max(n_values) < N.
+    s0 itself. Requires max(n_values) < N and points that determine
+    independent values on the basis (``_require_unisolvent``).
     """
     n_values = _curve_n_values(true_model, missp_model, n_values)
     design = ObservationDesign(
@@ -490,6 +521,7 @@ def efficiency_curve_point(true_model, missp_model, N, n_values, s0=0.5, delta_o
             "the target are n + 1 functionals of an N-dimensional field"
         )
     basis, Phi, Sigma = _true_stage(true_model, int(N), design)
+    _require_unisolvent(point_locations(design), Phi[:-1], N)
     Sigma_t = _sigma_for_model(missp_model, basis, Phi)
     t = Sigma.shape[0] - 1  # target row: the center evaluation
     return _efficiency_curve("point", Sigma, Sigma_t, n_values, lambda _: [t])

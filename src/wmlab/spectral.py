@@ -254,6 +254,22 @@ def generalized_eig(ops):
         vec = _tridiagonal_eigenvectors(
             ops.K_band, ops.M_band, _dsbgvd_eigenvalues(ops.K_band, ops.M_band)
         )
+    else:
+        try:
+            lam, vec = scipy.linalg.eigh(
+                dense(ops.K_band), dense(ops.M_band), overwrite_a=True, overwrite_b=True
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
+    # each band product of a block of the vectors is written into
+    # product, its off-diagonal terms into term, which then holds the
+    # block of V'MV in _identity_defect
+    product, term = _block_buffer(vec), _block_buffer(vec)
+
+    def band_columns(band, a, b):
+        return band_matmul(band, vec[:, a:b], product[:, : b - a], term[:, : b - a])
+
+    if ops.bandwidth == 1:
         # dsbgvd's eigenvalues err by about eps * lambda_max, which at the
         # low end of a wide spectrum is coarse: 1.3e-10 relative for the
         # lowest at N = 1200 with constant coefficients 1 and 25, where the
@@ -264,19 +280,12 @@ def generalized_eig(ops):
         norms = np.empty(vec.shape[1])
         for a, b in _column_blocks(vec.shape[1]):
             block = vec[:, a:b]
-            numerators[a:b] = np.einsum("ij,ij->j", block, band_matmul(ops.K_band, block))
-            norms[a:b] = np.einsum("ij,ij->j", block, band_matmul(ops.M_band, block))
+            numerators[a:b] = np.einsum("ij,ij->j", block, band_columns(ops.K_band, a, b))
+            norms[a:b] = np.einsum("ij,ij->j", block, band_columns(ops.M_band, a, b))
         lam = numerators / norms
         vec *= 1.0 / np.sqrt(norms)
-    else:
-        try:
-            lam, vec = scipy.linalg.eigh(
-                dense(ops.K_band), dense(ops.M_band), overwrite_a=True, overwrite_b=True
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise AssemblyIntegrityError(f"generalized eigensolve failed: {exc}") from exc
     _require_positive(lam)
-    err = _identity_defect(vec, lambda a, b: band_matmul(ops.M_band, vec[:, a:b]))
+    err = _identity_defect(vec, functools.partial(band_columns, ops.M_band), term)
     # written so that a NaN defect fails too
     if not err <= 1e-8:
         raise NumericalIntegrityError(
@@ -298,7 +307,9 @@ def _require_positive(lam):
 # column, or one defect, run over blocks of this many columns, so that
 # their temporaries (a band product and its scratch, or a block of a Gram
 # matrix) stay two N x _BLOCK arrays: half an N x N array from N = 4
-# _BLOCK on.
+# _BLOCK on. Each pass allocates its block buffers once and forms every
+# block in them: a buffer freed after each block went back to the OS and
+# had its pages faulted in again by the next.
 _BLOCK = 128
 
 
@@ -307,24 +318,42 @@ def _column_blocks(n):
     return [(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK)]
 
 
-def _identity_defect(X, Y_columns):
+def _block_buffer(X):
+    """An uninitialized Fortran array of X's rows and up to _BLOCK of its
+    columns, whose leading columns hold a block of columns of X."""
+    return np.empty((X.shape[0], min(_BLOCK, X.shape[1])), order="F")
+
+
+def _fortran_block(buffer, rows, cols):
+    """A rows x cols Fortran-ordered view of the leading entries of the
+    Fortran array ``buffer``, contiguous as BLAS writes it."""
+    return buffer.reshape(-1, order="F")[: rows * cols].reshape((rows, cols), order="F")
+
+
+def _identity_defect(X, Y_columns, buffer=None):
     """max |X' Y - I| over the upper triangle of X' Y, by column blocks.
 
     ``Y_columns(a, b)`` returns columns a:b of Y. Both callers check a
     Gram matrix that is symmetric in exact arithmetic (V' M V and W' W),
     so block a:b forms only X[:, :b]' Y[:, a:b]: half the flops of the
-    full X' Y. The block maxima are combined by np.max, so a NaN anywhere
+    full X' Y. Each block is formed by one dgemm into ``buffer``, a
+    ``_block_buffer(X)`` made here if none is given; ``Y_columns`` may use
+    the buffer as scratch, since it has returned before the block is
+    formed. The block maxima are combined by np.max, so a NaN anywhere
     in the upper triangle gives a NaN defect.
     """
+    if buffer is None:
+        buffer = _block_buffer(X)
     maxima = []
     for a, b in _column_blocks(X.shape[1]):
-        gram = scipy.linalg.blas.dgemm(1.0, X[:, :b], Y_columns(a, b), trans_a=1)
+        gram = scipy.linalg.blas.dgemm(
+            1.0, X[:, :b], Y_columns(a, b), trans_a=1, c=_fortran_block(buffer, b, b - a),
+            overwrite_c=1,
+        )
         square = gram[a:b]
         square[np.diag_indices_from(square)] -= 1.0
         square[np.tril_indices_from(square, -1)] = 0.0
         maxima.append(np.max(np.abs(gram, out=gram)))
-        # freed before the next block's columns of Y are formed
-        del gram, square
     return float(np.max(maxima))
 
 
@@ -495,8 +524,9 @@ def sample_field(factor, seed, n_samples):
     z_i comes from a counter-based generator keyed by (seed, i) and each
     draw is its own product F z_i, so each draw is bit-reproducible on its
     own: results do not depend on how many samples are drawn, in which
-    order, or from which thread. Draws that are all zero raise DomainError:
-    F z is zero for every z only when F underflowed to zero.
+    order, or from which thread. Draws whose largest magnitude is below
+    the smallest normal double raise DomainError: they are zero or
+    subnormal, holding fewer digits than a double, only when F underflowed.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -507,9 +537,10 @@ def sample_field(factor, seed, n_samples):
     for i in range(int(n_samples)):
         bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
         out[:, i] = factor.dot(np.random.Generator(bitgen).standard_normal(factor.n))
-    if not out.any():
+    largest = max(out.max(), -out.min())
+    if largest < np.finfo(float).tiny:
         raise DomainError(
-            "every drawn weight is zero: the covariance factor underflowed; "
-            "reduce beta or the scale of the model"
+            f"every drawn weight is zero or subnormal (largest magnitude {largest:.3g}): "
+            "the covariance factor underflowed; reduce beta or the scale of the model"
         )
     return out

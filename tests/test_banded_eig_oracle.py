@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 
 import wmlab.cli
-from wmlab import spectral
+from wmlab import diagnostics, spectral
 from wmlab.errors import AssemblyIntegrityError, NumericalIntegrityError
 from wmlab.fem1d import DIRICHLET, assemble_a2, assemble_aL, band_matmul, build_basis, dense
 from wmlab.model_config import CoefficientField, builtin_model
@@ -216,3 +216,14 @@ def test_dsbgvd_binding_refuses_a_wrong_signature():
     wrong = spectral._DSBGVD_SIGNATURE.replace("char *, char *", "char *", 1)
     with pytest.raises(RuntimeError, match="expected"):
         spectral._lapack_routine("dsbgvd", wrong)
+
+
+def test_dsyevr_binding_resolves_against_installed_scipy():
+    routine = spectral._lapack_routine("dsyevr", diagnostics._DSYEVR_SIGNATURE)
+    assert callable(routine)
+
+
+def test_dsyevr_binding_refuses_a_wrong_signature():
+    wrong = diagnostics._DSYEVR_SIGNATURE.replace("char *, char *, char *", "char *, char *", 1)
+    with pytest.raises(RuntimeError, match="expected"):
+        spectral._lapack_routine("dsyevr", wrong)

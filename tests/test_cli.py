@@ -378,6 +378,39 @@ def test_point_design_with_more_observations_than_dofs_exits_two(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "delta_o, n, message",
+    [(0.004, 20, "is too dense for N=100"), (0.004, 40, "is too dense for N=100"),
+     (0.004, 60, "is too dense for N=100"), (0.004, 99, "is too dense for N=100"),
+     (1e-18, 10, "has coinciding points")],
+)
+def test_point_design_denser_than_the_mesh_exits_two(tmp_path, capsys, delta_o, n, message):
+    # at spacing 0.004 on a mesh of width about 0.01 a cell holds three
+    # points, which the two hat functions over it cannot tell apart; at
+    # 1e-18 every point rounds to s0
+    out = tmp_path / "o"
+    payload = {"N": 100, "delta_o": delta_o, "n_values": [n], "svg": False, "out": str(out)}
+    assert _run(tmp_path, "fig1_point", payload) == 2
+    err = capsys.readouterr().err
+    assert f"ParameterError: point design {message}" in err
+    assert not out.exists()
+
+
+def test_sample_with_only_subnormal_draws_exits_two(tmp_path, capsys):
+    # the largest weight drawn at beta = 295.5 is about 1e-317: subnormal,
+    # with a few significant digits left
+    model = {**_CUSTOM_MODEL, "beta": 295.5, "tau": 1.0}
+    del model["basis_order"]
+    out = tmp_path / "o"
+    assert _run(tmp_path, "sample", {"N": 40, "model": model, "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    head = "DomainError: every drawn weight is zero or subnormal (largest magnitude "
+    assert head in err
+    largest = float(err.split(head)[1].split(")")[0])
+    assert 0.0 < largest < np.finfo(float).tiny
+    assert not out.exists()
+
+
 def test_sample_whose_every_draw_underflowed_exits_two(tmp_path, capsys):
     model = {**_CUSTOM_MODEL, "beta": 400.5, "tau": 1.0}
     del model["basis_order"]
@@ -601,13 +634,17 @@ def test_diagnose_eigensolves_each_block_once_at_matched_exponents(
 
         return wrapper
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted("eigvalsh", scipy.linalg.eigvalsh))
+    monkeypatch.setattr(
+        wmlab.diagnostics,
+        "_block_eigenvalues",
+        counted("eigensolve", wmlab.diagnostics._block_eigenvalues),
+    )
     monkeypatch.setattr(
         wmlab.diagnostics, "_gram", counted("_gram", wmlab.diagnostics._gram)
     )
     payload = _diagnose_payload(tmp_path, [25, 50, 100], gamma=gamma, cm_beta=1.0)
     assert _run(tmp_path, "diagnose", payload) == 0
-    assert calls.count("eigvalsh") == solves
+    assert calls.count("eigensolve") == solves
     assert calls.count("_gram") == grams
 
 
@@ -768,12 +805,14 @@ def test_sample_formats_agree(tmp_path):
 
 
 def test_numerical_failure_exits_three_with_diagnostic(tmp_path, capsys):
+    # two distinct points 2e-15 apart pass the Schoenberg-Whitney check,
+    # but their covariance is singular to working precision
     payload = {
         "deltas": [10],
         "models": ["model1"],
-        "n_values": [10],
+        "n_values": [2],
         "N": 150,
-        "delta_o": 1e-18,
+        "delta_o": 1e-15,
         "svg": False,
         "out": str(tmp_path / "o"),
     }
