@@ -263,9 +263,9 @@ def _pencil_factor(pair, m, t):
 
     The scaling of V (odd m) and the last band product (even m) are
     written straight into Y's column block, and every band product sums
-    its off-diagonal terms in one scratch block, so m = 1 and m = 2 hold
-    no array beside Y but that block; each further application of A
-    makes one more block while it lasts.
+    its off-diagonal terms in one scratch block, so m = 2 holds no array
+    beside Y but that block; the half product of odd m and each further
+    application of A make one more block while they last.
     """
     k, odd = divmod(m, 2)
     ops = pair.ops_alt

@@ -486,14 +486,23 @@ def _require_unisolvent(locations, Phi, N):
     singular, as when a cell of the mesh holds more points than the
     functions that overlap it.
     """
-    order = np.argsort(locations)
-    if np.any(np.diff(locations[order]) <= 0.0):
+    # sorted in Python: numpy's sort kernels would add their code pages,
+    # about 0.3 MB, to the peak RSS of a point figure
+    points = locations.tolist()
+    order = sorted(range(len(points)), key=points.__getitem__)
+    if any(points[i] >= points[j] for i, j in zip(order, order[1:])):
         raise ParameterError("point design has coinciding points: widen delta_o")
+    # the basis functions nonzero at each point, among the few columns
+    # that any point touches
+    used = np.flatnonzero(Phi.any(axis=0))
+    rows, cols = np.nonzero(Phi[:, used])
+    support = [[] for _ in points]
+    for row, col in zip(rows.tolist(), used[cols].tolist()):
+        support[row].append(col)
     last = -1
     for row in order:
-        support = np.flatnonzero(Phi[row])
-        free = support[support > last]
-        if free.size == 0:
+        free = [col for col in support[row] if col > last]
+        if not free:
             raise ParameterError(
                 f"point design is too dense for N={N}: its {len(locations)} points do "
                 "not determine independent values on the basis (Schoenberg-Whitney), "

@@ -308,8 +308,8 @@ def _require_positive(lam):
 # their temporaries (a band product and its scratch, or a block of a Gram
 # matrix) stay two N x _BLOCK arrays: half an N x N array from N = 4
 # _BLOCK on. Each pass allocates its block buffers once and forms every
-# block in them: a buffer freed after each block went back to the OS and
-# had its pages faulted in again by the next.
+# block in them, so that no block's pages go back to the OS only to be
+# faulted in again by the next block.
 _BLOCK = 128
 
 
