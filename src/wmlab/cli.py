@@ -29,7 +29,8 @@ time).
 Exit codes: 0 success; 2 configuration error (bad JSON, schema
 violation, invalid parameter values, an output directory that cannot be
 created); 3 numerical-integrity failure, with a JSON diagnostic dump on
-stderr. A run that fails removes the output directories it created, as
+stderr, strict JSON in which a condition estimate that is not finite
+(inf or NaN) is written as null. A run that fails removes the output directories it created, as
 long as they are empty.
 """
 
@@ -913,8 +914,8 @@ def main(argv=None):
         }
         cond = getattr(exc, "condition_estimate", None)
         if cond is not None:
-            dump["condition_estimate"] = cond
-        print(json.dumps(dump, indent=2, sort_keys=True), file=sys.stderr)
+            dump["condition_estimate"] = cond if math.isfinite(cond) else None
+        print(json.dumps(dump, indent=2, sort_keys=True, allow_nan=False), file=sys.stderr)
         return 3
     except WmlabError as exc:
         print(

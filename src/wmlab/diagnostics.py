@@ -163,14 +163,20 @@ def cross_gram(dec_base, dec_alt, M_band):
     (``AssembledOperators.M_band``), applied as a band product. Both
     decompositions must be M-orthonormal on it; then W'W = I exactly in
     exact arithmetic. A max-norm deviation above 1e-6 (or NaN) indicates
-    mismatched bases or a broken eigensolve. The upper triangle of W'W
-    is checked by column blocks after M V_alt is released, so the call
-    holds at most two N x N arrays of its own: M V_alt and W.
+    mismatched bases or a broken eigensolve. Each column block of W,
+    V' (M V_alt[:, a:b]), is formed in W just before the check of the
+    upper triangle of W'W reads it, so the call holds W and two
+    N x _BLOCK buffers (``_identity_defect``), and no other N x N array.
     """
-    MV = band_matmul(M_band, dec_alt.eigenvectors)
-    W = scipy.linalg.blas.dgemm(1.0, dec_base.eigenvectors, MV, trans_a=1)
-    del MV
-    err = _identity_defect(W, lambda a, b: W[:, a:b])
+    V, V_alt = dec_base.eigenvectors, dec_alt.eigenvectors
+    W = np.empty((V.shape[1], V_alt.shape[1]), order="F")
+    product, term = _block_buffer(V_alt), _block_buffer(V_alt)
+
+    def w_columns(a, b):
+        MV = band_matmul(M_band, V_alt[:, a:b], product[:, : b - a], term[:, : b - a])
+        return scipy.linalg.blas.dgemm(1.0, V, MV, trans_a=1, c=W[:, a:b], overwrite_c=1)
+
+    err = _identity_defect(W, w_columns, term)
     if not err <= 1e-6:
         raise NumericalIntegrityError(
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"

@@ -440,18 +440,18 @@ def _check_boundary_constraints(basis):
                 )
 
 
-def eval_matrix(basis, locations, derivative=0):
-    """Dense matrix of constrained basis (derivative) values at locations.
+def eval_matrix(basis, locations):
+    """Dense matrix of constrained basis values at locations.
 
     Returns shape (len(locations), n_dof); row i evaluates all basis
-    functions (or the requested derivative) at locations[i].
+    functions at locations[i].
     """
     xs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
     if xs.ndim != 1:
         raise ParameterError("locations must be one-dimensional")
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
-    return _constrain(basis, _raw_rows(basis, xs, derivative)).copy()
+    return _constrain(basis, _raw_rows(basis, xs, 0)).copy()
 
 
 @dataclass(frozen=True)
@@ -567,20 +567,13 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
 def mass_matrix(basis):
     """Constrained mass matrix, exact for the spline products.
 
-    Dense and read-only, expanded from the shared band (see
-    ``_mass_band``); assembled operators carry the band itself.
+    Dense and read-only, expanded from the shared read-only band;
+    assembled operators carry the band itself. M depends on the basis
+    only through the fields ``build_basis`` takes, so the band is built
+    once per (order, n_dof, constraint mode) and shared between callers,
+    with its factor (``_mass_matrix``).
     """
-    return _read_only(dense(_mass_band(basis)))
-
-
-def _mass_band(basis):
-    """Read-only lower band of the mass matrix.
-
-    M depends on the basis only through the fields ``build_basis`` takes,
-    so it is built once per (order, n_dof, constraint mode) and shared
-    between callers, with its factor (``_mass_matrix``).
-    """
-    return _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode).band
+    return _read_only(dense(_mass_matrix(basis.order, basis.n_dof, basis.constraint_mode).band))
 
 
 @functools.lru_cache(maxsize=1)
@@ -745,4 +738,4 @@ def point_obs_matrix(basis, locations):
     xs = np.atleast_1d(np.asarray(locations, dtype=np.float64))
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise DomainError("point observations must lie strictly inside (0, 1)")
-    return eval_matrix(basis, xs, derivative=0)
+    return eval_matrix(basis, xs)

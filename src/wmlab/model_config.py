@@ -169,8 +169,8 @@ class CoefficientField:
             return float(out)
         return np.asarray(out, dtype=np.float64)
 
-    def min_on_grid(self, n_points=1001):
-        grid = np.linspace(0.0, 1.0, n_points)
+    def min_on_grid(self):
+        grid = np.linspace(0.0, 1.0, 1001)
         return float(np.min(self.value(grid)))
 
 
@@ -190,8 +190,8 @@ def eval_coefficient_derivative(field, s):
     return field.derivative(s)
 
 
-def _is_integer(x, tol=1e-12):
-    return abs(x - round(x)) <= tol
+def _is_integer(x):
+    return abs(x - round(x)) <= 1e-12
 
 
 @dataclass(frozen=True)

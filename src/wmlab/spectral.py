@@ -90,15 +90,13 @@ class SpectralDecomposition:
 # generalized_eig on builtin piecewise-linear pencils, 2-core Xeon VM,
 # 2 BLAS threads: 0.25 s at N = 1200 and 0.69-0.92 s at N = 2000, where
 # the same steps with dsbgvd's vectors took 0.41-0.74 s and 2.2-3.1 s;
-# 2.2-2.6 s at N = 4000, where the dense eigh took 15.0 s: 0.3 s for
-# the eigenvalues, 0.8-0.9 s for the vectors, 0.3 s for the Rayleigh
-# quotients and 0.9 s for the M-orthonormality check, which reads only
-# the upper triangle of V'MV (1.4 s over all of it). The last two run
-# over column blocks (_identity_defect), so the call holds no N x N
-# array besides the vectors; formed over all columns at once they took
-# 0.6 s and 1.2 s and held two more. Wider pencils stay dense: at
-# N = 1200 dsbgvd took 1.8x (bandwidth 2) and 2.6x (bandwidth 3) the
-# dense time.
+# 1.9-2.5 s at N = 4000, where the dense eigh took 15.0 s: 0.3 s for
+# the eigenvalues, 0.8-0.9 s for the vectors and 0.85-1.3 s for one pass
+# over column blocks (_identity_defect) that forms each block's M V once
+# for its Rayleigh quotients and the M-orthonormality check (2.35-3.0 s
+# in all with a pass for each). The call holds no N x N array besides
+# the vectors. Wider pencils stay dense: at N = 1200 dsbgvd took 1.8x
+# (bandwidth 2) and 2.6x (bandwidth 3) the dense time.
 #
 # A vector computed by inverse iteration errs toward the eigenvector of
 # eigenvalue lambda_i by about eps lambda_max / |lambda_j - lambda_i|
@@ -241,19 +239,20 @@ def generalized_eig(ops):
     A tridiagonal pencil (``ops.bandwidth`` 1), of any order, is solved
     as stored: eigenvalues by LAPACK dsbgvd without vectors, vectors by
     inverse iteration with one tridiagonal LU factorization per
-    eigenvalue (``_tridiagonal_eigenvectors``), and each eigenvalue is
-    then taken as the Rayleigh quotient of its vector. Any other pencil
-    goes to the dense symmetric-definite solver (Cholesky reduction of M
+    eigenvalue (``_tridiagonal_eigenvectors``). Any other pencil goes to
+    the dense symmetric-definite solver (Cholesky reduction of M
     followed by a standard symmetric eigensolve) on dense copies of the
-    bands, which LAPACK overwrites. Raises AssemblyIntegrityError if M is
-    not positive definite, the solver fails, or any eigenvalue is
-    nonpositive, and NumericalIntegrityError if the returned vectors fail
-    the M-orthonormality tolerance or are not finite.
+    bands, which LAPACK overwrites. One pass over column blocks forms
+    M V of each block once, takes a tridiagonal pencil's eigenvalues as
+    the Rayleigh quotients of the block and M-normalizes it, and checks
+    M-orthonormality. Raises AssemblyIntegrityError if M is not positive
+    definite, the solver fails, or any eigenvalue is nonpositive, and
+    NumericalIntegrityError if the vectors fail the M-orthonormality
+    tolerance or are not finite.
     """
     if ops.bandwidth == 1:
-        vec = _tridiagonal_eigenvectors(
-            ops.K_band, ops.M_band, _dsbgvd_eigenvalues(ops.K_band, ops.M_band)
-        )
+        lam = _dsbgvd_eigenvalues(ops.K_band, ops.M_band)
+        vec = _tridiagonal_eigenvectors(ops.K_band, ops.M_band, lam)
     else:
         try:
             lam, vec = scipy.linalg.eigh(
@@ -266,26 +265,27 @@ def generalized_eig(ops):
     # block of V'MV in _identity_defect
     product, term = _block_buffer(vec), _block_buffer(vec)
 
-    def band_columns(band, a, b):
-        return band_matmul(band, vec[:, a:b], product[:, : b - a], term[:, : b - a])
-
-    if ops.bandwidth == 1:
+    def m_columns(a, b):
+        block, out, scratch = vec[:, a:b], product[:, : b - a], term[:, : b - a]
+        if ops.bandwidth != 1:
+            return band_matmul(ops.M_band, block, out, scratch)
         # dsbgvd's eigenvalues err by about eps * lambda_max, which at the
         # low end of a wide spectrum is coarse: 1.3e-10 relative for the
         # lowest at N = 1200 with constant coefficients 1 and 25, where the
         # dense solver errs by 7e-12. The Rayleigh quotients of the
         # vectors agree with the dense eigenvalues to 9e-12 there and to
-        # 5.5e-13 on the builtin "41" pencils.
-        numerators = np.empty(vec.shape[1])
-        norms = np.empty(vec.shape[1])
-        for a, b in _column_blocks(vec.shape[1]):
-            block = vec[:, a:b]
-            numerators[a:b] = np.einsum("ij,ij->j", block, band_columns(ops.K_band, a, b))
-            norms[a:b] = np.einsum("ij,ij->j", block, band_columns(ops.M_band, a, b))
-        lam = numerators / norms
-        vec *= 1.0 / np.sqrt(norms)
+        # 5.5e-13 on the builtin "41" pencils, and replace them in lam.
+        numerators = np.einsum("ij,ij->j", block, band_matmul(ops.K_band, block, out, scratch))
+        MV = band_matmul(ops.M_band, block, out, scratch)
+        norms = np.einsum("ij,ij->j", block, MV)
+        lam[a:b] = numerators / norms
+        scale = 1.0 / np.sqrt(norms)
+        block *= scale
+        MV *= scale
+        return MV
+
+    err = _identity_defect(vec, m_columns, term)
     _require_positive(lam)
-    err = _identity_defect(vec, functools.partial(band_columns, ops.M_band), term)
     # written so that a NaN defect fails too
     if not err <= 1e-8:
         raise NumericalIntegrityError(
@@ -330,20 +330,19 @@ def _fortran_block(buffer, rows, cols):
     return buffer.reshape(-1, order="F")[: rows * cols].reshape((rows, cols), order="F")
 
 
-def _identity_defect(X, Y_columns, buffer=None):
+def _identity_defect(X, Y_columns, buffer):
     """max |X' Y - I| over the upper triangle of X' Y, by column blocks.
 
     ``Y_columns(a, b)`` returns columns a:b of Y. Both callers check a
     Gram matrix that is symmetric in exact arithmetic (V' M V and W' W),
     so block a:b forms only X[:, :b]' Y[:, a:b]: half the flops of the
     full X' Y. Each block is formed by one dgemm into ``buffer``, a
-    ``_block_buffer(X)`` made here if none is given; ``Y_columns`` may use
-    the buffer as scratch, since it has returned before the block is
-    formed. The block maxima are combined by np.max, so a NaN anywhere
-    in the upper triangle gives a NaN defect.
+    ``_block_buffer(X)``. Block a:b reads X and ``buffer`` only after
+    ``Y_columns(a, b)`` has returned, so the callback may use the buffer
+    as scratch and may finish X's own block a:b (compute or scale those
+    columns) as it forms the columns of Y. The block maxima are combined
+    by np.max, so a NaN anywhere in the upper triangle gives a NaN defect.
     """
-    if buffer is None:
-        buffer = _block_buffer(X)
     maxima = []
     for a, b in _column_blocks(X.shape[1]):
         gram = scipy.linalg.blas.dgemm(

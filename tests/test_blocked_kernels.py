@@ -61,6 +61,10 @@ def full_upper_defect(W):
     return full_defect(scipy.linalg.blas.dsyrk(1.0, W, trans=1))
 
 
+def _defect(X, Y_columns):
+    return _identity_defect(X, Y_columns, spectral._block_buffer(X))
+
+
 def _m_columns(ops, vec):
     return lambda a, b: band_matmul(ops.M_band, vec[:, a:b])
 
@@ -76,7 +80,7 @@ def test_blocked_eigenpairs_equal_full_array_oracle(N):
     dec = generalized_eig(ops)
     assert np.array_equal(dec.eigenvalues, lam)
     assert np.array_equal(dec.eigenvectors, vec)
-    blocked = _identity_defect(dec.eigenvectors, _m_columns(ops, dec.eigenvectors))
+    blocked = _defect(dec.eigenvectors, _m_columns(ops, dec.eigenvectors))
     full = full_defect(scipy.linalg.blas.dgemm(1.0, vec, MV, trans_a=1))
     assert abs(blocked - full) <= 1e-14
 
@@ -88,8 +92,8 @@ def test_blocked_defects_equal_full_defects_far_from_identity(N):
     X = np.asfortranarray(rng.standard_normal((N, N)) / np.sqrt(N))
     Y = np.asfortranarray(rng.standard_normal((N, N)) / np.sqrt(N))
     full = full_defect(scipy.linalg.blas.dgemm(1.0, X, Y, trans_a=1))
-    assert _identity_defect(X, lambda a, b: Y[:, a:b]) == pytest.approx(full, rel=1e-13)
-    upper = _identity_defect(X, lambda a, b: X[:, a:b])
+    assert _defect(X, lambda a, b: Y[:, a:b]) == pytest.approx(full, rel=1e-13)
+    upper = _defect(X, lambda a, b: X[:, a:b])
     assert upper == pytest.approx(full_upper_defect(X), rel=1e-13)
 
 
@@ -99,10 +103,51 @@ def test_upper_defect_reads_only_the_upper_triangle():
     for i, j in [(5, 3), (200, 10)]:
         Y = eye.copy(order="F")
         Y[i, j] = 5.0
-        assert _identity_defect(eye, lambda a, b: Y[:, a:b]) == 0.0
+        assert _defect(eye, lambda a, b: Y[:, a:b]) == 0.0
         Y = eye.copy(order="F")
         Y[j, i] = 5.0
-        assert _identity_defect(eye, lambda a, b: Y[:, a:b]) == 5.0
+        assert _defect(eye, lambda a, b: Y[:, a:b]) == 5.0
+
+
+# ------------------------------------------------------- one pass each
+
+
+def _count_block_products(monkeypatch, ops):
+    """Calls of band_matmul on a 2-D block of columns in generalized_eig,
+    per band: the one-vector products of inverse iteration are left out."""
+    counts = {"K": 0, "M": 0}
+    real = spectral.band_matmul
+
+    def counted(band, X, *args):
+        if X.ndim == 2:
+            counts["K" if band is ops.K_band else "M"] += 1
+        return real(band, X, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "band_matmul", counted)
+        generalized_eig(ops)
+    return counts
+
+
+def test_generalized_eig_applies_m_once_per_column_block(monkeypatch):
+    blocks = len(spectral._column_blocks(N_MEM))
+    assert blocks > 1
+    # the Rayleigh quotients and the M-orthonormality check share M V;
+    # apart, they made two M products per block
+    assert _count_block_products(monkeypatch, _pencil(N_MEM)) == {"K": blocks, "M": blocks}
+    wide = _wide_pencil(N_MEM)
+    assert _count_block_products(monkeypatch, wide) == {"K": 0, "M": blocks}
+
+
+@pytest.mark.parametrize("N", [100, 700], ids=["below_one_block", "partial_last_block"])
+def test_cross_gram_w_equals_one_dgemm(N):
+    base, alt = _pencil(N, "base41"), _pencil(N, "model2_41")
+    dec_base, dec_alt = generalized_eig(base), generalized_eig(alt)
+    W = cross_gram(dec_base, dec_alt, base.M_band).W
+    expected = scipy.linalg.blas.dgemm(
+        1.0, dec_base.eigenvectors, band_matmul(base.M_band, dec_alt.eigenvectors), trans_a=1
+    )
+    assert np.max(np.abs(W - expected)) <= 1e-14
 
 
 # ------------------------------------------------------ planted defects
@@ -284,22 +329,24 @@ def test_generalized_eig_holds_at_most_half_an_array_beyond_its_result():
     assert peak < 1.5 * NXN
 
 
-def test_cross_gram_holds_only_m_v_and_w():
+def test_cross_gram_holds_only_w_and_column_blocks():
     ops = _pencil(N_MEM)
     alt = _pencil(N_MEM, "model2_41")
     dec_base, dec_alt = generalized_eig(ops), generalized_eig(alt)
     peak = _traced_peak(lambda: cross_gram(dec_base, dec_alt, ops.M_band))
-    # M V released before the check: 2.04 arrays; kept through it, 2.23
-    assert peak < 2.1 * NXN
+    # W formed block by block inside its check: 1.49 arrays; 2.04 with
+    # the whole M V released before the check, 2.23 with it kept through
+    assert peak < 1.8 * NXN
 
 
-def _diagnose_peak(tmp_path, truncations):
+def _diagnose_peak(tmp_path, truncations, gamma=1.0):
     config = tmp_path / "diagnose.json"
     config.write_text(json.dumps({
         "base_model": {"name": "base41", "beta": 1},
         "alt_model": {"name": "model1_41", "beta": 1},
         "N": N_MEM,
         "truncations": truncations,
+        "gamma": gamma,
         "cm_beta": 1.0,
         "out": str(tmp_path / "out"),
     }))
@@ -322,6 +369,13 @@ def test_diagnose_copies_no_leading_block(tmp_path):
     # as with the largest block alone; 2.65 when the 450 x 450 block was
     # copied for LAPACK
     assert _diagnose_peak(tmp_path, [75, 150, 300, 450, 600]) < 2.4 * NXN
+
+
+def test_diagnose_holds_w_and_no_m_v_on_the_w_route(tmp_path):
+    # gamma = 0.25 takes the W route: V, the alt eigenvectors and W, and
+    # then Y and a block of columns; 3.53 N x N measured, 4.08 with the
+    # whole M V~ formed beside W
+    assert _diagnose_peak(tmp_path, [75, 150, 300, 600], gamma=0.25) < 3.8 * NXN
 
 
 def test_fractional_sample_holds_no_array_beside_its_eigenvectors(tmp_path):

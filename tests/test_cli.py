@@ -822,6 +822,28 @@ def test_numerical_failure_exits_three_with_diagnostic(tmp_path, capsys):
     assert "condition_estimate" in blob
 
 
+def test_infinite_condition_estimate_is_written_as_strict_json_null(tmp_path, capsys):
+    # two points 1e-12 apart give a covariance with an exactly zero
+    # eigenvalue, so its condition estimate is infinite
+    payload = {
+        "N": 150,
+        "delta_o": 1e-12,
+        "n_values": [2],
+        "deltas": [10.0],
+        "models": ["model1"],
+        "out": str(tmp_path / "o"),
+    }
+    assert _run(tmp_path, "fig1_point", payload) == 3
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    blob = json.loads(capsys.readouterr().err, parse_constant=refuse)
+    assert blob["error"] == "ConditioningError"
+    assert blob["condition_estimate"] is None
+    assert not (tmp_path / "o").exists()
+
+
 def _constant_model(beta, a, kappa2, tau=1.0):
     return {
         "beta": beta,

@@ -1,0 +1,139 @@
+"""Mutation catalogue: deliberate faults in ``src/`` and the tests that
+must catch each one.
+
+Usage, from the root of a checkout:
+
+    python3 tools/mutants.py
+
+Each entry of ``MUTANTS`` names a file under ``src/``, an exact text in
+it, the text that replaces it, and the test node ids that must catch the
+change. For each entry the script copies ``src/`` into a temporary
+directory, runs the entry's tests against the copy (they must pass),
+requires the old text to occur exactly once in the copied file, applies
+the edit and runs the tests again with ``-x``: at least one must fail.
+The tests import the copy through PYTHONPATH, ahead of any installed
+wmlab. The script prints one line per entry and exits 1 if an entry
+survives or is stale (its text does not occur exactly once, or its
+tests fail on the unmutated copy).
+
+Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
+that the tests' numbers do not depend on the thread split. The nine
+entries took 32 s on a 2-core Xeon VM.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple
+
+
+_BLOCKED = "tests/test_blocked_kernels.py::"
+_PLANTED_NAN = (
+    _BLOCKED + "test_generalized_eig_catches_a_planted_defect_banded[nan_in_last_block]",
+    _BLOCKED + "test_generalized_eig_catches_a_planted_defect_dense[nan_in_last_block]",
+)
+
+MUTANTS = (
+    # inverse iteration without the M-orthogonalization of close vectors
+    Mutant(
+        "wmlab/spectral.py", "_CLOSE_GAP = 1e-4", "_CLOSE_GAP = 0",
+        ("tests/test_banded_eig_oracle.py::"
+         "test_banded_eigenpairs_match_exact_pencil_above_old_cutoff",),
+    ),
+    # a NaN defect passes the M-orthonormality check
+    Mutant("wmlab/spectral.py", "if not err <= 1e-8:", "if err > 1e-8:", _PLANTED_NAN),
+    # Python's max drops a NaN block maximum that is not the first
+    Mutant("wmlab/spectral.py", "float(np.max(maxima))", "float(max(maxima))", _PLANTED_NAN),
+    # band_matmul without its upper half
+    Mutant(
+        "wmlab/fem1d.py", "        out[:-k] += np.multiply(d, X[k:], out=term)\n", "",
+        ("tests/test_fem1d.py::test_band_layout_expansion_and_product",),
+    ),
+    # singular values of T with their signs
+    Mutant(
+        "wmlab/diagnostics.py", "np.sort(np.abs(ev))", "np.sort(ev)",
+        ("tests/test_diagnostics.py::test_hs_curve_forms_only_the_leading_block",),
+    ),
+    # artifacts written with NaN and the infinities, which JSON lacks
+    Mutant(
+        "wmlab/cli.py",
+        "text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)",
+        "text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)",
+        ("tests/test_cli.py::test_non_finite_json_value_exits_three_and_writes_no_file",),
+    ),
+    # the orthonormality check reads M V of the unnormalized vectors
+    Mutant(
+        "wmlab/spectral.py", "        MV *= scale\n", "",
+        (_BLOCKED + "test_blocked_eigenpairs_equal_full_array_oracle[partial_last_block]",),
+    ),
+    # every block of W written into its leading columns
+    Mutant(
+        "wmlab/diagnostics.py", "c=W[:, a:b]", "c=W[:, : b - a]",
+        (_BLOCKED + "test_cross_gram_w_equals_one_dgemm[partial_last_block]",),
+    ),
+    # an infinite condition estimate dumped as is on exit 3
+    Mutant(
+        "wmlab/cli.py",
+        'dump["condition_estimate"] = cond if math.isfinite(cond) else None',
+        'dump["condition_estimate"] = cond',
+        ("tests/test_cli.py::test_infinite_condition_estimate_is_written_as_strict_json_null",),
+    ),
+)
+
+
+def stale_reason(source, mutant):
+    """Why ``mutant`` no longer applies to ``source``, or None."""
+    count = source.count(mutant.old)
+    return None if count == 1 else f"old text occurs {count} times"
+
+
+def _pytest(src, tests, *flags):
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode
+
+
+def check(mutant):
+    """'caught', 'SURVIVED' or 'STALE: <reason>' for one entry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src)
+        path = os.path.join(src, mutant.path)
+        with open(path) as handle:
+            source = handle.read()
+        reason = stale_reason(source, mutant)
+        if reason is None and _pytest(src, mutant.tests) != 0:
+            reason = "its tests fail on the unmutated source"
+        if reason is not None:
+            return f"STALE: {reason}"
+        with open(path, "w") as handle:
+            handle.write(source.replace(mutant.old, mutant.new))
+        return "caught" if _pytest(src, mutant.tests, "-x") != 0 else "SURVIVED"
+
+
+def main():
+    failed = 0
+    for mutant in MUTANTS:
+        verdict = check(mutant)
+        failed += verdict != "caught"
+        print(f"{verdict}: {mutant.path}: {mutant.old.strip()!r} -> {mutant.new.strip()!r}")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
