@@ -30,8 +30,8 @@ Exit codes: 0 success; 2 configuration error (bad JSON, schema
 violation, invalid parameter values, an output directory that cannot be
 created); 3 numerical-integrity failure, with a JSON diagnostic dump on
 stderr, strict JSON in which a condition estimate that is not finite
-(inf or NaN) is written as null. A run that fails removes the output directories it created, as
-long as they are empty.
+(inf or NaN) is written as null. A run that fails removes the output
+directories it created, as long as they are empty.
 """
 
 import argparse

@@ -373,7 +373,7 @@ def test_diagnose_copies_no_leading_block(tmp_path):
 
 def test_diagnose_holds_w_and_no_m_v_on_the_w_route(tmp_path):
     # gamma = 0.25 takes the W route: V, the alt eigenvectors and W, and
-    # then Y and a block of columns; 3.53 N x N measured, 4.08 with the
+    # then Y and a block of columns; 3.51 N x N measured, 4.08 with the
     # whole M V~ formed beside W
     assert _diagnose_peak(tmp_path, [75, 150, 300, 600], gamma=0.25) < 3.8 * NXN
 
