@@ -85,6 +85,11 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------
 # schemas; a key's default is the "default" annotation beside its type
 
+# the largest exponent (beta, gamma, cm_beta) a config may give: an integral
+# 2*beta costs one banded product per power, and on a nearly flat pencil
+# no power leaves the double range, so only a maximum bounds that loop
+_MAX_EXPONENT = 1000
+
 _FIELD_SCHEMA = {
     "type": "object",
     "properties": {
@@ -110,7 +115,7 @@ _MODEL_REF_SCHEMA = {
         {
             "type": "object",
             "properties": {
-                "beta": {"type": "number"},
+                "beta": {"type": "number", "maximum": _MAX_EXPONENT},
                 "a": _FIELD_SCHEMA,
                 "kappa2": _FIELD_SCHEMA,
                 "tau": {"type": "number", "exclusiveMinimum": 0},
@@ -162,6 +167,7 @@ _FIGURE_PROPS = {
         "type": "array",
         "items": {"type": "number", "exclusiveMinimum": 0},
         "minItems": 1,
+        "uniqueItems": True,
         "default": [1.0, 10.0, 100.0],
     },
     "models": {
@@ -229,10 +235,10 @@ SCHEMAS = {
         N=800,
         base_model=_MODEL_REF_SCHEMA,
         alt_model=_MODEL_REF_SCHEMA,
-        gamma={"type": "number", "default": 1.0},
+        gamma={"type": "number", "maximum": _MAX_EXPONENT, "default": 1.0},
         c={"type": "number", "exclusiveMinimum": 0, "default": 1.0},
         truncations={**_POSITIVE_INT_ARRAY, "default": [100, 200, 400, 800]},
-        cm_beta={"type": "number", "exclusiveMinimum": 0.25},
+        cm_beta={"type": "number", "exclusiveMinimum": 0.25, "maximum": _MAX_EXPONENT},
     ),
     "verdict": {
         "type": "object",
@@ -670,11 +676,12 @@ _FIGURES = {
 
 def _figure_cells(fig, cfg):
     """(true model, misspecified model, label, beta, delta, series name)
-    for every cell, in (model label, parameter) order."""
+    for every cell, in (model label, parameter) order: the order of the
+    figure CSV's rows, which ``write_curves_csv`` keeps."""
     cells = []
     for label in sorted(cfg["models"]):
         if fig.family == "41":
-            for delta in (float(d) for d in cfg["deltas"]):
+            for delta in sorted(float(d) for d in cfg["deltas"]):
                 true_model = builtin_model("base41", 1)
                 missp = builtin_model(f"{label}_41", 1, delta)
                 cells.append((true_model, missp, label, 1.0, delta, f"{label} delta={delta:g}"))

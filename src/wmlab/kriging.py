@@ -395,7 +395,7 @@ def _true_stage(model, N, design):
 
 
 def _curve_n_values(true_model, missp_model, n_values):
-    """Check that two models can share a curve; n_values as distinct ints."""
+    """Check that two models can share a curve; n_values as sorted distinct ints."""
     if true_model.beta != missp_model.beta:
         raise ParameterError(
             "efficiency curves compare models with a common exponent; got "
@@ -408,7 +408,7 @@ def _curve_n_values(true_model, missp_model, n_values):
         raise ParameterError(
             f"n_values must be one or more distinct positive integers: {n_values}"
         )
-    return n_values
+    return tuple(sorted(n_values))
 
 
 def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_target=False):
@@ -441,7 +441,7 @@ def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_tar
             )
     return EfficiencyCurve(
         design=design,
-        n_values=tuple(sorted(n_values)),
+        n_values=n_values,
         e_max=tuple(e_max),
         target=tuple(tgt),
         true_var=tuple(tv),
@@ -551,29 +551,6 @@ CURVE_CSV_COLUMNS = (
 )
 
 
-def _target_sort_key(label):
-    s = str(label)
-    if s == "max":
-        return (0, 0.0, "")
-    try:
-        return (1, float(s), "")
-    except ValueError:
-        return (2, 0.0, s)
-
-
-def _row_sort_key(row):
-    delta = row.get("delta")
-    return (
-        row["experiment"],
-        row["model"],
-        delta is not None,
-        float(delta) if delta is not None else 0.0,
-        float(row["beta"]),
-        int(row["n"]),
-        _target_sort_key(row["target"]),
-    )
-
-
 def curve_rows(experiment, model_label, beta, delta, curve):
     """Flatten an EfficiencyCurve into CSV-ready row dicts.
 
@@ -600,7 +577,6 @@ def curve_rows(experiment, model_label, beta, delta, curve):
 
 
 def write_curves_csv(path, rows):
-    """Write efficiency rows in the canonical column order and a canonical
-    row order, by ``matio.write_csv``; a key a row lacks is an empty cell."""
-    rows = sorted(rows, key=_row_sort_key)
+    """Write efficiency rows in the canonical column order, and in the order
+    given, by ``matio.write_csv``; a key a row lacks is an empty cell."""
     write_csv(path, {c: [row.get(c) for row in rows] for c in CURVE_CSV_COLUMNS})

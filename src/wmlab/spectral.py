@@ -406,7 +406,10 @@ def _spectral_factor(lam, V, beta, tau):
         raise ParameterError(f"tau must be positive, got {tau}")
     sign = np.where(np.arange(1, V.shape[0] + 1) @ V < 0.0, -1.0, 1.0)
     F = V
-    F *= sign * tau * lam ** (-beta)
+    # a weight beyond the double range is inf, and F then holds infinities
+    # or NaN; sample_field refuses such draws
+    with np.errstate(over="ignore", invalid="ignore"):
+        F *= sign * tau * lam ** (-beta)
 
     def tdot(X):
         if np.ndim(X) == 1:
@@ -526,6 +529,7 @@ def sample_field(factor, seed, n_samples):
     order, or from which thread. Draws whose largest magnitude is below
     the smallest normal double raise DomainError: they are zero or
     subnormal, holding fewer digits than a double, only when F underflowed.
+    So do draws holding an infinity or a NaN, which F overflowed into.
     """
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -533,13 +537,18 @@ def sample_field(factor, seed, n_samples):
     if not 0 <= seed < 2**64:
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
     out = np.empty((factor.n, int(n_samples)))
-    for i in range(int(n_samples)):
-        bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-        out[:, i] = factor.dot(np.random.Generator(bitgen).standard_normal(factor.n))
-    largest = max(out.max(), -out.min())
-    if largest < np.finfo(float).tiny:
+    with np.errstate(over="ignore", invalid="ignore"):  # such draws are refused below
+        for i in range(int(n_samples)):
+            bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            out[:, i] = factor.dot(np.random.Generator(bitgen).standard_normal(factor.n))
+    largest = max(out.max(), -out.min())  # NaN if any weight is NaN
+    if not np.finfo(float).tiny <= largest < np.inf:
+        if largest < np.inf:
+            what, flow = "every drawn weight is zero or subnormal", "underflowed"
+        else:
+            what, flow = "a drawn weight is not finite", "overflowed"
         raise DomainError(
-            f"every drawn weight is zero or subnormal (largest magnitude {largest:.3g}): "
-            "the covariance factor underflowed; reduce beta or the scale of the model"
+            f"{what} (largest magnitude {largest:.3g}): the covariance factor "
+            f"{flow}; reduce beta or the scale of the model"
         )
     return out

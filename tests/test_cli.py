@@ -1,11 +1,13 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
+import contextlib
 import dataclasses
 import importlib.util
 import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import warnings
@@ -33,6 +35,27 @@ def _write(tmp_path, name, payload):
 def _run(tmp_path, command, payload, *extra):
     cfg = _write(tmp_path, f"{command}.json", payload)
     return main([command, "--config", cfg, *extra])
+
+
+class _Hang(Exception):
+    """A block ran past the bound of ``_time_limit``."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise _Hang in a block that runs longer than ``seconds``. The alarm
+    interrupts a Python loop, but not a single long LAPACK call."""
+
+    def alarm(*_):
+        raise _Hang(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ------------------------------------------------------- config errors
@@ -196,36 +219,39 @@ _MUTANTS = [
 ]
 
 
-def _mutate(rng, value, keys):
-    """A copy of ``value`` with one random edit somewhere inside it."""
+def _mutate(rng, value, keys, pool=_MUTANTS):
+    """A copy of ``value`` with one random edit somewhere inside it; an
+    added key or a replaced value is drawn from ``pool``."""
     if isinstance(value, dict) and value and rng.random() < 0.6:
         key = rng.choice(list(value))
-        return {**value, key: _mutate(rng, value[key], keys)}
+        return {**value, key: _mutate(rng, value[key], keys, pool)}
     if isinstance(value, list) and value and rng.random() < 0.6:
         i = rng.randrange(len(value))
-        return [*value[:i], _mutate(rng, value[i], keys), *value[i + 1:]]
+        return [*value[:i], _mutate(rng, value[i], keys, pool), *value[i + 1:]]
     edit = rng.randrange(3)
     if isinstance(value, dict) and edit == 0 and value:
         key = rng.choice(list(value))
         return {k: v for k, v in value.items() if k != key}
     if isinstance(value, dict) and edit == 1:
-        return {**value, rng.choice(keys): rng.choice(_MUTANTS)}
+        return {**value, rng.choice(keys): rng.choice(pool)}
     if isinstance(value, list) and edit == 1 and value:
         return [*value, rng.choice(value)]
-    return json.loads(json.dumps(rng.choice(_MUTANTS)))
+    return json.loads(json.dumps(rng.choice(pool)))
 
 
-def test_checker_agrees_with_jsonschema(monkeypatch):
-    # jsonschema is a test-only oracle: accept/reject must match on every
-    # config without NaN or infinities, which only the checker rejects
-    jsonschema = pytest.importorskip("jsonschema")
+def _seed_configs():
+    """(command, config) pairs to mutate: each command's defaults with each
+    required form, perfbench's configs, and four configs far from both."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "_perfbench_run", os.path.join(root, "perfbench", "run.py")
     )
-    monkeypatch.setattr(sys, "path", list(sys.path))
     perfbench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(perfbench)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(perfbench)
+    finally:
+        sys.path[:] = path  # perfbench/run.py puts its own directory first
 
     seeds = [
         (command, {**defaults, **form})
@@ -244,10 +270,23 @@ def test_checker_agrees_with_jsonschema(monkeypatch):
         ("verdict", {**_UNDECIDABLE, "d": 2, "a_ratio": 2.0, "kappa2_equal": None}),
         ("verdict", {"base_model": _CUSTOM_MODEL, "alt_model": _BASE41, "d": 1}),
     ]
-    keys = sorted(
+    return seeds
+
+
+def _config_keys():
+    """Every property name in SCHEMAS, and one that none has."""
+    return sorted(
         {key for schema in wmlab.cli.SCHEMAS.values() for sub in _subschemas(schema)
          for key in sub.get("properties", {})} | {"zz"}
     )
+
+
+def test_checker_agrees_with_jsonschema():
+    # jsonschema is a test-only oracle: accept/reject must match on every
+    # config without NaN or infinities, which only the checker rejects
+    jsonschema = pytest.importorskip("jsonschema")
+    seeds = _seed_configs()
+    keys = _config_keys()
     validators = {
         command: jsonschema.Draft202012Validator(schema)
         for command, schema in wmlab.cli.SCHEMAS.items()
@@ -410,6 +449,80 @@ def test_sample_with_only_subnormal_draws_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "beta, fmt",
+    [(300, "csv"), (300.5, "bin"), (200.3, "csv"), (999.3, "csv")],
+    ids=["direct", "direct_bin", "spectral", "spectral_far"],
+)
+def test_sample_whose_draws_overflowed_exits_two(tmp_path, capsys, beta, fmt):
+    # the pencil's smallest eigenvalue is about 0.011, so tau lambda^-beta
+    # leaves the double range: the draws hold infinities or NaN, and no
+    # RuntimeWarning is raised on the way
+    field = {"kind": "constant", "params": [1e-3]}
+    model = {"beta": beta, "a": field, "kappa2": field, "tau": 1.0}
+    out = tmp_path / "o"
+    payload = {"N": 40, "n_samples": 2, "format": fmt, "model": model, "out": str(out)}
+    with _time_limit(2):
+        assert _run(tmp_path, "sample", payload) == 2
+    err = capsys.readouterr().err
+    head = "DomainError: a drawn weight is not finite (largest magnitude "
+    assert head in err and err.split(head)[1].split(")")[0] in ("inf", "nan")
+    assert "the covariance factor overflowed" in err
+    assert not out.exists()
+
+
+_FLAT_FIELDS = {  # every eigenvalue of the pencil lies within about 2e-8 of 1
+    "a": {"kind": "constant", "params": [1e-12]},
+    "kappa2": {"kind": "constant", "params": [1.0]},
+    "tau": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("sample", {"model": {**_FLAT_FIELDS, "beta": 1e20}}, ".model.beta"),
+        ("diagnose", {**_REQUIRED_FORMS["diagnose"][0], "gamma": 1e20}, ".gamma"),
+        ("diagnose", {**_REQUIRED_FORMS["diagnose"][0], "cm_beta": 1e20}, ".cm_beta"),
+    ],
+    ids=["beta", "gamma", "cm_beta"],
+)
+def test_exponent_above_the_maximum_is_a_config_error(tmp_path, capsys, command, payload, field):
+    # an integral 2 beta costs one banded product per power, and on the flat
+    # pencil no power leaves the double range: only the maximum ends the loop
+    out = tmp_path / "o"
+    payload = {"N": 40, "truncations": [10, 20], **payload, "out": str(out)}
+    if command == "sample":
+        del payload["truncations"]
+    with _time_limit(2):
+        assert _run(tmp_path, command, payload) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': 1e+20 is greater than the maximum of 1000" in err
+    assert not out.exists()
+
+
+def test_exponent_at_the_maximum_is_accepted(tmp_path):
+    pair = {**_REQUIRED_FORMS["diagnose"][0], "gamma": 1000, "cm_beta": 1000}
+    assert wmlab.cli._check(wmlab.cli.SCHEMAS["diagnose"], pair)[0] == []
+    out = tmp_path / "o"
+    model = {**_FLAT_FIELDS, "beta": 1000}
+    payload = {"N": 40, "n_samples": 2, "format": "bin", "model": model, "out": str(out)}
+    with _time_limit(2):
+        assert _run(tmp_path, "sample", payload) == 0
+    draws = read_matrix(str(out / "samples.bin"))
+    assert np.isfinite(draws).all() and np.all(np.abs(draws).max(axis=0) > 0.0)
+
+
+@pytest.mark.parametrize("command", ["fig1_integral", "fig1_point"])
+def test_duplicate_deltas_are_a_config_error(tmp_path, capsys, command):
+    # the same curve twice, under one series name
+    out = tmp_path / "o"
+    assert _run(tmp_path, command, {"deltas": [10, 1, 10.0], "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert "config field '.deltas': [10, 1, 10.0] has non-unique elements" in err
+    assert not out.exists()
+
+
 def test_sample_whose_every_draw_underflowed_exits_two(tmp_path, capsys):
     model = {**_CUSTOM_MODEL, "beta": 400.5, "tau": 1.0}
     del model["basis_order"]
@@ -515,22 +628,28 @@ def test_fig1_integral_artifacts_and_manifest(tmp_path):
 
 
 def test_fig1_integral_rows_sorted_across_cells(tmp_path):
-    out = str(tmp_path / "o")
+    # the rows come out in the order the cells are built; the writer keeps it
     payload = {
         "deltas": [10, 1],
         "models": ["model2", "model1"],
         "n_values": [20, 10],
         "N": 150,
-        "out": out,
         "svg": False,
     }
-    assert _run(tmp_path, "fig1_integral", payload) == 0
-    rows = Path(out, "fig1_integral.csv").read_text().splitlines()[1:]
-    keys = []
-    for row in rows:
-        f = row.split(",")
-        keys.append((f[0], f[1], float(f[3]), float(f[2]), int(f[5])))
-    assert keys == sorted(keys)
+    cases = [
+        ("fig1_integral", {}),
+        ("fig1_integral", {"per_target": True, "deltas": [10, 1, 100]}),
+        ("fig1_point", {"deltas": [100, 1, 10]}),
+    ]
+    for i, (command, extra) in enumerate(cases):
+        out = str(tmp_path / f"o{i}")
+        assert _run(tmp_path, command, {**payload, **extra, "out": out}) == 0
+        rows = Path(out, f"{command}.csv").read_text().splitlines()[1:]
+        keys = []
+        for row in rows:
+            f = row.split(",")
+            keys.append((f[0], f[1], float(f[3]), float(f[2]), int(f[5])))
+        assert keys == sorted(keys)
 
 
 def test_fig2_covers_selected_exponents(tmp_path):

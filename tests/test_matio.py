@@ -141,8 +141,9 @@ def _curves(path):
         flagged=(True,),
         cond=(1e13,),
     )
-    rows = curve_rows("fig2", "model2", 1.0, None, integral)
-    rows += curve_rows("fig1_point", "model1", 1.0, 10.0, point)
+    # the writer keeps the order of its rows, so they are given in canonical order
+    rows = curve_rows("fig1_point", "model1", 1.0, 10.0, point)
+    rows += curve_rows("fig2", "model2", 1.0, None, integral)
     write_curves_csv(path, rows)
 
 

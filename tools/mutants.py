@@ -17,8 +17,8 @@ survives or is stale (its text does not occur exactly once, or its
 tests fail on the unmutated copy).
 
 Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
-that the tests' numbers do not depend on the thread split. The nine
-entries took 32 s on a 2-core Xeon VM.
+that the tests' numbers do not depend on the thread split. The 16
+entries took 58 s on a 2-core Xeon VM.
 """
 
 import os
@@ -43,6 +43,9 @@ _PLANTED_NAN = (
     _BLOCKED + "test_generalized_eig_catches_a_planted_defect_banded[nan_in_last_block]",
     _BLOCKED + "test_generalized_eig_catches_a_planted_defect_dense[nan_in_last_block]",
 )
+
+_CHECKER = "tests/test_cli.py::test_checker_agrees_with_jsonschema"
+_EXPONENT = "tests/test_cli.py::test_exponent_above_the_maximum_is_a_config_error"
 
 MUTANTS = (
     # inverse iteration without the M-orthogonalization of close vectors
@@ -88,6 +91,59 @@ MUTANTS = (
         'dump["condition_estimate"] = cond if math.isfinite(cond) else None',
         'dump["condition_estimate"] = cond',
         ("tests/test_cli.py::test_infinite_condition_estimate_is_written_as_strict_json_null",),
+    ),
+    # figure cells, and so the CSV rows, in the order the deltas are given
+    Mutant(
+        "wmlab/cli.py",
+        'for delta in sorted(float(d) for d in cfg["deltas"]):',
+        'for delta in (float(d) for d in cfg["deltas"]):',
+        ("tests/test_cli.py::test_fig1_integral_rows_sorted_across_cells",),
+    ),
+    # draws that overflowed into infinities or NaN pass the range check
+    Mutant(
+        "wmlab/spectral.py",
+        "if not np.finfo(float).tiny <= largest < np.inf:",
+        "if largest < np.finfo(float).tiny:",
+        ("tests/test_cli.py::test_sample_whose_draws_overflowed_exits_two",),
+    ),
+    # cm_beta without its maximum: diagnose at cm_beta = 1e20 never ends
+    Mutant(
+        "wmlab/cli.py",
+        '"exclusiveMinimum": 0.25, "maximum": _MAX_EXPONENT}',
+        '"exclusiveMinimum": 0.25}',
+        (_EXPONENT + "[cm_beta]",),
+    ),
+    # config checker: exclusiveMinimum read as minimum
+    Mutant(
+        "wmlab/cli.py",
+        '("exclusiveMinimum", operator.le,',
+        '("exclusiveMinimum", operator.lt,',
+        (_CHECKER,),
+    ),
+    # config checker: maximum read as exclusiveMaximum. No config in the
+    # corpus of _CHECKER sits at a maximum, so that test misses it
+    Mutant(
+        "wmlab/cli.py",
+        '("maximum", operator.gt,',
+        '("maximum", operator.ge,',
+        ("tests/test_cli.py::test_checker_follows_draft_2020_12",),
+    ),
+    # config checker: a bool is a number
+    Mutant(
+        "wmlab/cli.py",
+        "return isinstance(value, (int, float)) and not isinstance(value, bool)",
+        "return isinstance(value, (int, float))",
+        (_CHECKER,),
+    ),
+    # A^-1 = U^-T D^-1 U^-1 applied with its two unit-triangular solves swapped
+    Mutant(
+        "wmlab/fem1d.py",
+        'X = self._scale(self._unit_solve(X, "N"), self.inv_d)\n'
+        '        return self._unit_solve(X, "T")',
+        'X = self._scale(self._unit_solve(X, "T"), self.inv_d)\n'
+        '        return self._unit_solve(X, "N")',
+        ("tests/test_band_ldl_oracle.py::test_solves_match_the_cholesky_kernels[p2-solve]",
+         "tests/test_band_ldl_oracle.py::test_solves_match_the_cholesky_kernels[p3-solve]"),
     ),
 )
 
