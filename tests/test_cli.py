@@ -478,12 +478,15 @@ _FLAT_FIELDS = {  # every eigenvalue of the pencil lies within about 2e-8 of 1
 }
 
 
+_PAIR_AT_40 = {**_REQUIRED_FORMS["diagnose"][0], "truncations": [10, 20]}
+
+
 @pytest.mark.parametrize(
     "command, payload, field",
     [
         ("sample", {"model": {**_FLAT_FIELDS, "beta": 1e20}}, ".model.beta"),
-        ("diagnose", {**_REQUIRED_FORMS["diagnose"][0], "gamma": 1e20}, ".gamma"),
-        ("diagnose", {**_REQUIRED_FORMS["diagnose"][0], "cm_beta": 1e20}, ".cm_beta"),
+        ("diagnose", {**_PAIR_AT_40, "gamma": 1e20}, ".gamma"),
+        ("diagnose", {**_PAIR_AT_40, "cm_beta": 1e20}, ".cm_beta"),
     ],
     ids=["beta", "gamma", "cm_beta"],
 )
@@ -491,18 +494,15 @@ def test_exponent_above_the_maximum_is_a_config_error(tmp_path, capsys, command,
     # an integral 2 beta costs one banded product per power, and on the flat
     # pencil no power leaves the double range: only the maximum ends the loop
     out = tmp_path / "o"
-    payload = {"N": 40, "truncations": [10, 20], **payload, "out": str(out)}
-    if command == "sample":
-        del payload["truncations"]
     with _time_limit(2):
-        assert _run(tmp_path, command, payload) == 2
+        assert _run(tmp_path, command, {"N": 40, **payload, "out": str(out)}) == 2
     err = capsys.readouterr().err
     assert f"config field '{field}': 1e+20 is greater than the maximum of 1000" in err
     assert not out.exists()
 
 
 def test_exponent_at_the_maximum_is_accepted(tmp_path):
-    pair = {**_REQUIRED_FORMS["diagnose"][0], "gamma": 1000, "cm_beta": 1000}
+    pair = {**_PAIR_AT_40, "gamma": 1000, "cm_beta": 1000}
     assert wmlab.cli._check(wmlab.cli.SCHEMAS["diagnose"], pair)[0] == []
     out = tmp_path / "o"
     model = {**_FLAT_FIELDS, "beta": 1000}

@@ -26,7 +26,7 @@ def main():
     codes, failures = test_cli_fuzz.fuzz(COUNT)
     for command, config, problem in failures:
         print(f"{command} {config!r}: {problem}")
-    print(", ".join(f"exit {code}: {n}" for code, n in sorted(codes.items(), key=str)))
+    print(", ".join(f"exit {code}: {n}" for code, n in codes.most_common()))
     print(f"{len(failures)} of {COUNT} runs broke the contract")
     return 1 if failures else 0
 
