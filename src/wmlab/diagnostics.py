@@ -269,9 +269,9 @@ def _pencil_factor(pair, m, t):
 
     The scaling of V (odd m) and the last band product (even m) are
     written straight into Y's column block, and every band product sums
-    its off-diagonal terms in one scratch block, so m = 2 holds no array
-    beside Y but that block; the half product of odd m and each further
-    application of A make one more block while they last.
+    its off-diagonal terms in one scratch block, so m <= 2 holds no array
+    beside Y but that block; each further application of A makes one more
+    block while it lasts.
     """
     k, odd = divmod(m, 2)
     ops = pair.ops_alt

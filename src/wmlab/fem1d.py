@@ -297,11 +297,11 @@ class _BandLDL:
         A^-1 X = U^-T D^-1 U^-1 X,  L^-1 X = D^(-1/2) U^-1 X,  L^-T X = U^-T D^(-1/2) X,
 
     except that A^-1 X of a tridiagonal A is one LAPACK dpttrs on U and
-    D (see ``solve``). L X and L' X are band products. Every method works
-    on X, of shape (n,) or (n, m), in place and returns the result, which
-    is X itself when X is contiguous (a block in Fortran order); LAPACK
-    writes over any array it is given, read-only ones included, so
-    callers pass only arrays they own.
+    D (see ``solve``). L X and L' X are one BLAS dtbmv per column. Every
+    method works on X, of shape (n,) or (n, m), in place and returns the
+    result, which is X itself when X is contiguous (a block in Fortran
+    order); LAPACK writes over any array it is given, read-only ones
+    included, so callers pass only arrays they own.
     """
 
     def __init__(self, band, name):
@@ -315,6 +315,10 @@ class _BandLDL:
         self.U = np.array(L / L[0], order="F")
         self.inv_root_d = 1.0 / L[0]
         self.inv_d = self.inv_root_d * self.inv_root_d
+        # L' in upper band storage (Lt[p - k, j + k] = L[k, j]), for L X
+        self.Lt = np.zeros_like(L)
+        for k in range(L.shape[0]):
+            self.Lt[-1 - k, k:] = L[k, : L.shape[1] - k]
         # D and the subdiagonal of U of a tridiagonal A, for dpttrs
         self.tridiagonal = (L[0] * L[0], self.U[1, :-1].copy()) if L.shape[0] == 2 else None
 
@@ -347,20 +351,14 @@ class _BandLDL:
         return self._scale(self._unit_solve(X, "N"), self.inv_root_d)
 
     def half_matmul(self, X, trans=False):
-        """L X, or L' X with ``trans``: the off-diagonal terms are summed
-        from X into one temporary before X is scaled by diag(L)."""
-        L, n = self.L, self.L.shape[1]
-        col = (slice(None),) + (None,) * (X.ndim - 1)
-        if trans:
-            off = L[1, : n - 1][col] * X[1:]
-            for k in range(2, L.shape[0]):
-                off[: n - k] += L[k, : n - k][col] * X[k:]
-            self._scale(X, L[0])[:-1] += off
-        else:
-            off = L[1, : n - 1][col] * X[:-1]
-            for k in range(2, L.shape[0]):
-                off[k - 1 :] += L[k, : n - k][col] * X[:-k]
-            self._scale(X, L[0])[1:] += off
+        """L X, or L' X with ``trans``: one BLAS dtbmv per column, in place,
+        in its transposed form (L X as (L')' X on ``Lt``), which unlike the
+        other form adds a bidiagonal L's two terms without a fused multiply-add."""
+        band, lower = (self.L, 1) if trans else (self.Lt, 0)
+        for x in X.reshape(len(X), -1).T:
+            x[...] = scipy.linalg.blas.dtbmv(
+                band.shape[0] - 1, band, x, lower=lower, trans=1, overwrite_x=1
+            )
         return X
 
 

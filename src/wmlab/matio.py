@@ -31,7 +31,7 @@ def write_matrix(path, matrix):
         raise DataError(f"expected a 2-d array, got shape {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(memoryview(arr))
 
 
 def read_matrix(path):

@@ -17,8 +17,8 @@ as (p+1, N) lower bands (see :mod:`wmlab.fem1d`), each factored once as
 stored into unit-lower LDL' factors, A = U D U' and L = U D^(1/2):
 K^-1 X = U^-T D^-1 U^-1 X and L_K^-T X = U^-T D^(-1/2) X are unit-diagonal
 banded solves, which never divide (a tridiagonal K^-1 X is one LAPACK
-dpttrs on U and D), and L_M X is a band product, so F X costs O(N p s)
-per column. The spectral route,
+dpttrs on U and D), and L_M X is one BLAS dtbmv per column, so F X
+costs O(N p s) per column. The spectral route,
 left to genuinely fractional beta, diagonalizes the (K, M) pencil,
 F = tau V Lambda^(-beta).
 A tridiagonal pencil (piecewise-linear basis), of any order, is

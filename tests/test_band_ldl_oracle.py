@@ -119,7 +119,7 @@ def test_band_products_match_the_out_of_place_product(bands, trans):
                 # one off-diagonal term: the same sums in the same order
                 assert np.array_equal(got, ref)
             else:
-                # the off-diagonal terms are summed first: 2.1e-16 here
+                # BLAS dtbmv's dot products may sum in another order: 2.1e-16 here
                 _close(got, ref, 1e-15)
 
 

@@ -281,12 +281,23 @@ def _config_keys():
     )
 
 
+def _schema_bounds():
+    """Every numeric bound in SCHEMAS: a value that sits on one is what
+    tells an inclusive bound from an exclusive one."""
+    names = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+    return sorted(
+        {sub[name] for schema in wmlab.cli.SCHEMAS.values() for sub in _subschemas(schema)
+         for name in names if name in sub}
+    )
+
+
 def test_checker_agrees_with_jsonschema():
     # jsonschema is a test-only oracle: accept/reject must match on every
     # config without NaN or infinities, which only the checker rejects
     jsonschema = pytest.importorskip("jsonschema")
     seeds = _seed_configs()
     keys = _config_keys()
+    pool = _MUTANTS + _schema_bounds()
     validators = {
         command: jsonschema.Draft202012Validator(schema)
         for command, schema in wmlab.cli.SCHEMAS.items()
@@ -296,7 +307,7 @@ def test_checker_agrees_with_jsonschema():
     while len(corpus) < 3600:
         command, config = rng.choice(seeds)
         for _ in range(rng.randint(1, 3)):
-            config = _mutate(rng, config, keys)
+            config = _mutate(rng, config, keys, pool)
         corpus.append((command, config))
     accepted = 0
     for command, config in corpus:

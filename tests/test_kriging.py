@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmlab import kriging
-from wmlab.errors import DegenerateTargetError, ParameterError
+from wmlab.errors import DegenerateTargetError, NumericalIntegrityError, ParameterError
 from wmlab.kriging import (
     ObservationDesign,
     correct_error_variance,
@@ -61,6 +61,28 @@ def test_degenerate_target_raises():
     S[2, 2] = S[0, 0]
     with pytest.raises(DegenerateTargetError):
         efficiency(S, SIGMA_T, 2, 3)
+
+
+def test_grossly_negative_loss_raises():
+    # below the -1e-6 integrity threshold: the misspecified predictor
+    # cannot beat the optimal one
+    with pytest.raises(NumericalIntegrityError):
+        kriging._efficiencies(np.array([1.0]), np.array([-1.5e-6]), np.array([1.0]))
+
+
+def test_condition_estimate_is_the_scaled_blocks_1_norm_condition():
+    # dpocon's estimate never exceeds the 1-norm condition number of the
+    # scaled leading block S_n and, for this Sigma, equals it up to
+    # roundoff at n = 2..6 (at n = 7..9 it is 0.68-0.72 of it)
+    rng = np.random.default_rng(0)
+    S, St = _spd(rng, 10), _spd(rng, 10)
+    runs = kriging._leading_variances(S, St, range(2, 10), lambda n: [9])
+    for n, _, _, _, _, cond in runs:
+        d = np.sqrt(np.diag(S)[:n])
+        exact = np.linalg.cond(S[:n, :n] / np.outer(d, d), 1)
+        assert cond <= exact * (1.0 + 1e-12)
+        if n <= 6:
+            assert cond == pytest.approx(exact, rel=1e-12)
 
 
 def test_more_observations_never_hurt():

@@ -1,6 +1,8 @@
 """Round-trip and error-path tests for the serialization helpers, and the
 exact bytes of every CSV artifact."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -42,6 +44,29 @@ def test_binary_header_layout(tmp_path):
     assert int.from_bytes(raw[8:12], "little") == 3
     assert int.from_bytes(raw[12:16], "little") == 2
     assert len(raw) == 16 + 8 * 6
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda a: a,
+        np.asfortranarray,
+        lambda a: np.repeat(a, 2, axis=1)[:, ::2],  # a strided view
+        lambda a: a.astype(">f8"),
+        lambda a: a.astype(np.float32),
+        lambda a: a[:0],
+    ],
+    ids=["c", "fortran", "strided", "big_endian", "float32", "empty"],
+)
+def test_binary_payload_is_row_major_little_endian(tmp_path, layout):
+    # the payload is the matrix's values, row by row, as "<f8", whatever
+    # the order, strides or byte order of the array handed in
+    m = layout(np.random.default_rng(3).standard_normal((7, 4)))
+    path = tmp_path / "m.bin"
+    write_matrix(path, m)
+    values = [float(v) for row in m for v in row]
+    expected = MAGIC + struct.pack(f"<II{len(values)}d", m.shape[0], m.shape[1], *values)
+    assert path.read_bytes() == expected
 
 
 def test_write_rejects_non_2d(tmp_path):

@@ -3,9 +3,9 @@
 ``fem1d._BandLDL`` factors a band once, as unit-lower LDL', and applies
 the factor by unit-diagonal solves that never divide. This test parses
 every module of the package and fails on any use of ``cholesky_banded``,
-``cho_solve_banded`` or LAPACK's ``dtbtrs`` and ``dpttrs`` outside that
-class, so that no consumer factors a band of its own or picks its own
-banded solver.
+``cho_solve_banded``, LAPACK's ``dtbtrs`` and ``dpttrs`` or BLAS's
+``dtbmv`` outside that class, so that no consumer factors a band of its
+own, picks its own banded solver or multiplies by a triangular band.
 """
 
 import ast
@@ -15,7 +15,7 @@ import wmlab
 
 PACKAGE = os.path.dirname(os.path.abspath(wmlab.__file__))
 OWNER = ("fem1d.py", "_BandLDL")
-BANNED = ("cholesky_banded", "cho_solve_banded", "dtbtrs", "dpttrs")
+BANNED = ("cholesky_banded", "cho_solve_banded", "dtbtrs", "dpttrs", "dtbmv")
 
 
 def _modules():
@@ -50,7 +50,9 @@ def test_band_kernels_are_called_only_by_the_factor_type():
     found = _found()
     assert [f for f in found if (f[0], f[1]) != OWNER] == []
     # the factor type still holds the kernels, so the rule cannot go stale
-    assert {name for module, owner, _, name in found} == {"cholesky_banded", "dtbtrs", "dpttrs"}
+    assert {name for module, owner, _, name in found} == {
+        "cholesky_banded", "dtbtrs", "dpttrs", "dtbmv"
+    }
 
 
 def test_the_rule_sees_each_form_of_use():

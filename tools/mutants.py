@@ -17,8 +17,8 @@ survives or is stale (its text does not occur exactly once, or its
 tests fail on the unmutated copy).
 
 Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
-that the tests' numbers do not depend on the thread split. The 16
-entries took 58 s on a 2-core Xeon VM.
+that the tests' numbers do not depend on the thread split. The 19
+entries took 83 s on a 2-core Xeon VM.
 """
 
 import os
@@ -120,13 +120,12 @@ MUTANTS = (
         '("exclusiveMinimum", operator.lt,',
         (_CHECKER,),
     ),
-    # config checker: maximum read as exclusiveMaximum. No config in the
-    # corpus of _CHECKER sits at a maximum, so that test misses it
+    # config checker: maximum read as exclusiveMaximum
     Mutant(
         "wmlab/cli.py",
         '("maximum", operator.gt,',
         '("maximum", operator.ge,',
-        ("tests/test_cli.py::test_checker_follows_draft_2020_12",),
+        ("tests/test_cli.py::test_checker_follows_draft_2020_12", _CHECKER),
     ),
     # config checker: a bool is a number
     Mutant(
@@ -144,6 +143,29 @@ MUTANTS = (
         '        return self._unit_solve(X, "N")',
         ("tests/test_band_ldl_oracle.py::test_solves_match_the_cholesky_kernels[p2-solve]",
          "tests/test_band_ldl_oracle.py::test_solves_match_the_cholesky_kernels[p3-solve]"),
+    ),
+    # L X and L' X with their two dtbmv bands swapped
+    Mutant(
+        "wmlab/fem1d.py",
+        "band, lower = (self.L, 1) if trans else (self.Lt, 0)",
+        "band, lower = (self.Lt, 0) if trans else (self.L, 1)",
+        ("tests/test_band_ldl_oracle.py::test_band_products_match_the_out_of_place_product[p1-L]",
+         "tests/test_band_ldl_oracle.py::test_band_products_match_the_out_of_place_product[p1-Lt]"),
+    ),
+    # the condition estimate doubled
+    Mutant(
+        "wmlab/kriging.py",
+        "cond = 1.0 / rcond if rcond > 0.0 else math.inf",
+        "cond = 2.0 / rcond if rcond > 0.0 else math.inf",
+        ("tests/test_kriging.py::"
+         "test_condition_estimate_is_the_scaled_blocks_1_norm_condition",),
+    ),
+    # a loss down to -2e-6 clipped to zero instead of raising
+    Mutant(
+        "wmlab/kriging.py",
+        "if np.min(raw) < -1e-6:",
+        "if np.min(raw) < -2e-6:",
+        ("tests/test_kriging.py::test_grossly_negative_loss_raises",),
     ),
 )
 
