@@ -127,6 +127,16 @@ class SplineBasis:
     def cell_width(self):
         return 1.0 / self.n_cells
 
+    @functools.cached_property
+    def mass(self):
+        """The ``_BandLDL`` factor of the mass matrix M, whose read-only
+        ``band`` is M: built on first use and shared by every pencil
+        assembled on the basis."""
+        # order + 1 Gauss points integrate the degree-2p spline products exactly
+        qpts, qwts = _element_quadrature(self, self.order + 1)
+        coeffs = np.ones((1,) + qpts.shape)
+        return _BandLDL(_read_only(_assemble(self, qpts, qwts, coeffs, [0], [0])), "mass matrix")
+
 
 def _basis_ders(knots, p, xs, nders):
     """Active raw splines and their derivatives at many points.
@@ -483,8 +493,8 @@ class AssembledOperators:
     @functools.cached_property
     def M_factor(self):
         """The ``_BandLDL`` factor of M, built on first use. Pencils that
-        the assembly functions build share their basis's mass band and its
-        one factor (``_mass_matrix``) instead."""
+        the assembly functions build hold their basis's factor
+        (``SplineBasis.mass``) instead."""
         return _BandLDL(self.M_band, "mass matrix")
 
     @property
@@ -565,32 +575,18 @@ def _assemble(basis, qpts, qwts, coeffs, d1, d2):
 def mass_matrix(basis):
     """Constrained mass matrix, exact for the spline products.
 
-    Dense and read-only, expanded from the shared read-only band;
-    assembled operators carry the band itself. M depends on the basis
-    only through the fields ``build_basis`` takes, so the band is built
-    once per (order, n_dof, constraint mode) and shared between callers,
-    with its factor (``_mass_matrix``).
+    Dense and read-only, expanded from the basis's read-only band
+    (``SplineBasis.mass``); assembled operators carry the band itself.
     """
-    return _read_only(dense(_mass_matrix(basis.order, basis.n_dof, basis.constraint_mode).band))
-
-
-@functools.lru_cache(maxsize=1)
-def _mass_matrix(order, n_dof, constraint_mode):
-    """The ``_BandLDL`` factor of the mass matrix, whose ``band`` is M."""
-    basis = build_basis(n_dof, order, constraint_mode)
-    # order + 1 Gauss points integrate the degree-2p spline products exactly
-    qpts, qwts = _element_quadrature(basis, order + 1)
-    coeffs = np.ones((1,) + qpts.shape)
-    return _BandLDL(_read_only(_assemble(basis, qpts, qwts, coeffs, [0], [0])), "mass matrix")
+    return _read_only(dense(basis.mass.band))
 
 
 def _operators(basis, K, form_order):
-    """AssembledOperators of K on the basis, holding the basis's shared
-    mass band and, as its ``M_factor``, that band's one factor."""
-    mass = _mass_matrix(basis.order, basis.n_dof, basis.constraint_mode)
-    ops = AssembledOperators(M_band=mass.band, K_band=K, form_order=form_order)
+    """AssembledOperators of K on the basis, holding the basis's mass band
+    and, as its ``M_factor``, that band's one factor (``SplineBasis.mass``)."""
+    ops = AssembledOperators(M_band=basis.mass.band, K_band=K, form_order=form_order)
     # set the cached property: the frozen dataclass keeps it in __dict__
-    ops.__dict__["M_factor"] = mass
+    ops.__dict__["M_factor"] = basis.mass
     return ops
 
 

@@ -136,7 +136,7 @@ def point_locations(design):
 
 def _chol(S, what):
     try:
-        return scipy.linalg.cho_factor(S, lower=True)[0]
+        return scipy.linalg.cholesky(S, lower=True)
     except scipy.linalg.LinAlgError as exc:
         ev = scipy.linalg.eigvalsh(S)
         cond = abs(ev[-1] / ev[0]) if ev[0] != 0.0 else math.inf
@@ -175,10 +175,7 @@ def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
     product per n, P[:n] += R[prev:n, :n]' Z~[prev:n], since R is lower
     triangular. R comes from substitution, one LAPACK trtrs call that
     reads only the lower triangles and is backward stable column by
-    column, which an explicit inverse is not. cho_factor leaves the input
-    matrix in the upper triangle of each factor, so an explicit inverse
-    (dtrtri) or a general solve must mask it first; multiplying by an
-    unmasked inverse moved fig2's e_max at N = 250 by up to 21x relative.
+    column, which an explicit inverse is not.
 
     ``v_miss`` is returned as v_true + diff. ``cond`` is LAPACK's 1-norm
     condition estimate (dpocon) of the scaled true block, from its factor.
@@ -197,8 +194,7 @@ def _leading_variances(Sigma, Sigma_tilde, n_values, targets_of):
     explained = np.zeros(cols.size)  # sum_{i<n} Z[i, t]^2
     Lt = _chol(Sigma_tilde[:m, :m] * block_scale, "misspecified")
     Zt = scipy.linalg.solve_triangular(Lt, Sigma_tilde[:m, cols] * cross_scale, lower=True)
-    # cho_factor leaves the input in L's upper triangle, so it is masked
-    R = scipy.linalg.solve_triangular(Lt, np.tril(L), lower=True)
+    R = scipy.linalg.solve_triangular(Lt, L, lower=True)
     PT = np.zeros((cols.size, m), order="F")  # P', so PT[:, :n] is contiguous
     prev = 0
     for n, tg in zip(n_values, targets):

@@ -1066,7 +1066,6 @@ def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
     payload = {"deltas": [1, 10], "n_values": [10, 20], "N": 200, "svg": False}
 
     def run(name):
-        fem1d._mass_matrix.cache_clear()
         kriging._true_stage.cache_clear()
         assert _run(tmp_path, "fig1_point", {**payload, "out": str(tmp_path / name)}) == 0
         return (tmp_path / name / "fig1_point.csv").read_bytes()
@@ -1079,15 +1078,45 @@ def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
     assert np.array_equal(fem1d.mass_matrix(fem1d.build_basis(200, 1)), M)
 
 
+@pytest.mark.parametrize(
+    "command, payload, builds",
+    [
+        # one basis per exponent: beta = 1, 2 and 3 take orders 1, 2 and 3
+        ("fig2", {"betas": [1, 2, 3], "n_values": [5, 10], "N": 47, "svg": False}, 3),
+        ("fig1_point", {"deltas": [1, 10], "n_values": [10, 20], "N": 147, "svg": False}, 1),
+        ("diagnose", {"base_model": {"name": "base42", "beta": 1},
+                      "alt_model": {"name": "model2_42", "beta": 1},
+                      "N": 47, "truncations": [20, 40]}, 1),
+    ],
+)
+def test_each_basis_is_built_once_per_command(tmp_path, monkeypatch, command, payload, builds):
+    # every pencil of a command is assembled on the command's one basis
+    # object, which owns its mass factor: no stage rebuilds an equal basis
+    from wmlab import fem1d, kriging
+
+    real = fem1d.build_basis
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wmlab") and getattr(module, "build_basis", None) is real:
+            monkeypatch.setattr(module, "build_basis", counted)
+    kriging._true_stage.cache_clear()
+    assert _run(tmp_path, command, {**payload, "out": str(tmp_path / "out")}) == 0
+    assert len(calls) == builds, calls
+
+
 def test_point_figure_memory_is_linear_in_N(tmp_path):
     # K and M live in (p+1, N) bands and each Sigma costs O(N) per
     # observation, so the traced peak grows like N (about 3 kB per degree
     # of freedom here); one dense N x N matrix would be 160 kB per N
     import tracemalloc
 
-    from wmlab import fem1d, kriging
+    from wmlab import kriging
 
-    fem1d._mass_matrix.cache_clear()
     kriging._true_stage.cache_clear()
     N = 20_000
     payload = {"N": N, "svg": False, "out": str(tmp_path / "out")}
@@ -1119,7 +1148,6 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
         if name.startswith("wmlab") and getattr(module, "dense", None) is real:
             monkeypatch.setattr(module, "dense", refuse)
     assert spectral.dense is refuse
-    fem1d._mass_matrix.cache_clear()
     kriging._true_stage.cache_clear()
     point = {"deltas": [10], "n_values": [10, 20], "N": 120, "svg": False}
     fig2 = {"betas": [1, 2, 3], "n_values": [5, 10], "N": 60, "svg": False}

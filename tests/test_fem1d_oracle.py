@@ -360,7 +360,6 @@ def test_band_assembly_matches_dense_scatter(order, mode, form, monkeypatch):
         return band
 
     monkeypatch.setattr(fem1d, "_assemble", recorded)
-    fem1d._mass_matrix.cache_clear()
     _FORMS[form](build_basis(64, order, mode))
     assert len(assemblies) == 2  # M and the form
     for args, band in assemblies:

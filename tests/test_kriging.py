@@ -44,6 +44,14 @@ def test_misspecified_variance_hand_value():
     npt.assert_allclose(v_miss[0], 11.0 / 8.0, rtol=1e-14)
 
 
+def test_covariance_factor_is_exactly_lower_triangular():
+    # R = L~^-1 L reads L whole, so nothing may stand above its diagonal
+    S = _spd(np.random.default_rng(3), 6)
+    L = kriging._chol(S, "true")
+    assert not np.triu(L, 1).any()
+    npt.assert_allclose(L @ L.T, S, rtol=1e-12)
+
+
 def test_efficiency_hand_value():
     # (11/8 - 4/3) / (4/3) = 1/32
     npt.assert_allclose(efficiency(SIGMA, SIGMA_T, 2, 3), 1.0 / 32.0, rtol=1e-12)

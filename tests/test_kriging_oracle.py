@@ -153,14 +153,14 @@ def test_ill_conditioned_blocks_are_flagged_like_the_oracle():
 
 @pytest.mark.parametrize("n_values", [(10,), (5, 10, 20, 40), tuple(range(2, 60, 3))])
 def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
-    real = scipy.linalg.cho_factor
+    real = scipy.linalg.cholesky
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[0]))
         return real(*args, **kwargs)
 
-    # no covariance route factors with cho_factor (the direct route for
+    # no covariance route factors with cholesky (the direct route for
     # integer 2 beta factors K in band storage, the spectral route
     # factors nothing), so every factorization counted is the engine's
     pairs = [
@@ -176,7 +176,7 @@ def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
             dataclasses.replace(builtin_model("model1_41", 1), beta=1.3),
         ),
     ]
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    monkeypatch.setattr(scipy.linalg, "cholesky", counted)
     m = max(n_values)
     for base, missp in pairs:
         kriging._true_stage.cache_clear()

@@ -1,7 +1,7 @@
 """CLI contract fuzzer, long run: the generator and invariants of
 ``tests/test_cli_fuzz.py`` on 2000 accepted configs instead of 300.
 
-Usage, from the root of a checkout with wmlab importable:
+Usage, from the root of a checkout:
 
     python3 tools/fuzz_cli.py
 
@@ -17,7 +17,8 @@ import sys
 COUNT = 2000
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "tests"))
+# the checkout's wmlab, ahead of any installed one
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import test_cli_fuzz  # noqa: E402
 

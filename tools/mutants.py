@@ -17,8 +17,8 @@ survives or is stale (its text does not occur exactly once, or its
 tests fail on the unmutated copy).
 
 Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
-that the tests' numbers do not depend on the thread split. The 19
-entries took 83 s on a 2-core Xeon VM.
+that the tests' numbers do not depend on the thread split. The 21
+entries took 66 s on a 2-core Xeon VM.
 """
 
 import os
@@ -134,6 +134,14 @@ MUTANTS = (
         "return isinstance(value, (int, float))",
         (_CHECKER,),
     ),
+    # the mass matrix assembled and factored anew on each use
+    Mutant(
+        "wmlab/fem1d.py",
+        "    @functools.cached_property\n    def mass(self):",
+        "    @property\n    def mass(self):",
+        ("tests/test_cli.py::test_mass_matrix_is_assembled_once_per_basis",
+         "tests/test_band_ldl_oracle.py::test_pencils_on_one_basis_share_one_mass_factor"),
+    ),
     # A^-1 = U^-T D^-1 U^-1 applied with its two unit-triangular solves swapped
     Mutant(
         "wmlab/fem1d.py",
@@ -151,6 +159,14 @@ MUTANTS = (
         "band, lower = (self.Lt, 0) if trans else (self.L, 1)",
         ("tests/test_band_ldl_oracle.py::test_band_products_match_the_out_of_place_product[p1-L]",
          "tests/test_band_ldl_oracle.py::test_band_products_match_the_out_of_place_product[p1-Lt]"),
+    ),
+    # the covariance factor with the input left above its diagonal
+    Mutant(
+        "wmlab/kriging.py",
+        "return scipy.linalg.cholesky(S, lower=True)",
+        "return scipy.linalg.cho_factor(S, lower=True)[0]",
+        ("tests/test_kriging.py::test_misspecified_variance_hand_value",
+         "tests/test_kriging.py::test_covariance_factor_is_exactly_lower_triangular"),
     ),
     # the condition estimate doubled
     Mutant(
