@@ -67,6 +67,7 @@ from .fem1d import DIRICHLET, assemble_aL, build_basis
 from .kriging import (
     _model_basis,
     _model_factor,
+    _true_stage,
     curve_rows,
     efficiency_curve_integral,
     efficiency_curve_point,
@@ -893,6 +894,10 @@ def main(argv=None):
                 except OSError:
                     break
             raise
+        finally:
+            # the true-model stage is shared by one command's cells only;
+            # its basis, Phi and Sigma go with the command
+            _true_stage.cache_clear()
         manifest = {
             "command": args.command,
             "config": cfg,

@@ -93,8 +93,10 @@ __all__ = [
 DIRICHLET = "dirichlet"
 DIRICHLET_LAPLACE = "dirichlet_plus_laplace_zero"
 
-# Sine rows are evaluated in blocks of this many rows, which bounds the
-# (rows, elements, quadrature points) table of sine values in memory.
+# Sine rows are paired in blocks of this many rows, which bounds every
+# per-block table in memory: the (rows, raw splines) phases, their sine
+# and cosine factors and products, and the (rows, (order + 1) x
+# quadrature points) factors.
 _SINE_BLOCK = 64
 
 
@@ -701,6 +703,23 @@ def integral_obs_matrix(basis, n_rows):
     constrained basis function, l = 1..n_rows. The per-element Gauss
     rule grows with the highest frequency so that even the most
     oscillatory row is resolved.
+
+    The cells are uniform: with m cells, node q of cell e is
+    s = (e + t_q)/m with t_q = (1 + xi_q)/2 for the Gauss nodes xi_q.
+    Raw spline i is the j-th active spline of cell e = i - j, so at its
+    nodes in that cell
+
+        sin(l pi s) = sin(pi li/m) cos(pi l (t_q - j)/m)
+                      + cos(pi li/m) sin(pi l (t_q - j)/m).
+
+    The first factors are read from one table of sin and cos(pi k/m),
+    k < 2m, at the exact integer phase k = li mod 2m; the second factors
+    form (rows, (order + 1) nquad) arrays. A row block is two dgemm
+    products of those arrays with the weighted spline values
+    sqrt(2) w B_j^e at the nodes, laid out by (j, q) and raw spline i,
+    each scaled by its table factors. This sums the same rule as one
+    sine per node, but no sine argument grows with l, whereas
+    sin(l pi s) at a rounded node s is off by up to l pi eps.
     """
     if not 1 <= n_rows <= basis.n_dof:
         raise ParameterError(
@@ -708,17 +727,33 @@ def integral_obs_matrix(basis, n_rows):
         )
     nquad = max(basis.order + 2, math.ceil(4.0 * n_rows * basis.cell_width))
     qpts, qwts = _element_quadrature(basis, nquad)
-    B, first = _element_ders(basis, qpts, 0)
-    n_rows = int(n_rows)
-    raw = np.zeros((n_rows, basis.n_raw))
-    sq2 = np.sqrt(2.0)
+    B, _ = _element_ders(basis, qpts, 0)
+    n_rows, m, p, n_raw = int(n_rows), basis.n_cells, basis.order, basis.n_raw
+    # weighted[i, (j, q)] is at node q of cell i - j; its transpose is
+    # the Fortran-ordered operand that dgemm reads in place
+    weighted = np.zeros((n_raw, p + 1, nquad))
+    for j in range(p + 1):
+        weighted[j : j + m, j] = np.sqrt(2.0) * qwts * B[0, j]
+    weighted = weighted.reshape(n_raw, (p + 1) * nquad).T
+    t = 0.5 * (1.0 + np.polynomial.legendre.leggauss(nquad)[0])
+    shifts = (t - np.arange(p + 1)[:, None]).ravel()  # t_q - j by (j, q)
+    angles = np.pi / m * np.arange(2 * m)
+    sin_table, cos_table = np.sin(angles), np.cos(angles)
+    raw = np.empty((n_rows, n_raw))
     for l0 in range(0, n_rows, _SINE_BLOCK):
         block = raw[l0 : l0 + _SINE_BLOCK]
         ls = np.arange(l0 + 1, l0 + block.shape[0] + 1)
-        sv = sq2 * np.sin(ls[:, None, None] * np.pi * qpts) * qwts
-        local = np.einsum("leq,jeq->lej", sv, B[0])
-        for j in range(basis.order + 1):
-            block[:, first + j] += local[:, :, j]
+        phase = np.outer(np.arange(n_raw), ls)  # transposed, as the products
+        phase %= 2 * m
+        offset = np.pi / m * np.outer(ls, shifts)
+        # The rows are the products' first dimension, so the products come
+        # out Fortran-ordered. With n_raw there instead, OpenBLAS rounds
+        # them differently at 1 and 2 threads from N = 1000 on.
+        first = scipy.linalg.blas.dgemm(1.0, np.cos(offset).T, weighted, trans_a=1)
+        first *= sin_table[phase].T
+        second = scipy.linalg.blas.dgemm(1.0, np.sin(offset).T, weighted, trans_a=1)
+        second *= cos_table[phase].T
+        np.add(first, second, out=block)
     return _constrain(basis, raw).copy()
 
 

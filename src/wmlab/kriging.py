@@ -375,8 +375,9 @@ def _true_stage(model, N, design):
     A pure function of its hashable arguments, so every curve with an
     equal true model, N and design reuses it; the misspecified model is
     assembled on the same basis. The arrays are shared between callers
-    and therefore read-only. Integral designs observe the first
-    ``design.n_max`` sine functions; point designs observe the
+    and therefore read-only. ``cli.main`` clears the memo when a command
+    ends, so no stage outlives its command. Integral designs observe the
+    first ``design.n_max`` sine functions; point designs observe the
     alternating points and then s0.
     """
     basis = _model_basis(model, N)

@@ -1109,6 +1109,24 @@ def test_each_basis_is_built_once_per_command(tmp_path, monkeypatch, command, pa
     assert len(calls) == builds, calls
 
 
+@pytest.mark.parametrize(
+    "command, payload, code",
+    [
+        ("fig2", {"betas": [1, 2], "n_values": [5, 10], "N": 47, "svg": False}, 0),
+        ("fig1_point", {"deltas": [1], "n_values": [10, 20], "N": 147, "svg": False}, 0),
+        # too dense a design fails after the true stage is built
+        ("fig1_point", {"N": 100, "delta_o": 0.004, "n_values": [20], "svg": False}, 2),
+    ],
+)
+def test_true_stage_is_released_when_a_command_ends(tmp_path, command, payload, code):
+    # the memoized (basis, Phi, Sigma) of the true model is shared by the
+    # cells of one command and must not outlive it
+    from wmlab import kriging
+
+    assert _run(tmp_path, command, {**payload, "out": str(tmp_path / "out")}) == code
+    assert kriging._true_stage.cache_info().currsize == 0
+
+
 def test_point_figure_memory_is_linear_in_N(tmp_path):
     # K and M live in (p+1, N) bands and each Sigma costs O(N) per
     # observation, so the traced peak grows like N (about 3 kB per degree

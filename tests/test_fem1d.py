@@ -269,6 +269,33 @@ def test_sine_pairings_match_hat_function_closed_form():
         npt.assert_allclose(Phi[ell - 1], expected, rtol=1e-9, atol=1e-12)
 
 
+def test_sine_rows_are_the_same_bits_at_1_and_2_blas_threads():
+    # README promises that the BLAS thread count moves only the last bits
+    # of the kriging numbers; the roundoff-limited a3 route would amplify
+    # a change in Phi to 5e-7. With n_raw as the products' first
+    # dimension, OpenBLAS rounds this Phi differently at 2 threads.
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import hashlib, wmlab.fem1d as f\n"
+        "b = f.build_basis(1000, 3, 'dirichlet_plus_laplace_zero')\n"
+        "print(hashlib.sha256(f.integral_obs_matrix(b, 1000).tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fem1d.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout)
+    assert len(digests) == 1
+
+
 def test_integral_obs_matrix_validates_rows():
     basis = build_basis(20, 1)
     with pytest.raises(ParameterError):

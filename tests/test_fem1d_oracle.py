@@ -67,12 +67,14 @@ def basis_ders(knots, p, s, nders):
     """Nonzero B-splines and their derivatives at one point.
 
     Returns ``(ders, span)`` where ``ders[k, j]`` is the k-th derivative
-    of B_{span-p+j, p} at s, for k = 0..nders.
+    of B_{span-p+j, p} at s, for k = 0..nders, in the precision of the
+    knots and s (np.longdouble for the extended-precision oracle).
     """
+    dtype = np.result_type(knots, s)
     span = find_span(knots, p, s)
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    ndu = np.empty((p + 1, p + 1), dtype=dtype)
+    left = np.empty(p + 1, dtype=dtype)
+    right = np.empty(p + 1, dtype=dtype)
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = s - knots[span + 1 - j]
@@ -85,12 +87,12 @@ def basis_ders(knots, p, s, nders):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((nders + 1, p + 1))
+    ders = np.zeros((nders + 1, p + 1), dtype=dtype)
     for j in range(p + 1):
         ders[0, j] = ndu[j, p]
 
     nd = nders if nders < p else p
-    a = np.empty((2, p + 1))
+    a = np.empty((2, p + 1), dtype=dtype)
     for r in range(p + 1):
         s1 = 0
         s2 = 1
@@ -162,6 +164,35 @@ def sine_rows(knots, p, n_raw, qpts, qwts, n_rows):
                 for j in range(p + 1):
                     out[l - 1, i0 + j] += sv * ders[0, j]
     return out
+
+
+def longdouble_sine_rows(basis, nquad, n_rows):
+    """Constrained pairings with sqrt(2) sin(l pi s) by the Gauss rule of
+    ``integral_obs_matrix``, summed in np.longdouble.
+
+    The rule is its float64 Legendre nodes xi_q and weights w_q on each
+    cell [e/m, (e+1)/m] of the uniform mesh. The knots, the nodes
+    (e + (1 + xi_q)/2)/m, the weights w_q/(2m), pi, the spline values,
+    the sines and every sum are in extended precision.
+    """
+    p, m = basis.order, basis.n_cells
+    xi, w = np.polynomial.legendre.leggauss(nquad)
+    one = np.longdouble(1)
+    pi = 4 * np.arctan(one)
+    cells = np.arange(m + 1, dtype=np.longdouble)
+    knots = np.concatenate([cells[:1].repeat(p), cells / m, (cells[-1:] / m).repeat(p)])
+    nodes = (cells[:-1, None] + (one + xi.astype(np.longdouble)) / 2) / m
+    weights = np.sqrt(2 * one) * w.astype(np.longdouble) / (2 * m)
+    raw = np.zeros((n_rows, basis.n_raw), dtype=np.longdouble)
+    ls = np.arange(1, n_rows + 1, dtype=np.longdouble)
+    for e in range(m):
+        values = np.zeros((p + 1, nquad), dtype=np.longdouble)
+        for q in range(nquad):
+            ders, span = basis_ders(knots, p, nodes[e, q], 0)
+            values[:, q] = ders[0]
+        sines = np.sin(pi * ls[:, None] * nodes[e]) * weights
+        raw[:, span - p : span + 1] += sines @ values.T
+    return raw @ dense_transform(basis).astype(np.longdouble)
 
 
 def dense_scatter(basis, qpts, qwts, coeffs, d1, d2):
@@ -297,6 +328,29 @@ def test_sine_rows_across_row_blocks_match_scalar_oracle(monkeypatch):
     ((qpts, qwts),) = rules
     raw = sine_rows(basis.knots, 2, basis.n_raw, qpts, qwts, n_rows)
     assert_close_to_scale(Phi, raw @ dense_transform(basis))
+
+
+@pytest.mark.parametrize(
+    "order, mode", [(1, DIRICHLET), (2, DIRICHLET), (3, DIRICHLET), (3, DIRICHLET_LAPLACE)]
+)
+def test_sine_rows_match_the_rule_summed_in_longdouble(monkeypatch, order, mode):
+    # All N rows at N = 250, each row against its own largest entry. Sine
+    # factors from exact integer phases measure at most 8.8e-14 here; one
+    # sine per rounded node, whose argument is off by up to l pi eps,
+    # measures 1.7e-13 to 4.6e-13.
+    N = 250
+    basis = build_basis(N, order, mode)
+    rules = []
+
+    def recorded(basis, nquad):
+        rules.append(nquad)
+        return _element_quadrature(basis, nquad)
+
+    monkeypatch.setattr(fem1d, "_element_quadrature", recorded)
+    Phi = integral_obs_matrix(basis, N)
+    exact = longdouble_sine_rows(basis, rules[0], N)
+    gap = np.max(np.abs(Phi - exact), axis=1) / np.max(np.abs(exact), axis=1)
+    assert np.max(gap) <= 1.25e-13, np.max(gap)
 
 
 # ------------------------------------------------------- constraints

@@ -2,10 +2,11 @@
 
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool. A path that alternates between the two libraries' products makes
-each pool's spinning workers slow the other one down, so ``kriging``,
-``diagnostics`` and ``spectral`` send their dense products through
-``scipy.linalg.blas``, the library behind scipy's factorizations and
-solves. This test parses the three modules and fails on any ``@``,
+each pool's spinning workers slow the other one down, so ``fem1d``,
+``kriging``, ``diagnostics`` and ``spectral`` send their dense products
+(in ``fem1d``, the sine observation rows and the band factor's products)
+through ``scipy.linalg.blas``, the library behind scipy's factorizations
+and solves. This test parses the four modules and fails on any ``@``,
 ``np.matmul``, ``np.dot`` or ``np.linalg`` outside the functions listed
 below, each with its reason.
 """
@@ -16,7 +17,7 @@ import os
 import wmlab
 
 PACKAGE = os.path.dirname(os.path.abspath(wmlab.__file__))
-MODULES = ("kriging.py", "diagnostics.py", "spectral.py")
+MODULES = ("fem1d.py", "kriging.py", "diagnostics.py", "spectral.py")
 
 ALLOWED = {
     ("spectral.py", "_spectral_factor"): (

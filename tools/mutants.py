@@ -44,6 +44,11 @@ _PLANTED_NAN = (
     _BLOCKED + "test_generalized_eig_catches_a_planted_defect_dense[nan_in_last_block]",
 )
 
+_SINE_ORACLE = "tests/test_fem1d_oracle.py::test_sine_rows_across_row_blocks_match_scalar_oracle"
+_SINE_LONGDOUBLE = (
+    "tests/test_fem1d_oracle.py::test_sine_rows_match_the_rule_summed_in_longdouble[1-dirichlet]"
+)
+
 _CHECKER = "tests/test_cli.py::test_checker_agrees_with_jsonschema"
 _EXPONENT = "tests/test_cli.py::test_exponent_above_the_maximum_is_a_config_error"
 
@@ -141,6 +146,20 @@ MUTANTS = (
         "    @property\n    def mass(self):",
         ("tests/test_cli.py::test_mass_matrix_is_assembled_once_per_basis",
          "tests/test_band_ldl_oracle.py::test_pencils_on_one_basis_share_one_mass_factor"),
+    ),
+    # sine rows with their integer phase reduced mod m, half the period
+    Mutant(
+        "wmlab/fem1d.py",
+        "phase %= 2 * m",
+        "phase %= m",
+        (_SINE_ORACLE, _SINE_LONGDOUBLE),
+    ),
+    # sine rows with the sin and cos phase tables swapped
+    Mutant(
+        "wmlab/fem1d.py",
+        "sin_table, cos_table = np.sin(angles), np.cos(angles)",
+        "cos_table, sin_table = np.sin(angles), np.cos(angles)",
+        (_SINE_ORACLE, _SINE_LONGDOUBLE),
     ),
     # A^-1 = U^-T D^-1 U^-1 applied with its two unit-triangular solves swapped
     Mutant(
