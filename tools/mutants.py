@@ -17,8 +17,8 @@ survives or is stale (its text does not occur exactly once, or its
 tests fail on the unmutated copy).
 
 Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
-that the tests' numbers do not depend on the thread split. The 21
-entries took 66 s on a 2-core Xeon VM.
+that the tests' numbers do not depend on the thread split. The 23
+entries took 69 s on a 2-core Xeon VM.
 """
 
 import os
