@@ -65,12 +65,13 @@ from .errors import (
 )
 from .fem1d import DIRICHLET, assemble_aL, build_basis
 from .kriging import (
+    ObservationDesign,
     _model_basis,
     _model_factor,
-    _true_stage,
     curve_rows,
     efficiency_curve_integral,
     efficiency_curve_point,
+    true_stage,
     write_curves_csv,
 )
 from .matern import compare_fem_vs_matern
@@ -694,39 +695,28 @@ def _figure_cells(fig, cfg):
     return cells
 
 
-def _figure_curve(fig, cfg, true_model, missp):
-    if fig.design == "point":
-        return efficiency_curve_point(
-            true_model,
-            missp,
-            cfg["N"],
-            n_values=cfg["n_values"],
-            s0=cfg["s0"],
-            delta_o=cfg["delta_o"],
-        )
-    return efficiency_curve_integral(
-        true_model,
-        missp,
-        cfg["N"],
-        n_values=cfg["n_values"],
-        keep_per_target=cfg["per_target"],
-    )
-
-
 def run_figure(command, cfg, outdir):
     fig = _FIGURES[command]
     cells = _figure_cells(fig, cfg)
-    # Within a figure the true model depends only on beta, so running the
-    # cells in beta order puts those that share a true model back to back
-    # and its memoized stage (basis, Phi, Sigma) is built once.
-    curves = {}
-    for i in sorted(range(len(cells)), key=lambda i: cells[i][3]):
-        curves[i] = _figure_curve(fig, cfg, *cells[i][:2])
+    if fig.design == "point":
+        design = ObservationDesign("point", max(cfg["n_values"]), cfg["s0"], cfg["delta_o"])
+        curve_of = efficiency_curve_point
+    else:
+        design = ObservationDesign("integral", cfg["N"])
+        curve_of = functools.partial(efficiency_curve_integral, keep_per_target=cfg["per_target"])
+    # Within a figure the true model depends only on beta, so in beta order
+    # the cells that share a true model come back to back: each such run
+    # builds its stage (basis, Phi, Sigma) once, and drops the last run's.
+    curves = [None] * len(cells)
+    by_beta = sorted(range(len(cells)), key=lambda i: cells[i][3])
+    for true_model, run in itertools.groupby(by_beta, key=lambda i: cells[i][0]):
+        stage = true_stage(true_model, cfg["N"], design, cfg["n_values"])
+        for i in run:
+            curves[i] = curve_of(stage, cells[i][1])
 
     rows = []
     series = []
-    for i, (_, _, label, beta, delta, name) in enumerate(cells):
-        curve = curves[i]
+    for (_, _, label, beta, delta, name), curve in zip(cells, curves):
         rows.extend(curve_rows(command, label, beta, delta, curve))
         series.append((name, list(curve.n_values), list(curve.e_max)))
     csv_path = os.path.join(outdir, f"{command}.csv")
@@ -894,10 +884,6 @@ def main(argv=None):
                 except OSError:
                     break
             raise
-        finally:
-            # the true-model stage is shared by one command's cells only;
-            # its basis, Phi and Sigma go with the command
-            _true_stage.cache_clear()
         manifest = {
             "command": args.command,
             "config": cfg,

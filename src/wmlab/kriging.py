@@ -35,13 +35,16 @@ each n reads prefix sums of their rows (see ``_leading_variances``). The
 condition estimate is LAPACK's 1-norm estimate (dpocon, Hager/Higham) of
 the scaled true block, computed from the same factor in O(n^2).
 
+A figure compares several misspecified models with one true model, whose
+basis, Phi and Sigma ``true_stage`` builds once, as a ``TrueStage`` value
+that the caller hands to each curve against it; nothing is memoized.
+
 Every dense matrix-matrix product here goes through scipy.linalg.blas,
 the OpenBLAS behind scipy's factorizations and solves. numpy ships an
 OpenBLAS of its own with its own thread pool, and alternating between
 the two pools made each one's spinning workers slow the other down.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -76,6 +79,8 @@ __all__ = [
     "correct_error_variance",
     "efficiency",
     "EfficiencyCurve",
+    "TrueStage",
+    "true_stage",
     "efficiency_curve_integral",
     "efficiency_curve_point",
     "curve_rows",
@@ -368,44 +373,75 @@ def _sigma_for_model(model, basis, Phi):
     return Sigma
 
 
-@functools.lru_cache(maxsize=1)
-def _true_stage(model, N, design):
-    """(basis, Phi, Sigma) of the true model, built once for all cells.
+@dataclass(frozen=True, eq=False)
+class TrueStage:
+    """The true model's ``basis``, observation matrix ``Phi`` of ``design``
+    and covariance ``Sigma``: shared by the curves against it, so read-only,
+    and equal and hashed by identity, so no caller compares the arrays."""
 
-    A pure function of its hashable arguments, so every curve with an
-    equal true model, N and design reuses it; the misspecified model is
-    assembled on the same basis. The arrays are shared between callers
-    and therefore read-only. ``cli.main`` clears the memo when a command
-    ends, so no stage outlives its command. Integral designs observe the
-    first ``design.n_max`` sine functions; point designs observe the
-    alternating points and then s0.
+    model: object
+    design: ObservationDesign
+    n_values: Tuple[int, ...]
+    basis: object
+    Phi: np.ndarray
+    Sigma: np.ndarray
+
+
+def true_stage(model, N, design, n_values):
+    """TrueStage of ``model`` on its N-dimensional basis for curves at the
+    distinct ``n_values`` (kept sorted); each check precedes the arrays it guards.
+
+    Integral designs observe all N sine functions and need max(n_values)
+    <= N/2, so a substantial target range remains. Point designs observe
+    the alternating points, then s0, and need max(n_values) <= n_max < N
+    and points that determine independent values on the basis
+    (``_require_unisolvent``).
     """
-    basis = _model_basis(model, N)
-    if design.kind == "integral":
-        Phi = integral_obs_matrix(basis, design.n_max)
-    else:
-        Phi = point_obs_matrix(basis, np.concatenate([point_locations(design), [design.s0]]))
-    Sigma = _sigma_for_model(model, basis, Phi)
-    for array in (basis.knots, basis.breakpoints, Phi, Sigma):
-        array.setflags(write=False)
-    return basis, Phi, Sigma
-
-
-def _curve_n_values(true_model, missp_model, n_values):
-    """Check that two models can share a curve; n_values as sorted distinct ints."""
-    if true_model.beta != missp_model.beta:
-        raise ParameterError(
-            "efficiency curves compare models with a common exponent; got "
-            f"beta={true_model.beta} vs {missp_model.beta}"
-        )
-    if true_model.basis_order != missp_model.basis_order:
-        raise ParameterError("models must share basis_order")
     n_values = tuple(int(n) for n in n_values)
     if not n_values or any(n < 1 for n in n_values) or len(set(n_values)) != len(n_values):
         raise ParameterError(
             f"n_values must be one or more distinct positive integers: {n_values}"
         )
-    return tuple(sorted(n_values))
+    m = max(n_values)
+    if design.kind == "integral":
+        if m > N // 2:
+            raise ParameterError(
+                f"max(n_values)={m} exceeds N/2={N // 2}; leave room for prediction targets"
+            )
+        if design.n_max != N:
+            raise ParameterError(f"an integral design observes all N={N} sine functions")
+    elif m >= N:
+        raise ParameterError(
+            f"max(n_values)={m} must be below N={N}: n observations and "
+            "the target are n + 1 functionals of an N-dimensional field"
+        )
+    elif not m <= design.n_max < N:
+        raise ParameterError(f"need max(n_values) <= n_max < N, got n_max={design.n_max}")
+    basis = _model_basis(model, N)
+    if design.kind == "integral":
+        Phi = integral_obs_matrix(basis, N)
+    else:
+        locations = point_locations(design)
+        Phi = point_obs_matrix(basis, np.concatenate([locations, [design.s0]]))
+        _require_unisolvent(locations, Phi[:-1], N)
+    Sigma = _sigma_for_model(model, basis, Phi)
+    for array in (basis.knots, basis.breakpoints, Phi, Sigma):
+        array.setflags(write=False)
+    return TrueStage(model, design, tuple(sorted(n_values)), basis, Phi, Sigma)
+
+
+def _missp_sigma(stage, missp_model, design):
+    """Sigma~ of ``missp_model`` on the basis and Phi of a matching true ``stage``."""
+    if stage.design.kind != design:
+        raise ParameterError(f"{design} curves need a stage of the same design")
+    if stage.model.beta != missp_model.beta:
+        raise ParameterError(
+            "efficiency curves compare models with a common exponent; got "
+            f"beta={stage.model.beta} vs {missp_model.beta}"
+        )
+    if stage.model.basis_order != missp_model.basis_order:
+        raise ParameterError("models must share basis_order")
+    return _sigma_for_model(missp_model, stage.basis, stage.Phi)
 
 
 def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_target=False):
@@ -449,24 +485,17 @@ def _efficiency_curve(design, Sigma, Sigma_t, n_values, targets_of, keep_per_tar
     )
 
 
-def efficiency_curve_integral(true_model, missp_model, N, n_values, keep_per_target=False):
+def efficiency_curve_integral(stage, missp_model, keep_per_target=False):
     """Worst-case loss over sine targets l = n+1..N versus n.
 
-    Both covariances are discretized on the same N-dimensional basis;
-    observation l pairs the field with sqrt(2) sin(l pi s). Requires
-    max(n_values) <= N/2 so a substantial target range remains.
+    ``stage`` is the true model's TrueStage of an integral design; the
+    misspecified covariance is discretized on its N-dimensional basis.
+    Observation l pairs the field with sqrt(2) sin(l pi s).
     """
-    n_values = _curve_n_values(true_model, missp_model, n_values)
-    if max(n_values) > N // 2:
-        raise ParameterError(
-            f"max(n_values)={max(n_values)} exceeds N/2={N // 2}; "
-            "leave room for prediction targets"
-        )
-    design = ObservationDesign(kind="integral", n_max=int(N))
-    basis, Phi, Sigma = _true_stage(true_model, int(N), design)
-    Sigma_t = _sigma_for_model(missp_model, basis, Phi)
+    Sigma_t = _missp_sigma(stage, missp_model, "integral")
+    N = stage.design.n_max
     return _efficiency_curve(
-        "integral", Sigma, Sigma_t, n_values, lambda n: np.arange(n, N), keep_per_target
+        "integral", stage.Sigma, Sigma_t, stage.n_values, lambda n: np.arange(n, N), keep_per_target
     )
 
 
@@ -509,28 +538,16 @@ def _require_unisolvent(locations, Phi, N):
         last = free[0]
 
 
-def efficiency_curve_point(true_model, missp_model, N, n_values, s0=0.5, delta_o=0.01):
+def efficiency_curve_point(stage, missp_model):
     """Efficiency loss predicting z(s0) from alternating nearby points.
 
-    The first n observation points of the alternating design are used
-    for each n; the target functional is the field value at the center
-    s0 itself. Requires max(n_values) < N and points that determine
-    independent values on the basis (``_require_unisolvent``).
+    ``stage`` is the true model's TrueStage of a point design. The first
+    n observation points of the alternating design are used for each n;
+    the target functional is the field value at the center s0 itself.
     """
-    n_values = _curve_n_values(true_model, missp_model, n_values)
-    design = ObservationDesign(
-        kind="point", n_max=max(n_values), s0=float(s0), delta_o=float(delta_o)
-    )
-    if max(n_values) >= N:
-        raise ParameterError(
-            f"max(n_values)={max(n_values)} must be below N={N}: n observations and "
-            "the target are n + 1 functionals of an N-dimensional field"
-        )
-    basis, Phi, Sigma = _true_stage(true_model, int(N), design)
-    _require_unisolvent(point_locations(design), Phi[:-1], N)
-    Sigma_t = _sigma_for_model(missp_model, basis, Phi)
-    t = Sigma.shape[0] - 1  # target row: the center evaluation
-    return _efficiency_curve("point", Sigma, Sigma_t, n_values, lambda _: [t])
+    Sigma_t = _missp_sigma(stage, missp_model, "point")
+    t = stage.design.n_max  # target row: the center evaluation, after the points
+    return _efficiency_curve("point", stage.Sigma, Sigma_t, stage.n_values, lambda _: [t])
 
 
 CURVE_CSV_COLUMNS = (
@@ -554,7 +571,9 @@ def curve_rows(experiment, model_label, beta, delta, curve):
     Integral curves get one summary row per n (target "max") carrying
     the worst target's variances and e_max; point curves one row per n
     with the single target "z(s0)". A curve that kept per-target data adds
-    a row per target (efficiency of that target, e_max of its n).
+    a row per target (efficiency of that target, e_max of its n). A "max"
+    row does not name its worst target, and when targets tie to roundoff
+    a last-bit change can switch it and move the row's variances.
     """
     fixed = (experiment, model_label, beta, delta, curve.design)
 

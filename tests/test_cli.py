@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 import wmlab.cli
 import wmlab.diagnostics
+import wmlab.fem1d
 from wmlab.cli import main
 from wmlab.matio import read_matrix
 
@@ -35,6 +37,22 @@ def _write(tmp_path, name, payload):
 def _run(tmp_path, command, payload, *extra):
     cfg = _write(tmp_path, f"{command}.json", payload)
     return main([command, "--config", cfg, *extra])
+
+
+def _watch_bases(monkeypatch):
+    """Weak references to the bases that build_basis returns from now on."""
+    real = wmlab.fem1d.build_basis
+    bases = []
+
+    def watched(*args, **kwargs):
+        basis = real(*args, **kwargs)
+        bases.append(weakref.ref(basis))
+        return basis
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wmlab") and getattr(module, "build_basis", None) is real:
+            monkeypatch.setattr(module, "build_basis", watched)
+    return bases
 
 
 class _Hang(Exception):
@@ -417,14 +435,27 @@ def test_point_design_too_large_for_any_array_exits_two(tmp_path, capsys, n):
     ],
     ids=["n_1e20", "n_above_N", "n_equal_N"],
 )
-def test_point_design_with_more_observations_than_dofs_exits_two(tmp_path, capsys, payload):
+def test_point_design_with_more_observations_than_dofs_exits_two(
+    tmp_path, capsys, monkeypatch, payload
+):
     # n observations and the target are n + 1 functionals of an
-    # N-dimensional field, so n must stay below N
+    # N-dimensional field, so n must stay below N; no basis is built
+    bases = _watch_bases(monkeypatch)
     out = tmp_path / "o"
     assert _run(tmp_path, "fig1_point", {**payload, "svg": False, "out": str(out)}) == 2
     err = capsys.readouterr().err
     assert "ParameterError: max(n_values)=" in err and f"must be below N={payload['N']}" in err
-    assert not out.exists()
+    assert bases == [] and not out.exists()
+
+
+def test_integral_design_without_room_for_targets_exits_two(tmp_path, capsys, monkeypatch):
+    # max(n_values) must stay at most N/2; no basis is built
+    bases = _watch_bases(monkeypatch)
+    out = tmp_path / "o"
+    assert _run(tmp_path, "fig1_integral", {"N": 100, "n_values": [10, 51], "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert "ParameterError: max(n_values)=51 exceeds N/2=50; leave room" in err
+    assert bases == [] and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1052,7 +1083,7 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path):
 
 
 def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
-    from wmlab import fem1d, kriging
+    from wmlab import fem1d
 
     real = fem1d._assemble
     mass_assemblies = []
@@ -1066,7 +1097,6 @@ def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
     payload = {"deltas": [1, 10], "n_values": [10, 20], "N": 200, "svg": False}
 
     def run(name):
-        kriging._true_stage.cache_clear()
         assert _run(tmp_path, "fig1_point", {**payload, "out": str(tmp_path / name)}) == 0
         return (tmp_path / name / "fig1_point.csv").read_bytes()
 
@@ -1092,19 +1122,7 @@ def test_mass_matrix_is_assembled_once_per_basis(tmp_path, monkeypatch):
 def test_each_basis_is_built_once_per_command(tmp_path, monkeypatch, command, payload, builds):
     # every pencil of a command is assembled on the command's one basis
     # object, which owns its mass factor: no stage rebuilds an equal basis
-    from wmlab import fem1d, kriging
-
-    real = fem1d.build_basis
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("wmlab") and getattr(module, "build_basis", None) is real:
-            monkeypatch.setattr(module, "build_basis", counted)
-    kriging._true_stage.cache_clear()
+    calls = _watch_bases(monkeypatch)
     assert _run(tmp_path, command, {**payload, "out": str(tmp_path / "out")}) == 0
     assert len(calls) == builds, calls
 
@@ -1114,17 +1132,16 @@ def test_each_basis_is_built_once_per_command(tmp_path, monkeypatch, command, pa
     [
         ("fig2", {"betas": [1, 2], "n_values": [5, 10], "N": 47, "svg": False}, 0),
         ("fig1_point", {"deltas": [1], "n_values": [10, 20], "N": 147, "svg": False}, 0),
-        # too dense a design fails after the true stage is built
+        # too dense a design fails once the basis and Phi are built
         ("fig1_point", {"N": 100, "delta_o": 0.004, "n_values": [20], "svg": False}, 2),
     ],
 )
-def test_true_stage_is_released_when_a_command_ends(tmp_path, command, payload, code):
-    # the memoized (basis, Phi, Sigma) of the true model is shared by the
-    # cells of one command and must not outlive it
-    from wmlab import kriging
-
+def test_true_stage_is_released_when_a_command_ends(tmp_path, monkeypatch, command, payload, code):
+    # a figure hands each true-model stage to its cells and keeps none, so
+    # no basis that a command built outlives it
+    bases = _watch_bases(monkeypatch)
     assert _run(tmp_path, command, {**payload, "out": str(tmp_path / "out")}) == code
-    assert kriging._true_stage.cache_info().currsize == 0
+    assert bases and all(ref() is None for ref in bases)
 
 
 def test_point_figure_memory_is_linear_in_N(tmp_path):
@@ -1133,9 +1150,6 @@ def test_point_figure_memory_is_linear_in_N(tmp_path):
     # of freedom here); one dense N x N matrix would be 160 kB per N
     import tracemalloc
 
-    from wmlab import kriging
-
-    kriging._true_stage.cache_clear()
     N = 20_000
     payload = {"N": N, "svg": False, "out": str(tmp_path / "out")}
     tracemalloc.start()
@@ -1156,7 +1170,7 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
     # (dsbgvd's eigenvalues, eigenvectors by inverse iteration)
     import sys
 
-    from wmlab import fem1d, kriging, spectral
+    from wmlab import fem1d, spectral
 
     def refuse(band):
         raise AssertionError("dense matrix built outside the eigensolver")
@@ -1166,7 +1180,6 @@ def test_figures_never_expand_a_band(tmp_path, monkeypatch):
         if name.startswith("wmlab") and getattr(module, "dense", None) is real:
             monkeypatch.setattr(module, "dense", refuse)
     assert spectral.dense is refuse
-    kriging._true_stage.cache_clear()
     point = {"deltas": [10], "n_values": [10, 20], "N": 120, "svg": False}
     fig2 = {"betas": [1, 2, 3], "n_values": [5, 10], "N": 60, "svg": False}
     assert _run(tmp_path, "fig1_point", {**point, "out": str(tmp_path / "p")}) == 0

@@ -16,6 +16,7 @@ from wmlab.kriging import (
     efficiency_curve_integral,
     efficiency_curve_point,
     point_locations,
+    true_stage,
     write_curves_csv,
 )
 from wmlab.model_config import builtin_model
@@ -224,9 +225,13 @@ def test_point_design_extent_check_matches_its_points():
 # ------------------------------------------------------------ curves
 
 
+def _integral_stage(model, N, n_values):
+    return true_stage(model, N, ObservationDesign("integral", N), n_values)
+
+
 def test_identical_models_give_flat_zero_curve():
     base = builtin_model("base41", 1)
-    curve = efficiency_curve_integral(base, base, N=120, n_values=(10, 20, 40))
+    curve = efficiency_curve_integral(_integral_stage(base, 120, (10, 20, 40)), base)
     assert curve.design == "integral"
     assert curve.n_values == (10, 20, 40)
     assert all(e == 0.0 for e in curve.e_max)
@@ -234,39 +239,45 @@ def test_identical_models_give_flat_zero_curve():
 
 
 def test_integral_curve_orders_n_values():
-    base = builtin_model("base41", 1)
-    missp = builtin_model("model1_41", 1)
-    curve = efficiency_curve_integral(base, missp, N=120, n_values=(40, 10, 20))
+    stage = _integral_stage(builtin_model("base41", 1), 120, (40, 10, 20))
+    curve = efficiency_curve_integral(stage, builtin_model("model1_41", 1))
     assert curve.n_values == (10, 20, 40)
     assert all(e >= 0.0 for e in curve.e_max)
 
 
 def test_integral_curve_input_validation():
     base = builtin_model("base41", 1)
-    missp = builtin_model("model1_41", 1)
-    with pytest.raises(ParameterError):
-        efficiency_curve_integral(base, missp, N=100, n_values=(10, 60))
-    with pytest.raises(ParameterError):
-        efficiency_curve_integral(base, missp, N=100, n_values=(10, 10))
-    with pytest.raises(ParameterError):
-        efficiency_curve_integral(
-            base, builtin_model("base42", 2), N=100, n_values=(10,)
-        )
+    with pytest.raises(ParameterError, match="exceeds N/2=50"):
+        _integral_stage(base, 100, (10, 60))
+    with pytest.raises(ParameterError, match="distinct"):
+        _integral_stage(base, 100, (10, 10))
+    with pytest.raises(ParameterError, match="all N=100 sine functions"):
+        true_stage(base, 100, ObservationDesign("integral", 99), (10,))
+    stage = _integral_stage(base, 100, (10,))
+    with pytest.raises(ParameterError, match="common exponent"):
+        efficiency_curve_integral(stage, builtin_model("base42", 2))
+    with pytest.raises(ParameterError, match="point curves need a stage of the same design"):
+        efficiency_curve_point(stage, base)
+    point = true_stage(base, 100, ObservationDesign("point", 10, delta_o=0.02), (10,))
+    with pytest.raises(ParameterError, match="integral curves need a stage of the same design"):
+        efficiency_curve_integral(point, base)
+    for n_max in (10, 100):
+        with pytest.raises(ParameterError, match="n_max < N, got n_max"):
+            true_stage(base, 100, ObservationDesign("point", n_max, delta_o=0.004), (20,))
 
 
 @pytest.mark.parametrize("curve_fn", [efficiency_curve_integral, efficiency_curve_point])
 def test_curves_reject_empty_n_values(curve_fn):
-    base = builtin_model("base41", 1)
+    # the stage that a curve of either design reads refuses them
+    kind = "point" if curve_fn is efficiency_curve_point else "integral"
     with pytest.raises(ParameterError, match="one or more"):
-        curve_fn(base, builtin_model("model1_41", 1), N=100, n_values=[])
+        true_stage(builtin_model("base41", 1), 100, ObservationDesign(kind, 100, delta_o=0.001), [])
 
 
 def test_point_curve_basic_shape():
-    base = builtin_model("base41", 1)
-    missp = builtin_model("model2_41", 1)
-    curve = efficiency_curve_point(
-        base, missp, N=150, n_values=(10, 20), s0=0.5, delta_o=0.01
-    )
+    design = ObservationDesign("point", 20, s0=0.5, delta_o=0.01)
+    stage = true_stage(builtin_model("base41", 1), 150, design, (10, 20))
+    curve = efficiency_curve_point(stage, builtin_model("model2_41", 1))
     assert curve.design == "point"
     assert len(curve.e_max) == 2
     assert all(e >= 0.0 for e in curve.e_max)
@@ -274,11 +285,8 @@ def test_point_curve_basic_shape():
 
 
 def test_per_target_data_is_kept_on_request():
-    base = builtin_model("base41", 1)
-    missp = builtin_model("model1_41", 1)
-    curve = efficiency_curve_integral(
-        base, missp, N=120, n_values=(10,), keep_per_target=True
-    )
+    stage = _integral_stage(builtin_model("base41", 1), 120, (10,))
+    curve = efficiency_curve_integral(stage, builtin_model("model1_41", 1), keep_per_target=True)
     ls, eff, tv, mv = curve.per_target[10]
     assert ls[0] == 11 and ls[-1] == 120  # 1-based sine indices beyond n
     assert np.nanmax(eff) == curve.e_max[0]
@@ -292,30 +300,20 @@ def test_per_target_data_is_kept_on_request():
     ],
 )
 def test_true_model_stage_is_built_once(monkeypatch, kind, N, n_values, design):
+    # two curves against one stage observe the true model once; the
+    # stage's arrays are shared, so read-only
     obs = f"{kind}_obs_matrix"
     real = getattr(kriging, obs)
     calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
+    monkeypatch.setattr(kriging, obs, lambda *args: calls.append(args) or real(*args))
     base = builtin_model("base41", 1)
     curve_fn = efficiency_curve_point if kind == "point" else efficiency_curve_integral
-
-    def curve(k):
-        missp = builtin_model(f"model{k}_41", 1, 10.0 * k)
-        return curve_fn(base, missp, N=N, n_values=n_values)
-
-    monkeypatch.setattr(kriging, obs, counted)
-    kriging._true_stage.cache_clear()
-    curves = [curve(1), curve(2)]
+    missp = [builtin_model(f"model{k}_41", 1, 10.0 * k) for k in (1, 2)]
+    stage = true_stage(base, N, design, n_values)
+    curves = [curve_fn(stage, model) for model in missp]
     assert len(calls) == 1
-    _, Phi, Sigma = kriging._true_stage(base, N, design)
-    assert len(calls) == 1
-    assert not Phi.flags.writeable and not Sigma.flags.writeable
-    kriging._true_stage.cache_clear()
-    assert curve(2) == curves[1]
+    assert not stage.Phi.flags.writeable and not stage.Sigma.flags.writeable
+    assert curve_fn(true_stage(base, N, design, n_values), missp[1]) == curves[1]
     assert len(calls) == 2
 
 
@@ -323,9 +321,8 @@ def test_true_model_stage_is_built_once(monkeypatch, kind, N, n_values, design):
 
 
 def test_curve_rows_sorted_and_formatted(tmp_path):
-    base = builtin_model("base41", 1)
-    missp = builtin_model("model1_41", 1)
-    curve = efficiency_curve_integral(base, missp, N=120, n_values=(20, 10))
+    stage = _integral_stage(builtin_model("base41", 1), 120, (20, 10))
+    curve = efficiency_curve_integral(stage, builtin_model("model1_41", 1))
     rows = curve_rows("fig1_integral", "model1", 1.0, 10.0, curve)
     assert [r["n"] for r in rows] == [10, 20]
     assert all(r["design"] == "integral" for r in rows)

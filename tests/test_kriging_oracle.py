@@ -74,10 +74,8 @@ def oracle_curve(Sigma, Sigma_tilde, n_values, targets_of):
 # ---------------------------------------------------------- helpers
 
 
-def _stage(true_model, missp_model, N, design):
-    kriging._true_stage.cache_clear()
-    basis, Phi, Sigma = kriging._true_stage(true_model, N, design)
-    return Sigma, kriging._sigma_for_model(missp_model, basis, Phi)
+def _integral_stage(true_model, N, n_values):
+    return kriging.true_stage(true_model, N, kriging.ObservationDesign("integral", N), n_values)
 
 
 def _assert_matches_oracle(curve, oracle):
@@ -108,10 +106,10 @@ def test_integral_curve_matches_oracle(beta):
     # the solves and the condition estimate have work to do
     true_model = builtin_model("model2_42", beta)
     missp = builtin_model("base42", beta)
-    curve = kriging.efficiency_curve_integral(true_model, missp, N=N, n_values=n_values)
-    design = kriging.ObservationDesign(kind="integral", n_max=N)
-    Sigma, Sigma_t = _stage(true_model, missp, N, design)
-    oracle = oracle_curve(Sigma, Sigma_t, n_values, lambda n: np.arange(n, N))
+    stage = _integral_stage(true_model, N, n_values)
+    curve = kriging.efficiency_curve_integral(stage, missp)
+    Sigma_t = kriging._missp_sigma(stage, missp, "integral")
+    oracle = oracle_curve(stage.Sigma, Sigma_t, n_values, lambda n: np.arange(n, N))
     _assert_matches_oracle(curve, oracle)
 
 
@@ -119,11 +117,11 @@ def test_point_curve_matches_oracle():
     N, n_values = 300, (4, 10, 20, 30, 40)
     base = builtin_model("base41", 1)
     missp = builtin_model("model2_41", 1, 10.0)
-    curve = kriging.efficiency_curve_point(base, missp, N=N, n_values=n_values)
     design = kriging.ObservationDesign(kind="point", n_max=max(n_values))
-    Sigma, Sigma_t = _stage(base, missp, N, design)
-    t = Sigma.shape[0] - 1
-    oracle = oracle_curve(Sigma, Sigma_t, n_values, lambda n: [t])
+    stage = kriging.true_stage(base, N, design, n_values)
+    curve = kriging.efficiency_curve_point(stage, missp)
+    Sigma_t = kriging._missp_sigma(stage, missp, "point")
+    oracle = oracle_curve(stage.Sigma, Sigma_t, n_values, lambda n: [len(Sigma_t) - 1])
     _assert_matches_oracle(curve, oracle)
 
 
@@ -179,9 +177,9 @@ def test_each_covariance_is_factored_once_per_curve(monkeypatch, n_values):
     monkeypatch.setattr(scipy.linalg, "cholesky", counted)
     m = max(n_values)
     for base, missp in pairs:
-        kriging._true_stage.cache_clear()
+        stage = _integral_stage(base, 120, n_values)
         calls.clear()
-        curve = kriging.efficiency_curve_integral(base, missp, N=120, n_values=n_values)
+        curve = kriging.efficiency_curve_integral(stage, missp)
         assert calls == [(m, m), (m, m)], base.beta
         assert curve.n_values == tuple(sorted(n_values))
 
@@ -201,9 +199,12 @@ def test_each_curve_makes_three_triangular_solves(monkeypatch, n_values):
     for name in ("solve_triangular", "cho_solve"):
         monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
     base, missp = builtin_model("base41", 1), builtin_model("model1_41", 1)
-    for curve_of in (kriging.efficiency_curve_integral, kriging.efficiency_curve_point):
-        kriging._true_stage.cache_clear()
+    for curve_of, design in (
+        (kriging.efficiency_curve_integral, kriging.ObservationDesign("integral", 120)),
+        (kriging.efficiency_curve_point, kriging.ObservationDesign("point", max(n_values))),
+    ):
+        stage = kriging.true_stage(base, 120, design, n_values)
         calls.clear()
-        curve = curve_of(base, missp, N=120, n_values=n_values)
+        curve = curve_of(stage, missp)
         assert calls == ["solve_triangular"] * 3, curve_of.__name__
         assert curve.n_values == tuple(sorted(n_values))

@@ -17,8 +17,8 @@ survives or is stale (its text does not occur exactly once, or its
 tests fail on the unmutated copy).
 
 Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
-that the tests' numbers do not depend on the thread split. The 23
-entries took 69 s on a 2-core Xeon VM.
+that the tests' numbers do not depend on the thread split. The 24
+entries took 70 s on a 2-core Xeon VM.
 """
 
 import os
@@ -178,6 +178,14 @@ MUTANTS = (
         "band, lower = (self.Lt, 0) if trans else (self.L, 1)",
         ("tests/test_band_ldl_oracle.py::test_band_products_match_the_out_of_place_product[p1-L]",
          "tests/test_band_ldl_oracle.py::test_band_products_match_the_out_of_place_product[p1-Lt]"),
+    ),
+    # a true-model stage built for every figure cell, not once per true model
+    Mutant(
+        "wmlab/cli.py",
+        "key=lambda i: cells[i][0]",
+        "key=lambda i: i",
+        ("tests/test_cli.py::test_each_basis_is_built_once_per_command[fig2-payload0-3]",
+         "tests/test_cli.py::test_each_basis_is_built_once_per_command[fig1_point-payload1-1]"),
     ),
     # the covariance factor with the input left above its diagonal
     Mutant(
