@@ -768,8 +768,10 @@ def run_diagnose(cfg, outdir):
     report = hs_curve(pair, cfg["gamma"], cfg["c"], truncations)
     payload = report.to_dict()
     if "cm_beta" in cfg:
+        # the report's spectra of T give the constants where they can
         by_trunc = {
-            str(t): list(cm_equivalence_constants(pair, cfg["cm_beta"], t))
+            str(t): list(report.cm_constants(cfg["cm_beta"], t)
+                         or cm_equivalence_constants(pair, cfg["cm_beta"], t))
             for t in truncations
         }
         payload["cm_beta"] = cfg["cm_beta"]

@@ -41,9 +41,9 @@ solves with K~ and M, through the alt pencil's unit-lower LDL' factors
 Any other exponent takes the W route, which runs
 the alt eigensolve and ``cross_gram`` once, on first use. At matched
 exponents (b = g) the blocks are one matrix shifted by s = c^(2g):
-``hs_curve`` keeps each block's spectrum of T on the pair, and
-``cm_equivalence_constants`` reads its constants off that spectrum plus
-s instead of forming and eigensolving the Gram block again.
+``hs_curve`` returns each block's spectrum of T in its report, whose
+``cm_constants`` reads the constants off it plus s, where
+``cm_equivalence_constants`` forms and eigensolves the block again.
 
 The verdict engine and the spectral diagnostics are deliberately
 independent routes to the same conclusions; tests check concordance.
@@ -97,8 +97,8 @@ __all__ = [
 
 
 def _json_dict(fields):
-    """``dataclasses.asdict`` factory: a report's fields, tuples as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
+    """``dataclasses.asdict`` factory: a report's fields but its spectra, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields if k != "spectra"}
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,8 @@ class OperatorPair:
     eigenvectors are never kept.
 
     A pair is immutable once built: its arrays are never changed in
-    place, so spectra computed from them stay valid for the pair's
-    lifetime. ``hs_curve`` stores the ascending eigenvalues of each
-    leading block of T, with the shift s = c^(2g), keyed by
-    (g, truncation); ``cm_equivalence_constants`` reads them back.
+    place and no call stores a result on it, so what a routine computes
+    from a pair does not depend on what ran on it before.
     """
 
     lam: np.ndarray
@@ -122,9 +120,6 @@ class OperatorPair:
     W: Optional[np.ndarray] = None
     V: Optional[np.ndarray] = None
     ops_alt: Optional[AssembledOperators] = None
-    _defect_spectra: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @functools.cached_property
     def _w_route(self):
@@ -146,8 +141,10 @@ def operator_pair(dec_base, ops_alt):
     ``lam_alt`` comes from LAPACK dsbgvd without vectors. Gram blocks with
     2b a positive integer read only V and the bands; the alt eigenvectors
     are computed only if another exponent needs W. Raises
+    ParameterError if the pencil's size is not the base's, and
     AssemblyIntegrityError if the alt pencil has a nonpositive eigenvalue.
     """
+    _require_same_size(len(dec_base.eigenvalues), ops_alt.K_band.shape[1], "alt pencil")
     lam_alt = _dsbgvd_eigenvalues(ops_alt.K_band, ops_alt.M_band)
     _require_positive(lam_alt)
     return OperatorPair(
@@ -167,8 +164,12 @@ def cross_gram(dec_base, dec_alt, M_band):
     V' (M V_alt[:, a:b]), is formed in W just before the check of the
     upper triangle of W'W reads it, so the call holds W and two
     N x _BLOCK buffers (``_identity_defect``), and no other N x N array.
+    ParameterError, before any product, if the alt decomposition or the
+    mass band is not of the base's size.
     """
     V, V_alt = dec_base.eigenvectors, dec_alt.eigenvectors
+    _require_same_size(V.shape[0], V_alt.shape[0], "alt decomposition")
+    _require_same_size(V.shape[0], M_band.shape[1], "mass band")
     W = np.empty((V.shape[1], V_alt.shape[1]), order="F")
     product, term = _block_buffer(V_alt), _block_buffer(V_alt)
 
@@ -182,6 +183,11 @@ def cross_gram(dec_base, dec_alt, M_band):
             f"cross Gram matrix is not orthogonal: max |W'W - I| = {err:.3e}"
         )
     return OperatorPair(lam=dec_base.eigenvalues, lam_alt=dec_alt.eigenvalues, W=W)
+
+
+def _require_same_size(n, n_alt, what):
+    if n_alt != n:
+        raise ParameterError(f"the {what} has size {n_alt}, the base has size {n}")
 
 
 def _gram(pair, b, t, c=None):
@@ -380,7 +386,8 @@ def _block_eigenvalues(A, t, uplo="L", restore=False):
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Norms of leading blocks of the defect matrix over truncations. Its
-    CSV and JSON forms repeat ``opnorm`` under the name ``smax``.
+    CSV and JSON forms repeat ``opnorm`` under the name ``smax`` and leave
+    out ``spectra``, each truncation's ascending eigenvalues of T.
 
     ``classification`` is a coarse reading of the growth pattern:
 
@@ -403,6 +410,7 @@ class DiagnosticsReport:
     smin: Tuple[float, ...]
     tail_ratio: Tuple[float, ...]
     classification: str
+    spectra: Tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def write_csv(self, path):
         write_csv(
@@ -419,6 +427,21 @@ class DiagnosticsReport:
     def to_dict(self):
         return {**dataclasses.asdict(self, dict_factory=_json_dict), "smax": list(self.opnorm)}
 
+    def cm_constants(self, beta, truncation):
+        """``cm_equivalence_constants(pair, beta, truncation)`` as T's
+        extreme eigenvalues plus s = c^(2g), with no Gram product or
+        eigensolve, or None. They err by a few units of roundoff times
+        max(hi, s), so they are given only at beta = gamma with s <= hi
+        (T's top eigenvalue nonnegative), where a fresh solve errs as much.
+        """
+        if not beta > 0.25:
+            raise ParameterError(f"beta must exceed 1/4, got {beta}")
+        ev = dict(zip(self.truncations, self.spectra)).get(int(truncation))
+        if float(beta) != self.gamma or ev is None or ev[-1] < 0.0:
+            return None
+        shift = self.c ** (2.0 * self.gamma)  # finite, as T is
+        return max(float(ev[0] + shift), 0.0), float(ev[-1] + shift)
+
 
 def hs_curve(pair, gamma, c, truncations):
     """Norm growth of leading blocks of the defect matrix.
@@ -432,9 +455,8 @@ def hs_curve(pair, gamma, c, truncations):
     formed. Every truncation's block is eigensolved in T's storage
     (``_block_eigenvalues``): each smaller one is restored afterwards for
     the next, and the largest is left overwritten, so no block is
-    copied. Each block's ascending eigenvalues are kept on the pair,
-    keyed by (gamma, truncation), for ``cm_equivalence_constants`` at
-    beta = gamma.
+    copied. Each block's ascending eigenvalues go into the report's
+    ``spectra``, for ``DiagnosticsReport.cm_constants``.
     """
     truncs = tuple(int(t) for t in truncations)
     n = len(pair.lam)
@@ -448,14 +470,14 @@ def hs_curve(pair, gamma, c, truncations):
         raise ParameterError(f"largest truncation {truncs[-1]} exceeds pencil size {n}")
 
     T = t_operator(pair, gamma, c, truncs[-1])
-    fro, opn, smin, tail = [], [], [], []
+    spectra, fro, opn, smin, tail = [], [], [], [], []
     for t in truncs:
         # T is exactly symmetric (t_operator mirrors one triangle), so its
         # singular values are its absolute eigenvalues, found without an
         # SVD; nothing reads T after the largest block, which is left
         # overwritten
         ev = _block_eigenvalues(T, t, restore=t != truncs[-1])
-        pair._defect_spectra[float(gamma), t] = (ev, c ** (2.0 * float(gamma)))  # finite, as T is
+        spectra.append(ev)
         sv = np.sort(np.abs(ev))[::-1]
         fro.append(float(np.sqrt(np.sum(sv * sv))))
         opn.append(float(sv[0]))
@@ -479,6 +501,7 @@ def hs_curve(pair, gamma, c, truncations):
         smin=tuple(smin),
         tail_ratio=tuple(tail),
         classification=classification,
+        spectra=tuple(spectra),
     )
 
 
@@ -497,15 +520,8 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     constants are accurate to a few units of roundoff relative to the
     larger one, so a lower constant far below that level reads as noise.
     The Gram matrix is positive semidefinite, and a lower constant that
-    roundoff pushes below zero is returned as 0.
-
-    After ``hs_curve(pair, beta, c, ...)`` covered this truncation, the
-    block is T + c^(2b) I, and the constants are the extreme eigenvalues
-    of T shifted by s = c^(2b), with no Gram product or eigensolve.
-    Read that way they err by a few units of roundoff times max(hi, s),
-    so the stored spectrum is used only when s <= hi, where this is the
-    same accuracy as above; otherwise the block is formed and
-    eigensolved as above.
+    roundoff pushes below zero is returned as 0. Every call forms and
+    eigensolves its block (``DiagnosticsReport.cm_constants`` does not).
 
     Caution: at high beta the constants at truncations near the full dof
     count reflect the top of the *discrete* spectrum, whose eigenpairs
@@ -518,15 +534,8 @@ def cm_equivalence_constants(pair, beta, truncation=None):
     t = n if truncation is None else int(truncation)
     if not 2 <= t <= n:
         raise ParameterError(f"truncation must lie in [2, {n}], got {t}")
-    stored = pair._defect_spectra.get((float(beta), t))
-    # a negative top eigenvalue of T means s > hi, where reading through
-    # the shift would cost accuracy relative to hi
-    if stored is not None and stored[0][-1] >= 0.0:
-        ev, shift = stored
-    else:
-        ev = _block_eigenvalues(_gram(pair, beta, t), t, uplo="U")
-        shift = 0.0
-    return max(float(ev[0] + shift), 0.0), float(ev[-1] + shift)
+    ev = _block_eigenvalues(_gram(pair, beta, t), t, uplo="U")
+    return max(0.0, float(ev[0])), float(ev[-1])
 
 
 # -- decision rules -----------------------------------------------------

@@ -468,16 +468,21 @@ def eval_matrix(basis, locations):
 class AssembledOperators:
     """Mass matrix M and a stiffness-like form matrix K, both constrained.
 
-    ``M_band`` and ``K_band`` hold the two symmetric matrices as (p+1, n)
-    lower bands, ``band[k, j] = A[j + k, j]`` (see the module docstring);
-    the shared ``M_band`` is read-only. ``form_order`` records which
-    bilinear form K discretizes: "a_L" for the second-order operator
-    itself, "a2"/"a3" for its second/third power.
+    ``M_factor`` is the ``_BandLDL`` factor of M, shared by the pencils on
+    one basis (``SplineBasis.mass``). ``M_band`` (its read-only ``band``)
+    and ``K_band`` hold the two symmetric matrices as (p+1, n) lower bands,
+    ``band[k, j] = A[j + k, j]`` (see the module docstring). ``form_order``
+    records which bilinear form K discretizes: "a_L" for the second-order
+    operator itself, "a2"/"a3" for its second/third power.
     """
 
-    M_band: np.ndarray
+    M_factor: _BandLDL
     K_band: np.ndarray
     form_order: str
+
+    @property
+    def M_band(self):
+        return self.M_factor.band
 
     @property
     def bandwidth(self):
@@ -491,13 +496,6 @@ class AssembledOperators:
     def K_factor(self):
         """The ``_BandLDL`` factor of K, built on first use."""
         return _BandLDL(self.K_band, f"form matrix {self.form_order}")
-
-    @functools.cached_property
-    def M_factor(self):
-        """The ``_BandLDL`` factor of M, built on first use. Pencils that
-        the assembly functions build hold their basis's factor
-        (``SplineBasis.mass``) instead."""
-        return _BandLDL(self.M_band, "mass matrix")
 
     @property
     def M(self):
@@ -583,15 +581,6 @@ def mass_matrix(basis):
     return _read_only(dense(basis.mass.band))
 
 
-def _operators(basis, K, form_order):
-    """AssembledOperators of K on the basis, holding the basis's mass band
-    and, as its ``M_factor``, that band's one factor (``SplineBasis.mass``)."""
-    ops = AssembledOperators(M_band=basis.mass.band, K_band=K, form_order=form_order)
-    # set the cached property: the frozen dataclass keeps it in __dict__
-    ops.__dict__["M_factor"] = basis.mass
-    return ops
-
-
 def assemble_aL(basis, a, kappa2):
     """Mass matrix and the form <a u', v'> + <kappa2 u, v>.
 
@@ -613,7 +602,7 @@ def assemble_aL(basis, a, kappa2):
         )
     coeffs = np.stack([a_q, k2_q])
     K = _assemble(basis, qpts, qwts, coeffs, [1, 0], [1, 0])
-    return _operators(basis, K, "a_L")
+    return AssembledOperators(M_factor=basis.mass, K_band=K, form_order="a_L")
 
 
 def _require_unit_diffusion(a, form):
@@ -648,7 +637,7 @@ def assemble_a2(basis, kappa2, a=None):
     d1 = [0, 1, 0, 1, 2]
     d2 = [0, 1, 1, 0, 2]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return _operators(basis, K, "a2")
+    return AssembledOperators(M_factor=basis.mass, K_band=K, form_order="a2")
 
 
 def assemble_a3(basis, kappa2, a=None):
@@ -693,7 +682,7 @@ def assemble_a3(basis, kappa2, a=None):
     d1 = [0, 0, 1, 1, 2, 0, 2, 3, 0, 3, 1, 3]
     d2 = [0, 1, 0, 1, 0, 2, 2, 0, 3, 1, 3, 3]
     K = _assemble(basis, qpts, qwts, coeffs, d1, d2)
-    return _operators(basis, K, "a3")
+    return AssembledOperators(M_factor=basis.mass, K_band=K, form_order="a3")
 
 
 def integral_obs_matrix(basis, n_rows):

@@ -162,10 +162,10 @@ def test_pencils_on_one_basis_share_one_mass_factor():
     )
     assert first.M_factor is second.M_factor
     assert first.M_factor.band is first.M_band is second.M_band
-    # a pencil built with another mass band factors that band
-    other = dataclasses.replace(first, M_band=2.0 * first.M_band)
-    assert other.M_factor is not first.M_factor
-    assert other.M_factor.band is other.M_band
+    # a pencil built with another mass factor holds that factor's band
+    factor = _BandLDL(2.0 * first.M_band, "mass matrix")
+    other = dataclasses.replace(first, M_factor=factor)
+    assert other.M_factor is factor and other.M_band is factor.band
 
 
 @pytest.mark.parametrize("which", ["K_band", "M_band"])
@@ -174,8 +174,12 @@ def test_direct_factor_refuses_a_matrix_that_is_not_positive_definite(which):
     ops = assemble_aL(build_basis(30, 1, DIRICHLET), model.a, model.kappa2)
     band = getattr(ops, which).copy()
     band[0, 5] = -1.0
-    ops = dataclasses.replace(ops, **{which: band})
-    name = "form matrix a_L" if which == "K_band" else "mass matrix"
+    if which == "M_band":
+        # a pencil holds a factored mass, so the mass factor refuses it
+        with pytest.raises(ConditioningError, match="^mass matrix is not positive definite"):
+            _BandLDL(band, "mass matrix")
+        return
+    ops = dataclasses.replace(ops, K_band=band)
     for beta in (1.0, 1.5):
-        with pytest.raises(ConditioningError, match=f"^{name} is not positive definite"):
+        with pytest.raises(ConditioningError, match="^form matrix a_L is not positive definite"):
             spectral.direct_factor(ops, beta, model.tau)

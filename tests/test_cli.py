@@ -22,6 +22,7 @@ import wmlab.diagnostics
 import wmlab.fem1d
 from wmlab.cli import main
 from wmlab.matio import read_matrix
+from wmlab.model_config import builtin_model
 
 CSV_HEADER = (
     "experiment,model,beta,delta,design,n,target,true_var,missp_var,efficiency,e_max"
@@ -779,11 +780,15 @@ def test_diagnose_too_few_truncations_names_the_dropped_ones(tmp_path, capsys):
     assert "need at least two truncations" in err and "dropped [400] above N=100" in err
 
 
-@pytest.mark.parametrize("gamma, solves, grams", [(1.0, 3, 1), (0.5, 6, 4)])
+@pytest.mark.parametrize(
+    "gamma, c, solves, grams", [(1.0, 1.0, 3, 1), (0.5, 1.0, 6, 4), (1.0, 100.0, 6, 4)],
+    ids=["1.0-3-1", "0.5-6-4", "1.0-6-4-large_c"],
+)
 def test_diagnose_eigensolves_each_block_once_at_matched_exponents(
-    tmp_path, monkeypatch, gamma, solves, grams
+    tmp_path, monkeypatch, gamma, c, solves, grams
 ):
-    # gamma == cm_beta: the constants come off hs_curve's spectra; otherwise
+    # gamma == cm_beta: the constants come off hs_curve's spectra, unless
+    # the shift s = c^2 exceeds the upper constant (c = 100); otherwise
     # each truncation forms and eigensolves its own Gram block
     calls = []
 
@@ -802,10 +807,23 @@ def test_diagnose_eigensolves_each_block_once_at_matched_exponents(
     monkeypatch.setattr(
         wmlab.diagnostics, "_gram", counted("_gram", wmlab.diagnostics._gram)
     )
-    payload = _diagnose_payload(tmp_path, [25, 50, 100], gamma=gamma, cm_beta=1.0)
+    payload = _diagnose_payload(tmp_path, [25, 50, 100], gamma=gamma, c=c, cm_beta=1.0)
     assert _run(tmp_path, "diagnose", payload) == 0
     assert calls.count("eigensolve") == solves
     assert calls.count("_gram") == grams
+    if grams > 1:
+        # constants from their own Gram blocks are those of a fresh pair
+        basis = wmlab.fem1d.build_basis(100, 1, wmlab.fem1d.DIRICHLET)
+        ops_base, ops_alt = (
+            wmlab.fem1d.assemble_aL(basis, model.a, model.kappa2)
+            for model in (builtin_model("base41", 1), builtin_model("model2_41", 1))
+        )
+        pair = wmlab.diagnostics.operator_pair(wmlab.cli.generalized_eig(ops_base), ops_alt)
+        written = json.loads((tmp_path / "o" / "diagnose.json").read_text())
+        assert written["cm_constants_by_truncation"] == {
+            str(t): list(wmlab.diagnostics.cm_equivalence_constants(pair, 1.0, t))
+            for t in (25, 50, 100)
+        }
 
 
 @pytest.mark.parametrize("gamma, solves, cross_grams", [(1.0, 1, 0), (0.25, 2, 1)])
@@ -1045,8 +1063,11 @@ def test_matern_check_out_of_float_range_is_a_domain_error(tmp_path, capsys, mod
 def test_non_finite_json_value_exits_three_and_writes_no_file(
     tmp_path, capsys, monkeypatch, value
 ):
-    # JSON has no NaN or infinities; Python's default would write them
-    monkeypatch.setattr(wmlab.cli, "cm_equivalence_constants", lambda pair, b, t: (0.0, value))
+    # JSON has no NaN or infinities; Python's default would write them. At
+    # cm_beta = gamma the constants come off the report's spectra
+    monkeypatch.setattr(
+        wmlab.diagnostics.DiagnosticsReport, "cm_constants", lambda report, b, t: (0.0, value)
+    )
     assert _run(tmp_path, "diagnose", _diagnose_payload(tmp_path, [25, 50], cm_beta=1.0)) == 3
     blob = json.loads(capsys.readouterr().err)
     assert blob["error"] == "NumericalIntegrityError"

@@ -167,7 +167,7 @@ def test_hs_curve_forms_only_the_leading_block(monkeypatch, gamma, c):
     assert sizes == [truncs[-1]]
     for i, t in enumerate(truncs):
         ev = scipy.linalg.eigvalsh(full[:t, :t])
-        npt.assert_allclose(pair._defect_spectra[float(gamma), t][0], ev,
+        npt.assert_allclose(rep.spectra[i], ev,
                             rtol=0.0, atol=1e-12 * np.max(np.abs(ev)))
         sv = np.sort(np.abs(ev))
         npt.assert_allclose([rep.frobenius[i], rep.opnorm[i]],
@@ -253,24 +253,18 @@ def test_cm_constants_match_svd_oracle(fem_pair_200, beta, t):
     assert abs(lo - lo_ref) <= 1e-12 * hi_ref
 
 
-def _fresh(pair):
-    """The same eigenvalues and W in a pair with no stored spectra."""
-    return OperatorPair(lam=pair.lam, lam_alt=pair.lam_alt, W=pair.W)
-
-
 def _forbid_gram(*args):
-    raise AssertionError("constants were not read off the stored defect spectrum")
+    raise AssertionError("constants were not read off the report's defect spectrum")
 
 
 @pytest.mark.parametrize("gamma, c", [(0.5, 1.0), (1.0, 1.0), (1.5, 1.3)])
 def test_cm_constants_read_after_hs_curve_match_svd_oracle(fem_pair_200, monkeypatch, gamma, c):
-    pair = _fresh(fem_pair_200)
     truncs = (50, 100, 200)
-    hs_curve(pair, gamma, c, truncs)
+    report = hs_curve(fem_pair_200, gamma, c, truncs)
     monkeypatch.setattr(wmlab.diagnostics, "_gram", _forbid_gram)
     for t in truncs:
-        lo, hi = cm_equivalence_constants(pair, gamma, truncation=t)
-        lo_ref, hi_ref = _svd_cm_oracle(pair, gamma, t)
+        lo, hi = report.cm_constants(gamma, t)
+        lo_ref, hi_ref = _svd_cm_oracle(fem_pair_200, gamma, t)
         assert 0.0 <= lo <= hi
         assert hi == pytest.approx(hi_ref, rel=1e-12, abs=0.0)
         assert abs(lo - lo_ref) <= 1e-12 * hi_ref
@@ -278,28 +272,49 @@ def test_cm_constants_read_after_hs_curve_match_svd_oracle(fem_pair_200, monkeyp
 
 def test_stored_spectrum_keeps_beta_validation(fem_pair_200):
     # hs_curve accepts gamma = 1/4, the constants do not
-    pair = _fresh(fem_pair_200)
-    hs_curve(pair, 0.25, 1.3, (50, 100))
-    with pytest.raises(ParameterError):
-        cm_equivalence_constants(pair, 0.25, truncation=50)
+    report = hs_curve(fem_pair_200, 0.25, 1.3, (50, 100))
+    with pytest.raises(ParameterError, match="beta must exceed 1/4"):
+        report.cm_constants(0.25, 50)
+
+
+def test_report_cm_constants_answer_only_where_the_spectrum_gives_them(fem_pair_200):
+    report = hs_curve(fem_pair_200, 1.0, 1.3, (50, 100))
+    assert report.cm_constants(1.0, 50) is not None
+    # another exponent, or a truncation the report does not hold
+    assert report.cm_constants(1.5, 50) is None
+    assert report.cm_constants(1.0, 75) is None
 
 
 def test_cm_constants_recomputed_when_shift_exceeds_upper_constant(fem_pair_200):
-    # s = c^2 = 1e4 lies far above hi, so T's spectrum is all negative
-    pair = _fresh(fem_pair_200)
+    # s = c^2 = 1e4 lies far above hi, so T's spectrum is all negative and
+    # the report gives no constants: the caller forms the Gram block
     truncs = (50, 100, 200)
-    hs_curve(pair, 1.0, 100.0, truncs)
+    report = hs_curve(fem_pair_200, 1.0, 100.0, truncs)
+    assert all(ev[-1] < 0.0 for ev in report.spectra)
     for t in truncs:
-        got = cm_equivalence_constants(pair, 1.0, truncation=t)
-        assert got == cm_equivalence_constants(_fresh(fem_pair_200), 1.0, truncation=t)
+        assert report.cm_constants(1.0, t) is None
+
+
+def test_cm_constants_do_not_depend_on_a_prior_hs_curve():
+    # base41 against model2_41 on the pencil route: the constants that
+    # T's spectrum plus the shift gives differ from the Gram block's in
+    # their last bits, so a result kept from hs_curve would show
+    base, alt = builtin_model("base41", 1), builtin_model("model2_41", 1)
+    basis = build_basis(200, 1, DIRICHLET)
+    ops_b = assemble_aL(basis, base.a, base.kappa2)
+    pair = operator_pair(generalized_eig(ops_b), assemble_aL(basis, alt.a, alt.kappa2))
+    truncs = (25, 50, 100, 200)
+    before = [cm_equivalence_constants(pair, 1.0, truncation=t) for t in truncs]
+    hs_curve(pair, 1.0, 1.0, truncs)
+    assert [cm_equivalence_constants(pair, 1.0, truncation=t) for t in truncs] == before
 
 
 def test_hs_curve_unchanged_by_prior_cm_constants(fem_pair_200):
     truncs = (50, 100, 200)
-    pair = _fresh(fem_pair_200)
+    before = hs_curve(fem_pair_200, 1.0, 1.0, truncs)
     for t in truncs:
-        cm_equivalence_constants(pair, 1.0, truncation=t)
-    assert hs_curve(pair, 1.0, 1.0, truncs) == hs_curve(_fresh(fem_pair_200), 1.0, 1.0, truncs)
+        cm_equivalence_constants(fem_pair_200, 1.0, truncation=t)
+    assert hs_curve(fem_pair_200, 1.0, 1.0, truncs) == before
 
 
 def test_cm_constants_validation():
@@ -387,13 +402,38 @@ def test_overflowing_exponents_raise_domain_error(route):
             t_operator(pair, 1.0, c, 50)
         with pytest.raises(DomainError, match=named):
             hs_curve(pair, 1.0, c, (25, 50))
-    assert pair._defect_spectra == {}
+
+
+def _forbid(*args):
+    raise AssertionError("a pair of mismatched sizes reached an eigensolve or a product")
+
+
+def _decompositions_at_40_and_50():
+    model = builtin_model("base41", 1)
+    ops = [assemble_aL(build_basis(N, 1, DIRICHLET), model.a, model.kappa2) for N in (40, 50)]
+    return ops, [generalized_eig(o) for o in ops]
+
+
+def test_operator_pair_refuses_an_alt_pencil_of_another_size(monkeypatch):
+    (_, ops_50), (dec_40, _) = _decompositions_at_40_and_50()
+    monkeypatch.setattr(wmlab.diagnostics, "_dsbgvd_eigenvalues", _forbid)
+    with pytest.raises(ParameterError, match="alt pencil has size 50, the base has size 40"):
+        operator_pair(dec_40, ops_50)
+
+
+def test_cross_gram_refuses_decompositions_of_different_sizes(monkeypatch):
+    (ops_40, ops_50), (dec_40, dec_50) = _decompositions_at_40_and_50()
+    monkeypatch.setattr(wmlab.diagnostics, "band_matmul", _forbid)
+    with pytest.raises(ParameterError, match="alt decomposition has size 50, the base has size 40"):
+        cross_gram(dec_40, dec_50, ops_40.M_band)
+    with pytest.raises(ParameterError, match="mass band has size 50, the base has size 40"):
+        cross_gram(dec_40, dec_40, ops_50.M_band)
 
 
 def test_operator_pair_rejects_a_nonpositive_alt_spectrum():
     model = builtin_model("base41", 1)
     ops = assemble_aL(build_basis(40, 1, DIRICHLET), model.a, model.kappa2)
-    flipped = AssembledOperators(M_band=ops.M_band, K_band=-ops.K_band, form_order="a_L")
+    flipped = AssembledOperators(M_factor=ops.M_factor, K_band=-ops.K_band, form_order="a_L")
     with pytest.raises(AssemblyIntegrityError, match="nonpositive eigenvalue"):
         operator_pair(generalized_eig(ops), flipped)
 

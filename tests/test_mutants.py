@@ -2,8 +2,8 @@
 applies to ``src/``: its old text occurs exactly once in its file.
 
 Whether the entries' tests catch them is checked by running the
-catalogue itself (``python3 tools/mutants.py``), which takes about a
-minute and a half.
+catalogue itself (``python3 tools/mutants.py``), which takes about
+80 s.
 """
 
 import importlib.util

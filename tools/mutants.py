@@ -17,8 +17,8 @@ survives or is stale (its text does not occur exactly once, or its
 tests fail on the unmutated copy).
 
 Run it at one BLAS thread (OPENBLAS_NUM_THREADS=1), as CI does, so
-that the tests' numbers do not depend on the thread split. The 24
-entries took 70 s on a 2-core Xeon VM.
+that the tests' numbers do not depend on the thread split. The 26
+entries took 81 s on a 2-core Xeon VM.
 """
 
 import os
@@ -67,6 +67,20 @@ MUTANTS = (
     Mutant(
         "wmlab/fem1d.py", "        out[:-k] += np.multiply(d, X[k:], out=term)\n", "",
         ("tests/test_fem1d.py::test_band_layout_expansion_and_product",),
+    ),
+    # the report's constants read through a shift above the upper one
+    Mutant(
+        "wmlab/diagnostics.py", "ev is None or ev[-1] < 0.0:", "ev is None:",
+        ("tests/test_diagnostics.py::"
+         "test_cm_constants_recomputed_when_shift_exceeds_upper_constant[model1_41]",
+         "tests/test_cli.py::"
+         "test_diagnose_eigensolves_each_block_once_at_matched_exponents[1.0-6-4-large_c]"),
+    ),
+    # the report's constants read off T of another exponent
+    Mutant(
+        "wmlab/diagnostics.py", "if float(beta) != self.gamma or ev is None", "if ev is None",
+        ("tests/test_cli.py::"
+         "test_diagnose_eigensolves_each_block_once_at_matched_exponents[0.5-6-4]",),
     ),
     # singular values of T with their signs
     Mutant(
